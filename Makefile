@@ -1,13 +1,17 @@
-# Tier-1 verification: build, full test suite, vet, and a race-detector pass
-# over every package (the sweep engine, Monte-Carlo ensembles, and the budget
-# token thread concurrency through the whole stack). Run `make verify` before
-# every PR. CI (.github/workflows/ci.yml) runs the same steps.
+# Tier-1 verification: formatting, build, full test suite, vet, and a
+# race-detector pass over every package (the sweep engine, Monte-Carlo
+# ensembles, and the budget token thread concurrency through the whole stack).
+# Run `make verify` before every PR. CI (.github/workflows/ci.yml) runs the
+# same steps.
 
 GO ?= go
 
-.PHONY: verify build test vet race chaos chaos-cluster bench bench-json bench-compare smoke-serve
+.PHONY: verify fmt build test vet race fuzz chaos chaos-cluster bench bench-json bench-compare smoke-serve
 
-verify: build test vet race
+verify: fmt build test vet race
+
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -20,6 +24,16 @@ vet:
 
 race:
 	$(GO) test -race -timeout 10m ./...
+
+# Fuzzing: each native fuzz target for 15 s (the decoders of crash-torn
+# bytes: the log scanner, journal replay, the non-finite float codec). Their
+# seed inputs also run as plain tests under `make test`. Minimization is
+# capped so a new input does not eat the whole budget. CI runs the same
+# target (fuzz job).
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzWfloat$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/wfloat/
 
 # Fault-injection (chaos) suite under the race detector: the faultinject
 # package itself, the named-fault consumers in cache/sweep/osc/serve

@@ -1,17 +1,15 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/serve"
+	"repro/internal/wal"
 )
 
 // lease is one unit of work handed to a worker: a contiguous chunk of the
@@ -46,7 +44,7 @@ const (
 	walFallback = "fallback" // lease ran in-process (degraded mode)
 )
 
-// walRecord is one line of the coordinator's per-job lease journal.
+// walRecord is one record of the coordinator's per-job lease journal.
 type walRecord struct {
 	Type      string `json:"type"`
 	Lease     int    `json:"lease"`
@@ -55,23 +53,22 @@ type walRecord struct {
 	WorkerJob string `json:"worker_job,omitempty"`
 }
 
-// leaseWAL is the append-only lease journal for one coordinator job. It is
-// an optimisation, not a correctness requirement: after a coordinator crash
-// the replayed job re-derives the same leases and idempotency keys from the
-// job ID, and the WAL only short-circuits worker choice (re-dispatch to the
-// worker that already holds the lease) and resumes the attempt counter.
-// Writes are best-effort — a failed append degrades resume quality, never
-// the run.
+// leaseWAL is the append-only lease journal for one coordinator job, an
+// internal/wal log at <dir>/<jobID>.wal. It is an optimisation, not a
+// correctness requirement: after a coordinator crash the replayed job
+// re-derives the same leases and idempotency keys from the job ID, and the
+// WAL only short-circuits worker choice (re-dispatch to the worker that
+// already holds the lease) and resumes the attempt counter. Writes are
+// best-effort — a failed append degrades resume quality, never the run.
 type leaseWAL struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
+	log  *wal.Log
+	path string
 }
 
 // openLeaseWAL opens (creating if needed) the lease journal for jobID under
-// dir and returns the replayed records in append order. Corrupt lines — a
-// torn tail from a crash mid-append — are skipped, not fatal. An empty dir
-// disables journalling (nil WAL, safe to append to).
+// dir and returns the replayed records in append order; a torn tail from a
+// crash mid-append is cut, not fatal. An empty dir disables journalling (nil
+// WAL, safe to append to).
 func openLeaseWAL(dir, jobID string) (*leaseWAL, []walRecord, error) {
 	if dir == "" {
 		return nil, nil, nil
@@ -79,23 +76,18 @@ func openLeaseWAL(dir, jobID string) (*leaseWAL, []walRecord, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	path := filepath.Join(dir, jobID+".leases.jsonl")
+	path := filepath.Join(dir, jobID+".wal")
 	var recs []walRecord
-	if prev, err := os.ReadFile(path); err == nil {
-		sc := bufio.NewScanner(bytes.NewReader(prev))
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-		for sc.Scan() {
-			var rec walRecord
-			if json.Unmarshal(sc.Bytes(), &rec) == nil && rec.Type != "" {
-				recs = append(recs, rec)
-			}
+	log, _, err := wal.Open(path, func(_ int64, data []byte) {
+		var rec walRecord
+		if json.Unmarshal(data, &rec) == nil && rec.Type != "" {
+			recs = append(recs, rec)
 		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return &leaseWAL{f: f, w: bufio.NewWriter(f)}, recs, nil
+	return &leaseWAL{log: log, path: path}, recs, nil
 }
 
 // append writes one record and syncs it to disk. Nil-safe and best-effort.
@@ -103,36 +95,25 @@ func (w *leaseWAL) append(rec walRecord) {
 	if w == nil {
 		return
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if b, err := json.Marshal(rec); err == nil {
-		w.w.Write(b)
-		w.w.WriteByte('\n')
-		w.w.Flush()
-		w.f.Sync()
+		if _, err := w.log.Append(b); err == nil {
+			_ = w.log.Sync()
+		}
 	}
 }
 
-// Close flushes and closes the journal. Nil-safe.
+// Close closes the journal. Nil-safe.
 func (w *leaseWAL) Close() {
-	if w == nil {
-		return
+	if w != nil {
+		_ = w.log.Close()
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.w.Flush()
-	w.f.Close()
 }
 
-// remove deletes the journal file once the job is terminal: its leases can
-// never be resumed again, so the record is dead weight. Nil-safe.
+// remove deletes the journal once the job is terminal: its leases can never
+// be resumed again, so the record is dead weight. Nil-safe.
 func (w *leaseWAL) remove() {
-	if w == nil {
-		return
+	if w != nil {
+		_ = w.log.Close()
+		_ = os.Remove(w.path)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.w.Flush()
-	w.f.Close()
-	os.Remove(w.f.Name())
 }

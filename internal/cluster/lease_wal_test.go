@@ -7,7 +7,7 @@ import (
 )
 
 // TestLeaseWALReplay: records append durably, replay returns them in order,
-// a torn tail is skipped, and remove deletes the journal.
+// a torn tail is cut, and remove deletes the journal.
 func TestLeaseWALReplay(t *testing.T) {
 	dir := t.TempDir()
 	w, recs, err := openLeaseWAL(dir, "j1")
@@ -22,8 +22,8 @@ func TestLeaseWALReplay(t *testing.T) {
 	w.append(walRecord{Type: walComplete, Lease: 0, Attempt: 0, Worker: "http://a", WorkerJob: "wj1"})
 	w.Close()
 
-	// Simulate a crash mid-append: a torn half line at the tail.
-	path := filepath.Join(dir, "j1.leases.jsonl")
+	// Simulate a crash mid-append: a torn record at the tail.
+	path := filepath.Join(dir, "j1.wal")
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestLeaseWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(recs) != 3 {
-		t.Fatalf("replayed %d records, want 3 (torn tail skipped): %+v", len(recs), recs)
+		t.Fatalf("replayed %d records, want 3 (torn tail cut): %+v", len(recs), recs)
 	}
 	if recs[1].Type != walDispatch || recs[1].Lease != 1 || recs[1].Attempt != 2 || recs[1].Worker != "http://b" {
 		t.Fatalf("record 1 corrupted on replay: %+v", recs[1])

@@ -2,89 +2,39 @@ package floquet
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
 
 	"repro/internal/ode"
+	"repro/internal/wfloat"
 )
-
-// wfloat is a float64 that survives JSON even when non-finite. A strongly
-// contractive orbit underflows a multiplier to 0 and its exponent
-// log(mu)/T to -Inf, and Inf/NaN have no JSON number form — encoding/json
-// rejects them, which would make an otherwise healthy Decomposition
-// unserialisable (the result cache, the ?full=1 payload and the cluster
-// coordinator's worker fetch all ride this codec). Non-finite values travel
-// as the strings "Inf", "-Inf", "NaN"; finite values stay plain numbers, so
-// old payloads decode unchanged.
-type wfloat float64
-
-func (f wfloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(v)
-}
-
-func (f *wfloat) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		var s string
-		if err := json.Unmarshal(data, &s); err != nil {
-			return err
-		}
-		switch s {
-		case "Inf", "+Inf":
-			*f = wfloat(math.Inf(1))
-		case "-Inf":
-			*f = wfloat(math.Inf(-1))
-		case "NaN":
-			*f = wfloat(math.NaN())
-		default:
-			return fmt.Errorf("floquet: invalid float string %q", s)
-		}
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(data, &v); err != nil {
-		return err
-	}
-	*f = wfloat(v)
-	return nil
-}
 
 // decompositionJSON is the wire form of a Decomposition. complex128 has no
 // native JSON encoding, so multipliers and exponents travel as [re, im]
 // pairs (of wfloat — exponents of collapsed multipliers are -Inf); every
 // other field round-trips verbatim.
 type decompositionJSON struct {
-	T            float64         `json:"t"`
-	Multipliers  [][2]wfloat     `json:"multipliers"`
-	Exponents    [][2]wfloat     `json:"exponents"`
-	U10          []float64       `json:"u10,omitempty"`
-	V10          []float64       `json:"v10,omitempty"`
-	V1           *ode.Trajectory `json:"v1,omitempty"`
-	UnitErr      wfloat          `json:"unit_err,omitempty"`
-	ClosureErr   wfloat          `json:"closure_err,omitempty"`
-	BiorthoDrift wfloat          `json:"biortho_drift,omitempty"`
+	T            float64           `json:"t"`
+	Multipliers  [][2]wfloat.Float `json:"multipliers"`
+	Exponents    [][2]wfloat.Float `json:"exponents"`
+	U10          []float64         `json:"u10,omitempty"`
+	V10          []float64         `json:"v10,omitempty"`
+	V1           *ode.Trajectory   `json:"v1,omitempty"`
+	UnitErr      wfloat.Float      `json:"unit_err,omitempty"`
+	ClosureErr   wfloat.Float      `json:"closure_err,omitempty"`
+	BiorthoDrift wfloat.Float      `json:"biortho_drift,omitempty"`
 }
 
-func complexToPairs(in []complex128) [][2]wfloat {
+func complexToPairs(in []complex128) [][2]wfloat.Float {
 	if in == nil {
 		return nil
 	}
-	out := make([][2]wfloat, len(in))
+	out := make([][2]wfloat.Float, len(in))
 	for i, c := range in {
-		out[i] = [2]wfloat{wfloat(real(c)), wfloat(imag(c))}
+		out[i] = [2]wfloat.Float{wfloat.Float(real(c)), wfloat.Float(imag(c))}
 	}
 	return out
 }
 
-func pairsToComplex(in [][2]wfloat) []complex128 {
+func pairsToComplex(in [][2]wfloat.Float) []complex128 {
 	if in == nil {
 		return nil
 	}
@@ -105,9 +55,9 @@ func (d *Decomposition) MarshalJSON() ([]byte, error) {
 		U10:          d.U10,
 		V10:          d.V10,
 		V1:           d.V1,
-		UnitErr:      wfloat(d.UnitErr),
-		ClosureErr:   wfloat(d.ClosureErr),
-		BiorthoDrift: wfloat(d.BiorthoDrift),
+		UnitErr:      wfloat.Float(d.UnitErr),
+		ClosureErr:   wfloat.Float(d.ClosureErr),
+		BiorthoDrift: wfloat.Float(d.BiorthoDrift),
 	})
 }
 

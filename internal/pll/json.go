@@ -2,69 +2,22 @@ package pll
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
+
+	"repro/internal/wfloat"
 )
 
-// wfloat is a float64 that survives JSON even when non-finite, following the
-// repo-wide codec convention (see floquet's codec): Inf/-Inf/NaN travel as
-// the strings "Inf", "-Inf", "NaN"; finite values stay plain numbers. A
-// composed mask hits -Inf dBc/Hz wherever a contributor's linear power
-// underflows to zero (a floor disabled mid-grid, a highpass at DC), and
-// encoding/json would reject the whole Result for it.
-type wfloat float64
-
-func (f wfloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(v)
-}
-
-func (f *wfloat) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		var s string
-		if err := json.Unmarshal(data, &s); err != nil {
-			return err
-		}
-		switch s {
-		case "Inf", "+Inf":
-			*f = wfloat(math.Inf(1))
-		case "-Inf":
-			*f = wfloat(math.Inf(-1))
-		case "NaN":
-			*f = wfloat(math.NaN())
-		default:
-			return fmt.Errorf("pll: invalid float string %q", s)
-		}
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(data, &v); err != nil {
-		return err
-	}
-	*f = wfloat(v)
-	return nil
-}
-
-func toWfloats(in []float64) []wfloat {
+func toWfloats(in []float64) []wfloat.Float {
 	if in == nil {
 		return nil
 	}
-	out := make([]wfloat, len(in))
+	out := make([]wfloat.Float, len(in))
 	for i, v := range in {
-		out[i] = wfloat(v)
+		out[i] = wfloat.Float(v)
 	}
 	return out
 }
 
-func fromWfloats(in []wfloat) []float64 {
+func fromWfloats(in []wfloat.Float) []float64 {
 	if in == nil {
 		return nil
 	}
@@ -76,22 +29,24 @@ func fromWfloats(in []wfloat) []float64 {
 }
 
 // contributorJSON / resultJSON are the wire forms: dB masks and jitters ride
-// wfloat so -Inf points survive; grids and realizations are finite by
-// construction and stay plain numbers.
+// wfloat.Float, because a mask hits -Inf dBc/Hz wherever a contributor's
+// linear power underflows to zero (a floor disabled mid-grid, a highpass at
+// DC); grids and realizations are finite by construction and stay plain
+// numbers.
 type contributorJSON struct {
-	Name      string   `json:"name"`
-	LdBc      []wfloat `json:"l_dbc"`
-	JitterSec wfloat   `json:"jitter_sec"`
+	Name      string         `json:"name"`
+	LdBc      []wfloat.Float `json:"l_dbc"`
+	JitterSec wfloat.Float   `json:"jitter_sec"`
 }
 
 type resultJSON struct {
 	CarrierHz    float64           `json:"carrier_hz"`
 	FHz          []float64         `json:"f_hz"`
-	LdBc         []wfloat          `json:"l_dbc"`
+	LdBc         []wfloat.Float    `json:"l_dbc"`
 	Contributors []contributorJSON `json:"contributors"`
 	BandHz       [2]float64        `json:"band_hz"`
-	JitterRad    wfloat            `json:"jitter_rad"`
-	JitterSec    wfloat            `json:"jitter_sec"`
+	JitterRad    wfloat.Float      `json:"jitter_rad"`
+	JitterSec    wfloat.Float      `json:"jitter_sec"`
 	Phase        []float64         `json:"phase,omitempty"`
 	SampleRateHz float64           `json:"sample_rate_hz,omitempty"`
 }
@@ -104,15 +59,15 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 		FHz:          r.FHz,
 		LdBc:         toWfloats(r.LdBc),
 		BandHz:       r.BandHz,
-		JitterRad:    wfloat(r.JitterRad),
-		JitterSec:    wfloat(r.JitterSec),
+		JitterRad:    wfloat.Float(r.JitterRad),
+		JitterSec:    wfloat.Float(r.JitterSec),
 		Phase:        r.Phase,
 		SampleRateHz: r.SampleRateHz,
 	}
 	if r.Contributors != nil {
 		w.Contributors = make([]contributorJSON, len(r.Contributors))
 		for i, c := range r.Contributors {
-			w.Contributors[i] = contributorJSON{Name: c.Name, LdBc: toWfloats(c.LdBc), JitterSec: wfloat(c.JitterSec)}
+			w.Contributors[i] = contributorJSON{Name: c.Name, LdBc: toWfloats(c.LdBc), JitterSec: wfloat.Float(c.JitterSec)}
 		}
 	}
 	return json.Marshal(w)

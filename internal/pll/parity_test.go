@@ -46,7 +46,7 @@ func TestFOMMatchesCharacterisedVCO(t *testing.T) {
 	byFOM, err := Compose(&Config{
 		Stages: []Stage{{
 			Ref:             ref,
-			VCO:             Leg{FOM: &FOM{F0Hz: f0, FOMdBcHz: 10 * math.Log10(c * 1), PowerMW: 1}},
+			VCO:             Leg{FOM: &FOM{F0Hz: f0, FOMdBcHz: 10 * math.Log10(c*1), PowerMW: 1}},
 			LoopBandwidthHz: bw,
 		}},
 		Grid: grid,

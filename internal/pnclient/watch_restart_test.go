@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -13,18 +12,18 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/serve"
+	"repro/internal/wal"
 )
 
 // TestWatchAcrossServerRestartReplay is the full client-side restart story:
 // a Watch whose checkpoint was established against a server that then
 // crashed must splice gap-free onto the restarted server's journal replay —
-// with the Last-Event-ID spanning the journal's .wal → .jsonl rotation
-// boundary (the checkpoint predates the rotation; the replay serves from the
-// recovered, re-run, and rotated job).
+// with the Last-Event-ID spanning the restart (the checkpoint predates the
+// crash; the replay serves from the recovered, re-run and finished job).
 //
 // The crash is simulated with the journal idiom this repo's serve tests use:
-// a hand-crafted <id>.wal is exactly the on-disk state a kill -9 leaves
-// behind. The client's view is driven by a front that switches modes the way
+// a hand-crafted <id>.wal journal is exactly the on-disk state a kill -9
+// leaves behind. The client's view is driven by a front that switches modes the way
 // a restarting node looks from outside: first the pre-crash stream (which
 // dies without a terminal event), then connection refusal (503), then the
 // recovered server.
@@ -32,22 +31,30 @@ func TestWatchAcrossServerRestartReplay(t *testing.T) {
 	jdir, cdir := t.TempDir(), t.TempDir()
 
 	// The crash artifact: job j1 accepted with two points, journaled through
-	// "running" and one point summary, then the process died. Lines mirror
+	// "running" and one point summary, then the process died. Records mirror
 	// what the server's own journal writes (schema v1).
-	wal := `{"v":1,"t":"accepted","id":"j1","kind":"sweep","specs":[{"name":"p0","model":"hopf","params":{"lambda":1,"omega":3,"sigma":0.02}},{"name":"p1","model":"hopf","params":{"lambda":1,"omega":4,"sigma":0.02}}],"workers":1}
-{"v":1,"t":"event","ev":{"seq":1,"type":"state","state":"queued"}}
-{"v":1,"t":"event","ev":{"seq":2,"type":"state","state":"running"}}
-{"v":1,"t":"event","ev":{"seq":3,"type":"point","point":{"index":0,"name":"p0","ok":true,"wall_ms":5}}}
-`
-	if err := os.WriteFile(filepath.Join(jdir, "j1.wal"), []byte(wal), 0o644); err != nil {
+	log, _, err := wal.Open(filepath.Join(jdir, "j1.wal"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{
+		`{"v":1,"t":"accepted","id":"j1","kind":"sweep","specs":[{"name":"p0","model":"hopf","params":{"lambda":1,"omega":3,"sigma":0.02}},{"name":"p1","model":"hopf","params":{"lambda":1,"omega":4,"sigma":0.02}}],"workers":1}`,
+		`{"v":1,"t":"event","ev":{"seq":1,"type":"state","state":"queued"}}`,
+		`{"v":1,"t":"event","ev":{"seq":2,"type":"state","state":"running"}}`,
+		`{"v":1,"t":"event","ev":{"seq":3,"type":"point","point":{"index":0,"name":"p0","ok":true,"wall_ms":5}}}`,
+	} {
+		if _, err := log.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The restarted server recovers the .wal, re-enqueues j1, re-runs it
-	// (the cache is empty — the "crash" predates any cached result), and
-	// rotates the journal to j1.jsonl at the terminal event. Run it to
-	// completion before the watch ever reaches it, so the splice below reads
-	// from fully post-rotation state.
+	// The restarted server recovers the journal, re-enqueues j1 and re-runs
+	// it (the cache is empty — the "crash" predates any cached result). Run
+	// it to completion before the watch ever reaches it, so the splice below
+	// reads from the finished job.
 	store, err := cache.New(cache.Options{Dir: cdir})
 	if err != nil {
 		t.Fatal(err)
@@ -67,12 +74,6 @@ func TestWatchAcrossServerRestartReplay(t *testing.T) {
 			t.Fatalf("recovered job never finished: %+v err=%v", st, err)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if _, err := os.Stat(filepath.Join(jdir, "j1.jsonl")); err != nil {
-		t.Fatalf("journal not rotated to .jsonl: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(jdir, "j1.wal")); !os.IsNotExist(err) {
-		t.Fatal("stale .wal survived the rotation")
 	}
 
 	// The front: pre-crash stream once, one refusal, then the recovered
@@ -143,7 +144,7 @@ func TestWatchAcrossServerRestartReplay(t *testing.T) {
 	}
 	// The protocol: first connection from scratch, every reconnect carrying
 	// the pre-crash checkpoint — including the one the recovered server
-	// answered from its rotated journal.
+	// answered from its journal.
 	mu.Lock()
 	defer mu.Unlock()
 	if len(lastIDs) != 3 || lastIDs[0] != "" || lastIDs[1] != "3" || lastIDs[2] != "3" {

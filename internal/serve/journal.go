@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,42 +11,36 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/sweep"
+	"repro/internal/wal"
 )
 
 // The job journal is the server's write-ahead durability layer: one
-// append-only JSONL file per job under Config.JournalDir. The first line is
-// the job header (everything needed to re-create the job as pure data —
-// kind, specs, knobs, idempotency fingerprint); every following line is one
-// progress event exactly as a subscriber saw it (state transitions and
-// per-point summaries, with their sequence numbers).
+// append-only log (internal/wal) per job under Config.JournalDir, <id>.wal,
+// kept for the job's whole life. The first record is the job header
+// (everything needed to re-create the job as pure data — kind, specs, knobs,
+// idempotency fingerprint); every following record is one progress event
+// exactly as a subscriber saw it (state transitions and per-point summaries,
+// with their sequence numbers).
 //
-// Lifecycle on disk:
+// The header and the terminal event are synced; the events in between are
+// best-effort — a lost tail costs progress replay, never correctness,
+// because completed points live in the content-addressed result cache. A
+// synced terminal event is what marks a finished job.
 //
-//	<id>.wal    active job (accepted/queued/running). Appended as the job
-//	            progresses; fsync'd at the header and at terminal events,
-//	            best-effort in between — a lost tail costs progress replay,
-//	            never correctness, because completed points live in the
-//	            content-addressed result cache.
-//	<id>.jsonl  terminal job, atomically rotated (fsync + rename) from the
-//	            .wal once the terminal state event is durable.
-//
-// On restart, replay walks the directory: .jsonl files restore queryable
-// terminal jobs; .wal files restore the event history and re-enqueue the job
-// — already-computed points come back as cache hits, only unfinished points
-// recompute. Replay is corruption-tolerant line by line: a torn final line
-// (the normal crash artifact) or a garbage line is skipped, and a file whose
-// header is unreadable is quarantined to <name>.corrupt instead of wedging
-// startup.
-const (
-	walExt  = ".wal"
-	doneExt = ".jsonl"
-)
+// On restart, replay walks the directory: a journal ending in a terminal
+// event restores a queryable finished job; any other restores the event
+// history and re-enqueues the job — already-computed points come back as
+// cache hits, only unfinished points recompute. Opening a log cuts a torn
+// tail (the normal crash artifact) before anything is appended after it; a
+// journal without a usable header is quarantined to <name>.corrupt instead
+// of wedging startup.
+const walExt = ".wal"
 
 // journalSchemaVersion guards the record schema like the cache's disk
 // envelope: records from a different version are ignored on replay.
 const journalSchemaVersion = 1
 
-// jrecord is one JSONL line of a job journal.
+// jrecord is one record of a job journal.
 type jrecord struct {
 	V int    `json:"v"`
 	T string `json:"t"` // "accepted" or "event"
@@ -70,16 +63,30 @@ type jrecord struct {
 	Ev *Event `json:"ev,omitempty"`
 }
 
+// jobFile is the one path guard for a job's files: it maps a job ID to its
+// log under dir, or "" when dir is unset or the ID could step out of it
+// (only the server mints IDs, but replayed headers are data).
+func jobFile(dir, id string) string {
+	if dir == "" || id == "" || len(id) > 64 || strings.ContainsAny(id, `/\.`) {
+		return ""
+	}
+	return filepath.Join(dir, id+walExt)
+}
+
+// traceSubdir is the journal subdirectory holding per-job trace logs; it
+// keeps them out of the journal replay walk.
+const traceSubdir = "traces"
+
 // journal manages the journal directory of one Server.
 type journal struct {
 	dir string
 }
 
-// openJournal prepares the directory and returns the highest job sequence
-// number found in existing journal file names, so the server can continue its
-// ID space without colliding with recovered jobs.
+// openJournal prepares the directory (and its traces subdirectory) and
+// returns the highest job sequence number found in any file name there, so
+// the server continues its ID space past every job that left a file behind.
 func openJournal(dir string) (*journal, int64, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, traceSubdir), 0o755); err != nil {
 		return nil, 0, fmt.Errorf("serve: journal dir: %w", err)
 	}
 	ents, err := os.ReadDir(dir)
@@ -88,7 +95,7 @@ func openJournal(dir string) (*journal, int64, error) {
 	}
 	var maxSeq int64
 	for _, e := range ents {
-		id := strings.TrimSuffix(strings.TrimSuffix(e.Name(), walExt), doneExt)
+		id, _, _ := strings.Cut(e.Name(), ".")
 		if n, err := strconv.ParseInt(strings.TrimPrefix(id, "j"), 10, 64); err == nil && n > maxSeq {
 			maxSeq = n
 		}
@@ -96,16 +103,15 @@ func openJournal(dir string) (*journal, int64, error) {
 	return &journal{dir: dir}, maxSeq, nil
 }
 
-// path maps a job ID and extension to its file, rejecting path-hostile IDs
-// (only the server mints IDs, but replayed headers are data).
-func (jl *journal) path(id, ext string) (string, bool) {
-	if id == "" || len(id) > 64 || strings.ContainsAny(id, "/\\.") {
-		return "", false
+// tracePath is the trace log of a job ("" when journalling is off).
+func (jl *journal) tracePath(id string) string {
+	if jl == nil {
+		return ""
 	}
-	return filepath.Join(jl.dir, id+ext), true
+	return jobFile(filepath.Join(jl.dir, traceSubdir), id)
 }
 
-// jobJournal is the append handle of one job's journal file. Methods are
+// jobJournal is the append handle of one job's journal. Methods are
 // serialised by mu; every write failure (real or injected) is counted and
 // swallowed — durability degrades, the job itself keeps running.
 type jobJournal struct {
@@ -113,12 +119,11 @@ type jobJournal struct {
 	id string
 
 	mu        sync.Mutex
-	f         *os.File
-	enc       *bufio.Writer
+	log       *wal.Log
 	finalized bool
 }
 
-// create opens a fresh .wal, writes the header record and fsyncs it, so an
+// create opens a fresh journal, writes the header record and syncs it, so an
 // accepted job survives a crash from the moment the 202 goes out. A nil
 // *journal (journalling off) returns a nil handle, on which every method is a
 // no-op.
@@ -126,154 +131,116 @@ func (jl *journal) create(hdr jrecord) *jobJournal {
 	if jl == nil {
 		return nil
 	}
-	m := serveMetrics.Get()
-	p, ok := jl.path(hdr.ID, walExt)
-	if !ok {
-		m.journalErrors.Inc()
-		return nil
-	}
 	if faultinject.Fire(faultinject.ServeJournalWrite) != nil {
-		m.journalErrors.Inc()
+		serveMetrics.Get().journalErrors.Inc()
 		return nil
 	}
-	f, err := os.OpenFile(p, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		m.journalErrors.Inc()
+	jj := jl.open(hdr.ID)
+	if jj == nil {
 		return nil
 	}
 	hdr.V = journalSchemaVersion
 	hdr.T = "accepted"
-	jj := &jobJournal{jl: jl, id: hdr.ID, f: f, enc: bufio.NewWriter(f)}
 	if !jj.writeLocked(hdr, true) {
-		_ = f.Close()
+		_ = jj.log.Close()
 		return nil
 	}
 	return jj
 }
 
-// reopen continues an existing .wal of a recovered job in append mode.
-func (jl *journal) reopen(id string) *jobJournal {
+// open opens a job's journal for appending, creating it if need be. A
+// recovered job continues the log replay read, after its torn tail (if any)
+// has been cut.
+func (jl *journal) open(id string) *jobJournal {
 	if jl == nil {
 		return nil
 	}
-	p, ok := jl.path(id, walExt)
-	if !ok {
+	p := jobFile(jl.dir, id)
+	if p == "" {
+		serveMetrics.Get().journalErrors.Inc()
 		return nil
 	}
-	f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0o644)
+	log, _, err := wal.Open(p, nil)
 	if err != nil {
 		serveMetrics.Get().journalErrors.Inc()
 		return nil
 	}
-	return &jobJournal{jl: jl, id: id, f: f, enc: bufio.NewWriter(f)}
+	return &jobJournal{jl: jl, id: id, log: log}
 }
 
-// event appends one progress event. terminal events are fsync'd and rotate
-// the file to its .jsonl resting name; intermediate events are buffered
-// best-effort (an fsync per point would put a disk round-trip on the sweep
-// hot path for durability the result cache already provides).
+// event appends one progress event. A terminal event is synced and closes
+// the journal; intermediate events are best-effort (a sync per point would
+// put a disk round-trip on the sweep hot path for durability the result
+// cache already provides).
 func (jj *jobJournal) event(ev Event, terminal bool) {
 	if jj == nil {
 		return
 	}
 	jj.mu.Lock()
 	defer jj.mu.Unlock()
-	if jj.finalized || jj.f == nil {
+	if jj.finalized {
 		return
 	}
 	if faultinject.Fire(faultinject.ServeJournalWrite) != nil {
 		serveMetrics.Get().journalErrors.Inc()
-		return
-	}
-	if !jj.writeLocked(jrecord{V: journalSchemaVersion, T: "event", Ev: &ev}, terminal) {
-		return
+	} else {
+		jj.writeLocked(jrecord{V: journalSchemaVersion, T: "event", Ev: &ev}, terminal)
 	}
 	if terminal {
-		jj.rotateLocked()
+		jj.finalized = true
+		_ = jj.log.Close()
 	}
 }
 
-// writeLocked marshals and appends one record, optionally flushing it to
+// writeLocked marshals and appends one record, optionally syncing it to
 // stable storage. Callers hold jj.mu (or own jj exclusively).
 func (jj *jobJournal) writeLocked(rec jrecord, sync bool) bool {
 	m := serveMetrics.Get()
 	data, err := json.Marshal(rec)
+	if err == nil {
+		_, err = jj.log.Append(data)
+	}
+	if err == nil && sync {
+		err = jj.log.Sync()
+	}
 	if err != nil {
 		m.journalErrors.Inc()
 		return false
-	}
-	if _, err := jj.enc.Write(append(data, '\n')); err != nil {
-		m.journalErrors.Inc()
-		return false
-	}
-	if sync {
-		if err := jj.enc.Flush(); err != nil {
-			m.journalErrors.Inc()
-			return false
-		}
-		if err := jj.f.Sync(); err != nil {
-			m.journalErrors.Inc()
-			return false
-		}
 	}
 	m.journalWrites.Inc()
 	return true
 }
 
-// rotateLocked finalizes the journal: flush, fsync, close, and atomically
-// rename <id>.wal → <id>.jsonl, then fsync the directory so the rotation
-// itself is durable. After rotation the handle is dead.
-func (jj *jobJournal) rotateLocked() {
-	m := serveMetrics.Get()
-	jj.finalized = true
-	_ = jj.enc.Flush()
-	_ = jj.f.Sync()
-	_ = jj.f.Close()
-	jj.f = nil
-	src, ok1 := jj.jl.path(jj.id, walExt)
-	dst, ok2 := jj.jl.path(jj.id, doneExt)
-	if !ok1 || !ok2 {
-		m.journalErrors.Inc()
-		return
-	}
-	if err := os.Rename(src, dst); err != nil {
-		m.journalErrors.Inc()
-		return
-	}
-	if d, err := os.Open(jj.jl.dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-}
-
-// discard closes the handle and deletes the files — for a job journaled but
+// discard closes the handle and deletes the file — for a job journaled but
 // never enqueued (queue-full rejection lands after the header write).
 func (jj *jobJournal) discard() {
 	if jj == nil {
 		return
 	}
 	jj.mu.Lock()
-	jj.finalized = true
-	if jj.f != nil {
-		_ = jj.f.Close()
-		jj.f = nil
+	if !jj.finalized {
+		jj.finalized = true
+		_ = jj.log.Close()
 	}
 	jj.mu.Unlock()
 	jj.jl.remove(jj.id)
 }
 
-// remove deletes a job's journal files (called when the retention bound
-// evicts a terminal job, so the directory does not grow without bound).
+// remove deletes a job's journal (called when the retention bound evicts a
+// terminal job, so the directory does not grow without bound).
 func (jl *journal) remove(id string) {
-	if jl == nil {
+	if jl != nil {
+		removeJobFile(jobFile(jl.dir, id))
+	}
+}
+
+// removeJobFile deletes one job file, counting failures other than absence.
+func removeJobFile(p string) {
+	if p == "" {
 		return
 	}
-	for _, ext := range []string{walExt, doneExt} {
-		if p, ok := jl.path(id, ext); ok {
-			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-				serveMetrics.Get().journalErrors.Inc()
-			}
-		}
+	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+		serveMetrics.Get().journalErrors.Inc()
 	}
 }
 
@@ -284,13 +251,12 @@ type recoveredJob struct {
 	state    string             // last journaled state (StateQueued when none)
 	err      *sweep.RemoteError // terminal error, when journaled
 	terminal bool
-	wal      bool // true when read from an active .wal (may need re-enqueue)
 }
 
-// replay reads every journal file in the directory and reconstructs its job.
-// Corrupt lines are skipped (counted); files without a usable header are
-// quarantined. The returned jobs are sorted by numeric ID so re-enqueue order
-// matches original submission order.
+// replay reads every journal in the directory and reconstructs its job.
+// Corrupt records are skipped (counted); journals without a usable header
+// are quarantined. The returned jobs are sorted by numeric ID so re-enqueue
+// order matches original submission order.
 func (jl *journal) replay() []recoveredJob {
 	if jl == nil {
 		return nil
@@ -303,21 +269,17 @@ func (jl *journal) replay() []recoveredJob {
 	}
 	var out []recoveredJob
 	for _, e := range ents {
-		name := e.Name()
-		var wal bool
-		switch {
-		case strings.HasSuffix(name, walExt):
-			wal = true
-		case strings.HasSuffix(name, doneExt):
-		default:
+		id, ok := strings.CutSuffix(e.Name(), walExt)
+		if !ok {
 			continue
 		}
-		rj, ok := jl.replayFile(filepath.Join(jl.dir, name), wal)
+		rj, ok := jl.replayFile(id)
 		if !ok {
 			// No usable header: quarantine so the next start is clean and the
 			// operator can inspect the file.
 			m.replayCorrupt.Inc()
-			_ = os.Rename(filepath.Join(jl.dir, name), filepath.Join(jl.dir, name+".corrupt"))
+			p := filepath.Join(jl.dir, e.Name())
+			_ = os.Rename(p, p+".corrupt")
 			continue
 		}
 		out = append(out, rj)
@@ -326,65 +288,56 @@ func (jl *journal) replay() []recoveredJob {
 	return out
 }
 
-// replayFile parses one journal file. It returns ok=false only when the
-// header is unusable; event-line corruption is tolerated record by record.
-func (jl *journal) replayFile(path string, wal bool) (recoveredJob, bool) {
+// replayFile reads the journal of job id, cutting a torn tail. It returns
+// ok=false only when the header is unusable; a bad event record is skipped,
+// and so is every event after a gap in the sequence or after the terminal
+// event.
+func (jl *journal) replayFile(id string) (rj recoveredJob, ok bool) {
 	m := serveMetrics.Get()
-	f, err := os.Open(path)
+	p := jobFile(jl.dir, id)
+	if p == "" {
+		return rj, false
+	}
+	rj.state = StateQueued
+	bad := false
+	log, cut, err := wal.Open(p, func(_ int64, data []byte) {
+		var rec jrecord
+		switch err := json.Unmarshal(data, &rec); {
+		case bad:
+		case err != nil || rec.V != journalSchemaVersion:
+			m.replayCorrupt.Inc()
+			bad = !ok // a corrupt header condemns the file
+		case !ok:
+			if rec.T != "accepted" || rec.ID != id || (len(rec.Specs) == 0 && rec.Compose == nil) {
+				bad = true
+				return
+			}
+			rj.hdr, ok = rec, true
+		// Sequence numbers must stay a contiguous 1..n prefix for SSE
+		// replay; a gap means lost records, so the restored history stops
+		// there, as it does at the terminal event.
+		case rec.T != "event" || rec.Ev == nil || rec.Ev.Seq != int64(len(rj.events))+1 || rj.terminal:
+			m.replayCorrupt.Inc()
+		default:
+			rj.events = append(rj.events, *rec.Ev)
+			if rec.Ev.Type == "state" {
+				rj.state = rec.Ev.State
+				if rec.Ev.State == StateDone || rec.Ev.State == StateFailed || rec.Ev.State == StateCanceled {
+					rj.terminal = true
+					rj.err = rec.Ev.Error
+				}
+			}
+		}
+	})
 	if err != nil {
 		m.journalErrors.Inc()
-		return recoveredJob{}, false
+		return rj, false
 	}
-	defer f.Close()
-
-	rj := recoveredJob{state: StateQueued, wal: wal}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
-	first := true
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec jrecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.V != journalSchemaVersion {
-			m.replayCorrupt.Inc()
-			if first {
-				return recoveredJob{}, false
-			}
-			continue // torn or garbage line: skip, keep what parsed
-		}
-		if first {
-			if rec.T != "accepted" || rec.ID == "" || (len(rec.Specs) == 0 && rec.Compose == nil) {
-				return recoveredJob{}, false
-			}
-			rj.hdr = rec
-			first = false
-			continue
-		}
-		if rec.T != "event" || rec.Ev == nil {
-			m.replayCorrupt.Inc()
-			continue
-		}
-		// Sequence numbers must stay a contiguous 1..n prefix for SSE replay;
-		// a gap means lost lines, so truncate the restored history there.
-		if rec.Ev.Seq != int64(len(rj.events))+1 {
-			m.replayCorrupt.Inc()
-			continue
-		}
-		rj.events = append(rj.events, *rec.Ev)
-		if rec.Ev.Type == "state" {
-			rj.state = rec.Ev.State
-			if rec.Ev.State == StateDone || rec.Ev.State == StateFailed || rec.Ev.State == StateCanceled {
-				rj.terminal = true
-				rj.err = rec.Ev.Error
-			}
-		}
+	_ = log.Close()
+	if cut > 0 {
+		m.replayCorrupt.Inc()
 	}
-	if first {
-		return recoveredJob{}, false // empty or header-only-corrupt file
-	}
-	return rj, true
+	return rj, ok && !bad
 }
 
 // sortRecovered orders jobs by their numeric ID (j1, j2, ...) so recovery

@@ -17,26 +17,27 @@ import (
 	"repro/internal/cache"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
-// writeJournalFile hand-crafts one journal file, line by line, simulating
-// on-disk state left behind by a crashed server. extra lines are appended
-// verbatim (for torn/garbage tails).
-func writeJournalFile(t *testing.T, dir, name string, recs []jrecord, extra ...string) {
+// writeJournalFile hand-crafts one journal, record by record, simulating
+// on-disk state left behind by a crashed server.
+func writeJournalFile(t *testing.T, dir, name string, recs []jrecord) {
 	t.Helper()
-	var buf bytes.Buffer
+	log, _, err := wal.Open(filepath.Join(dir, name), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range recs {
 		data, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf.Write(data)
-		buf.WriteByte('\n')
+		if _, err := log.Append(data); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, l := range extra {
-		buf.WriteString(l)
-	}
-	if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -122,9 +123,10 @@ func postJSONKey(t *testing.T, url, key string, v any) (*http.Response, JobStatu
 	return resp, st
 }
 
-// TestJournalRecoveryTerminal restores a finished job from its rotated
-// journal: status (state, counters, summaries) and the replayable SSE stream
-// come back exactly as they were, and the ID space continues past it.
+// TestJournalRecoveryTerminal restores a finished job from a journal that
+// ends in its terminal event: status (state, counters, summaries) and the
+// replayable SSE stream come back exactly as they were, and the ID space
+// continues past it.
 func TestJournalRecoveryTerminal(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.SetGlobal(reg)
@@ -133,7 +135,7 @@ func TestJournalRecoveryTerminal(t *testing.T) {
 	dir := t.TempDir()
 	sum0 := PointSummary{Index: 0, Name: "p0", OK: true, T: 1.25, F0: 0.8, C: 3e-9}
 	sum1 := PointSummary{Index: 1, Name: "p1", OK: true, Cached: true, T: 1.5, F0: 0.66, C: 4e-9}
-	writeJournalFile(t, dir, "j7"+doneExt, []jrecord{
+	writeJournalFile(t, dir, "j7"+walExt, []jrecord{
 		{V: 1, T: "accepted", ID: "j7", Kind: "sweep", Specs: []PointSpec{hopfSpec("p0", 3), hopfSpec("p1", 4)}, Workers: 1},
 		{V: 1, T: "event", Ev: &Event{Seq: 1, Type: "state", State: StateQueued}},
 		{V: 1, T: "event", Ev: &Event{Seq: 2, Type: "state", State: StateRunning}},
@@ -175,10 +177,12 @@ func TestJournalRecoveryTerminal(t *testing.T) {
 }
 
 // TestJournalRecoveryResume is the headline crash-recovery path in-process: a
-// .wal left by a "crashed" server (header, partial progress, torn tail) is
-// re-enqueued on startup and runs to completion with every pre-crash point
-// served from the result cache — the pipeline is never re-invoked — while the
-// SSE stream stays resumable across the restart via Last-Event-ID.
+// journal left by a "crashed" server (header, partial progress, torn tail)
+// is re-enqueued on startup and runs to completion with every pre-crash
+// point served from the result cache — the pipeline is never re-invoked —
+// while the SSE stream stays resumable across the restart via
+// Last-Event-ID. A second restart then finds the job finished: the resumed
+// run appended after the cut tail, not onto the torn record.
 func TestJournalRecoveryResume(t *testing.T) {
 	specs := []PointSpec{hopfSpec("p0", 3), hopfSpec("p1", 4), hopfSpec("p2", 5)}
 	store, err := cache.New(cache.Options{})
@@ -195,16 +199,26 @@ func TestJournalRecoveryResume(t *testing.T) {
 	tsw.Close()
 	warm.Shutdown(context.Background())
 
-	// Phase 2: the crash artifact — a .wal with partial progress and a torn
-	// final line, as a kill mid-write leaves behind.
+	// Phase 2: the crash artifact — a journal with partial progress whose
+	// last record is torn, as a kill mid-write leaves behind.
 	dir := t.TempDir()
 	sum0 := PointSummary{Index: 0, Name: "p0", OK: true, T: 1, F0: 1, C: 1e-9}
+	sum1 := PointSummary{Index: 1, Name: "p1", OK: true, T: 1, F0: 1, C: 1e-9}
 	writeJournalFile(t, dir, "j3"+walExt, []jrecord{
 		{V: 1, T: "accepted", ID: "j3", Kind: "sweep", Specs: specs, Workers: 1},
 		{V: 1, T: "event", Ev: &Event{Seq: 1, Type: "state", State: StateQueued}},
 		{V: 1, T: "event", Ev: &Event{Seq: 2, Type: "state", State: StateRunning}},
 		{V: 1, T: "event", Ev: &Event{Seq: 3, Type: "point", Point: &sum0}},
-	}, `{"v":1,"t":"event","ev":{"seq":4,"ty`) // torn mid-record
+		{V: 1, T: "event", Ev: &Event{Seq: 4, Type: "point", Point: &sum1}},
+	})
+	jpath := filepath.Join(dir, "j3"+walExt)
+	info, err := os.Stat(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(jpath, info.Size()-10); err != nil { // torn mid-record
+		t.Fatal(err)
+	}
 
 	// Phase 3: restart over the same journal + cache. Count pipeline work
 	// from here only.
@@ -213,9 +227,7 @@ func TestJournalRecoveryResume(t *testing.T) {
 	defer obs.SetGlobal(nil)
 
 	s := New(Config{Workers: 1, Cache: store, JournalDir: dir})
-	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s)
-	defer ts.Close()
 	waitReady(t, ts.URL)
 
 	st := waitState(t, ts.URL, "j3", terminal)
@@ -233,7 +245,7 @@ func TestJournalRecoveryResume(t *testing.T) {
 		t.Fatalf("recovered{resumed} = %d, want 1", got)
 	}
 	if got := snap.Counter("pn_serve_journal_corrupt_records_total", ""); got < 1 {
-		t.Fatalf("torn line not counted: corrupt records = %d", got)
+		t.Fatalf("torn tail not counted: corrupt records = %d", got)
 	}
 
 	// A client that saw events 1..2 before the crash reconnects with
@@ -270,13 +282,28 @@ func TestJournalRecoveryResume(t *testing.T) {
 	if resumedQueued != 1 || points != 3 {
 		t.Fatalf("resumption events: %d queued, %d points (want 1, 3)", resumedQueued, points)
 	}
+	ts.Close()
+	s.Shutdown(context.Background())
 
-	// The finished journal rotated to its terminal name.
-	if _, err := os.Stat(filepath.Join(dir, "j3"+doneExt)); err != nil {
-		t.Fatalf("journal not rotated after resume: %v", err)
+	// Phase 4: a second restart over the same directories restores j3 as
+	// the finished job it is, and runs nothing.
+	reg2 := obs.NewRegistry()
+	obs.SetGlobal(reg2)
+	s2 := New(Config{Workers: 1, Cache: store, JournalDir: dir})
+	defer s2.Shutdown(context.Background())
+	ts2 := httptest.NewServer(s2)
+	defer ts2.Close()
+	waitReady(t, ts2.URL)
+	st2 := getStatus(t, ts2.URL, "j3", false)
+	if st2.State != StateDone || st2.DonePoints != 3 || st2.FailedPoints != 0 {
+		t.Fatalf("second restart restored j3 as %+v, want done with 3 points", st2)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "j3"+walExt)); !os.IsNotExist(err) {
-		t.Fatal("stale .wal left after rotation")
+	snap2 := reg2.Snapshot()
+	if got := snap2.Counter("pn_serve_jobs_recovered_total", "terminal"); got != 1 {
+		t.Fatalf("second restart: recovered{terminal} = %d, want 1", got)
+	}
+	if got := snap2.Counter("pn_core_characterisations_total", "ok"); got != 0 {
+		t.Fatalf("second restart ran the pipeline %d times, want 0", got)
 	}
 }
 
@@ -392,7 +419,7 @@ func TestJournalCorruptQuarantine(t *testing.T) {
 // draining; /healthz answers 200 throughout.
 func TestReadyzLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	writeJournalFile(t, dir, "j1"+doneExt, []jrecord{
+	writeJournalFile(t, dir, "j1"+walExt, []jrecord{
 		{V: 1, T: "accepted", ID: "j1", Kind: "characterise", Specs: []PointSpec{hopfSpec("old", 3)}, Workers: 1},
 		{V: 1, T: "event", Ev: &Event{Seq: 1, Type: "state", State: StateQueued}},
 		{V: 1, T: "event", Ev: &Event{Seq: 2, Type: "state", State: StateDone}},
@@ -461,16 +488,16 @@ func TestChaosJournalWriteFault(t *testing.T) {
 	if got := reg.Snapshot().Counter("pn_serve_journal_write_errors_total", ""); got < 1 {
 		t.Fatalf("journal write errors = %d, want >= 1", got)
 	}
-	// Nothing durable was promised: no job journal (.wal/.jsonl) survived to
-	// resurrect the job. The traces/ subdirectory may exist — trace files are
-	// observability artifacts, not durability promises, and replay never
+	// Nothing durable was promised: no job journal survived to resurrect the
+	// job. The traces/ subdirectory may hold the job's trace — trace files
+	// are observability artifacts, not durability promises, and replay never
 	// reads them as job journals.
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".wal") || strings.HasSuffix(e.Name(), ".jsonl") {
+		if strings.HasSuffix(e.Name(), walExt) {
 			t.Fatalf("job journal survived under write faults: %v", e.Name())
 		}
 	}
@@ -505,4 +532,147 @@ func TestChaosHandlerFault(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("handler after disable: %d, want 200", resp.StatusCode)
 	}
+}
+
+// TestJournalCrashPoints cuts the journal of a real 2-point sweep at every
+// byte offset and replays it. The file is quarantined only while the cut
+// falls before the end of the header record; past that, replay recovers a
+// contiguous 1..n event prefix — every complete record — and the job comes
+// back terminal once the cut passes the terminal record.
+func TestJournalCrashPoints(t *testing.T) {
+	src := t.TempDir()
+	s := New(Config{Workers: 1, JournalDir: src})
+	ts := httptest.NewServer(s)
+	waitReady(t, ts.URL)
+	_, st := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: []PointSpec{hopfSpec("c0", 3), hopfSpec("c1", 4)}})
+	if got := waitState(t, ts.URL, st.ID, terminal); got.State != StateDone {
+		t.Fatalf("sweep: %+v", got)
+	}
+	ts.Close()
+	s.Shutdown(context.Background())
+
+	name := st.ID + walExt
+	full, err := os.ReadFile(filepath.Join(src, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Record k ends where record k+1 starts; the last one ends the file.
+	var offs []int64
+	log, _, err := wal.Open(filepath.Join(src, name), func(off int64, _ []byte) { offs = append(offs, off) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	ends := append(offs[1:], int64(len(full)))
+	if len(ends) < 6 {
+		t.Fatalf("a 2-point sweep journalled %d records", len(ends))
+	}
+
+	dir := t.TempDir()
+	p := filepath.Join(dir, name)
+	jl := &journal{dir: dir}
+	for k := 0; k <= len(full); k++ {
+		os.Remove(p + ".corrupt")
+		if err := os.WriteFile(p, full[:k], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		complete := 0
+		for _, end := range ends {
+			if end <= int64(k) {
+				complete++
+			}
+		}
+		recs := jl.replay()
+		_, qerr := os.Stat(p + ".corrupt")
+		if complete == 0 {
+			if len(recs) != 0 || qerr != nil {
+				t.Fatalf("cut at %d inside the header: %d jobs recovered, quarantine err %v", k, len(recs), qerr)
+			}
+			continue
+		}
+		if len(recs) != 1 || qerr == nil {
+			t.Fatalf("cut at %d: %d jobs recovered, quarantined %v", k, len(recs), qerr == nil)
+		}
+		rj := recs[0]
+		if rj.hdr.ID != st.ID || len(rj.events) != complete-1 {
+			t.Fatalf("cut at %d: job %q with %d events, want %q with %d", k, rj.hdr.ID, len(rj.events), st.ID, complete-1)
+		}
+		for i, ev := range rj.events {
+			if ev.Seq != int64(i)+1 {
+				t.Fatalf("cut at %d: event %d has seq %d", k, i, ev.Seq)
+			}
+		}
+		if wantTerminal := complete == len(ends); rj.terminal != wantTerminal {
+			t.Fatalf("cut at %d of %d: terminal %v, want %v", k, len(full), rj.terminal, wantTerminal)
+		}
+	}
+}
+
+// FuzzJournalReplay feeds replay arbitrary records (one per input line,
+// framed as a journal would be) and an arbitrary torn tail. Replay must
+// never panic, and what it recovers must be well formed: a header naming
+// the file, a contiguous 1..n event prefix, and a terminal flag that agrees
+// with the last state — or no job at all, with the file quarantined.
+func FuzzJournalReplay(f *testing.F) {
+	sum := PointSummary{Index: 0, Name: "p0", OK: true, T: 1, F0: 1, C: 1e-9}
+	var seed bytes.Buffer
+	for _, r := range []jrecord{
+		{V: 1, T: "accepted", ID: "j1", Kind: "sweep", Specs: []PointSpec{hopfSpec("p0", 3)}, Workers: 1},
+		{V: 1, T: "event", Ev: &Event{Seq: 1, Type: "state", State: StateQueued}},
+		{V: 1, T: "event", Ev: &Event{Seq: 2, Type: "state", State: StateRunning}},
+		{V: 1, T: "event", Ev: &Event{Seq: 3, Type: "point", Point: &sum}},
+		{V: 1, T: "event", Ev: &Event{Seq: 4, Type: "state", State: StateDone}},
+		{V: 1, T: "event", Ev: &Event{Seq: 5, Type: "state", State: StateRunning}},
+	} {
+		data, _ := json.Marshal(r)
+		seed.Write(append(data, '\n'))
+	}
+	f.Add(seed.Bytes(), uint16(0))
+	f.Add(seed.Bytes(), uint16(9))
+	f.Add(seed.Bytes()[:len(seed.Bytes())/2], uint16(0))
+	f.Add([]byte("not json at all\n"), uint16(0))
+	f.Add([]byte(`{"v":1,"t":"accepted","id":"j2","kind":"sweep","specs":[{}]}`), uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, tear uint16) {
+		dir := t.TempDir()
+		p := filepath.Join(dir, "j1"+walExt)
+		log, _, err := wal.Open(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			if len(line) > 0 {
+				if _, err := log.Append(line); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		log.Close()
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(p, max(0, info.Size()-int64(tear))); err != nil {
+			t.Fatal(err)
+		}
+		recs := (&journal{dir: dir}).replay()
+		if len(recs) == 0 {
+			if _, err := os.Stat(p + ".corrupt"); err != nil {
+				t.Fatalf("nothing recovered and nothing quarantined: %v", err)
+			}
+			return
+		}
+		rj := recs[0]
+		if len(recs) != 1 || rj.hdr.ID != "j1" || rj.hdr.T != "accepted" {
+			t.Fatalf("recovered %d jobs, first %+v", len(recs), rj.hdr)
+		}
+		for i, ev := range rj.events {
+			if ev.Seq != int64(i)+1 {
+				t.Fatalf("event %d has seq %d", i, ev.Seq)
+			}
+		}
+		terminalState := rj.state == StateDone || rj.state == StateFailed || rj.state == StateCanceled
+		if rj.terminal != terminalState {
+			t.Fatalf("terminal %v with last state %q", rj.terminal, rj.state)
+		}
+	})
 }

@@ -44,7 +44,7 @@ var serveMetrics = obs.NewView(func(r *obs.Registry) *serveInstruments {
 		idemHits:      r.Counter("pn_serve_idempotent_replays_total", "Submissions answered with an existing job via Idempotency-Key dedup."),
 		journalWrites: r.Counter("pn_serve_journal_writes_total", "Records appended to job journals."),
 		journalErrors: r.Counter("pn_serve_journal_write_errors_total", "Journal writes dropped on error (real or injected); the job continues, durability degrades."),
-		replayCorrupt: r.Counter("pn_serve_journal_corrupt_records_total", "Journal lines (or whole files) skipped as corrupt during replay."),
+		replayCorrupt: r.Counter("pn_serve_journal_corrupt_records_total", "Journal records, torn log tails or whole files skipped as corrupt during replay."),
 		recovered:     r.CounterVec("pn_serve_jobs_recovered_total", "Jobs reconstructed from the journal at startup, by outcome (resumed, terminal).", "outcome"),
 		leaseRenewals: r.Counter("pn_serve_lease_renewals_total", "Lease renewals received on /v1/jobs/{id}/renew."),
 		leaseExpired:  r.Counter("pn_serve_lease_expirations_total", "Leased jobs self-cancelled because no renewal arrived within the TTL."),
@@ -53,7 +53,7 @@ var serveMetrics = obs.NewView(func(r *obs.Registry) *serveInstruments {
 		traceDropped:  r.Counter("pn_trace_dropped_total", "Span events dropped because a job's trace buffer was full."),
 
 		resultSpilled:  r.Counter("pn_serve_results_spilled_total", "Point-result frames appended to spill files."),
-		resultBytes:    r.Counter("pn_serve_results_bytes_total", "Bytes appended to result spill files (frame headers included)."),
+		resultBytes:    r.Counter("pn_serve_results_bytes_total", "Result-record bytes appended to spill files (point index + codec bytes)."),
 		resultErrors:   r.Counter("pn_serve_results_errors_total", "Result-store I/O failures (real or injected), reads and writes."),
 		resultDegraded: r.Counter("pn_serve_results_degraded_total", "Jobs degraded to summary-only service because their spill file failed."),
 		resultReads:    r.CounterVec("pn_serve_results_reads_total", "Result retrievals served from spill files, by kind (page, jsonl, full).", "kind"),

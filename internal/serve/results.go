@@ -12,49 +12,35 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/sweep"
+	"repro/internal/wal"
 )
 
-// The result store is the journal's sibling for payloads: where the WAL makes
-// a job's *lifecycle* durable, the spill file makes its *results* durable and
-// memory-bounded. Every completed sweep.PointResult streams out of OnPoint
-// into an append-only, length-prefixed file (<dir>/results/<id>.pnr) the
-// moment it completes, so the server never retains a per-job O(points) result
-// slice — a 10⁵-point sweep holds open one file descriptor and a 12-byte
-// in-memory index entry per point, nothing else. Retrieval (status ?full=1,
-// paginated /results, streaming /results.jsonl) reads frames straight back
-// off disk, including for journal-recovered jobs: the spill file survives a
-// SIGKILL alongside the WAL and is re-indexed on open with the same
-// torn-tail tolerance as journal replay.
+// The result store is the journal's sibling for payloads: where the journal
+// makes a job's *lifecycle* durable, the spill file makes its *results*
+// durable and memory-bounded. Every completed sweep.PointResult streams out
+// of OnPoint into an append-only log (internal/wal), <dir>/results/<id>.wal,
+// the moment it completes, so the server never retains a per-job O(points)
+// result slice — a 10⁵-point sweep holds open one file descriptor and an
+// 8-byte in-memory index entry per point, nothing else. Retrieval (status
+// ?full=1, paginated /results, streaming /results.jsonl) reads records
+// straight back off disk, checksum-checked, including for journal-recovered
+// jobs: the spill survives a SIGKILL alongside the journal, and reopening it
+// reads it once end to end to rebuild the index and cut a torn tail.
 //
-// File format, all integers big-endian:
-//
-//	8-byte magic "pnresv1\n"
-//	repeated frames: [u32 payload length][u32 point index][payload]
-//
-// where payload is exactly sweep.PointResult.MarshalJSON's output — the
-// loss-free codec — so streamed retrieval is byte-identical to what the
-// in-memory path used to serve. Fsync discipline matches the WAL: the header
-// reaches stable storage at create, frames are plain appends (a crash loses
-// at most the frame in flight; every earlier point survives), and seal —
-// called when the job goes terminal — fsyncs the tail.
+// A record is a 4-byte big-endian point index followed by exactly
+// sweep.PointResult.MarshalJSON's output — the loss-free codec — so streamed
+// retrieval is byte-identical to what the in-memory path used to serve. The
+// sync discipline matches the journal: a new spill is synced at create,
+// records are plain appends (a crash loses at most the records the OS had
+// not written; every earlier point survives), and seal — called when the job
+// goes terminal — syncs the tail.
 //
 // Failure containment mirrors the journal too: a failed append (disk full,
 // injected fault) flips the file to degraded — the job keeps running and
-// settling normally, already-spilled frames stay readable, only the
+// settling normally, already-spilled records stay readable, only the
 // not-yet-spilled payloads are lost to summary-only service. A failed create
 // degrades the whole job the same way. Results are an availability surface,
 // never a correctness dependency.
-
-// resultMagic heads every spill file; a file without it is not ours (or is a
-// torn create) and is re-created from scratch.
-const resultMagic = "pnresv1\n"
-
-// resultFrameOverhead is the per-frame header: payload length + point index.
-const resultFrameOverhead = 8
-
-// maxResultFrame bounds one frame's payload; larger lengths in a file mean
-// corruption (a torn or overwritten tail), not data.
-const maxResultFrame = 1 << 28 // 256 MiB
 
 // resultSubdir keeps spill files out of the journal replay walk.
 const resultSubdir = "results"
@@ -68,11 +54,11 @@ type resultStore struct {
 }
 
 // newResultStore places the store under journalDir/results when journalling
-// is on — spill files then live next to the WALs they complement and survive
-// restarts with them. Without a journal the store falls back to a private
-// temp directory: results are still memory-bounded and streamable, they just
-// die with the process like the jobs themselves. Returns nil (summary-only
-// service) only when no directory can be created at all.
+// is on — spill files then live next to the journals they complement and
+// survive restarts with them. Without a journal the store falls back to a
+// private temp directory: results are still memory-bounded and streamable,
+// they just die with the process like the jobs themselves. Returns nil
+// (summary-only service) only when no directory can be created at all.
 func newResultStore(journalDir string) *resultStore {
 	if journalDir != "" {
 		dir := filepath.Join(journalDir, resultSubdir)
@@ -90,47 +76,59 @@ func newResultStore(journalDir string) *resultStore {
 	return &resultStore{dir: dir, own: true}
 }
 
-// path maps a job ID to its spill file, with the same path-hostility guard as
-// the journal ("" = unmappable).
+// path maps a job ID to its spill file ("" = unmappable).
 func (rs *resultStore) path(id string) string {
-	if rs == nil || id == "" || len(id) > 64 || containsPathHostile(id) {
+	if rs == nil {
 		return ""
 	}
-	return filepath.Join(rs.dir, id+".pnr")
+	return jobFile(rs.dir, id)
 }
 
 // open creates (or reopens, for journal recovery and resumed jobs) the spill
-// file for a job of n points, scanning any existing frames into the index
-// with torn tails truncated. Returns nil when the store is unavailable or
-// the file cannot be opened — the job then runs summary-only.
+// file for a job of n points, indexing every intact record; a new file is
+// synced. Returns nil when the store is unavailable or the file cannot be
+// opened — the job then runs summary-only.
 func (rs *resultStore) open(id string, n int) *resultFile {
 	p := rs.path(id)
 	if p == "" || n <= 0 {
 		return nil
 	}
 	m := serveMetrics.Get()
-	f, err := os.OpenFile(p, os.O_RDWR|os.O_CREATE, 0o644)
+	_, statErr := os.Stat(p)
+	rf := &resultFile{offsets: make([]int64, n)}
+	for i := range rf.offsets {
+		rf.offsets[i] = -1
+	}
+	log, cut, err := wal.Open(p, func(off int64, rec []byte) {
+		if len(rec) < 4 {
+			return
+		}
+		// First record per index wins, as in append.
+		if idx := binary.BigEndian.Uint32(rec); int64(idx) < int64(n) && rf.offsets[idx] < 0 {
+			rf.offsets[idx] = off
+			rf.n++
+		}
+	})
+	if err == nil && os.IsNotExist(statErr) {
+		if err = log.Sync(); err != nil {
+			_ = log.Close()
+		}
+	}
 	if err != nil {
 		m.resultErrors.Inc()
 		m.resultDegraded.Inc()
 		return nil
 	}
-	rf := &resultFile{f: f, path: p, offsets: make([]int64, n), lengths: make([]int32, n)}
-	for i := range rf.offsets {
-		rf.offsets[i] = -1
+	if cut > 0 {
+		m.replayCorrupt.Inc()
 	}
-	if err := rf.scan(); err != nil {
-		m.resultErrors.Inc()
-		m.resultDegraded.Inc()
-		f.Close()
-		return nil
-	}
+	rf.log = log
 	return rf
 }
 
 // openExisting reopens a spill file only if it already exists on disk —
 // terminal-job recovery attaches whatever survived the crash without minting
-// empty files for jobs journalled before the result store existed.
+// empty files for jobs whose spill never existed.
 func (rs *resultStore) openExisting(id string, n int) *resultFile {
 	p := rs.path(id)
 	if p == "" {
@@ -156,93 +154,25 @@ func (rs *resultStore) close() {
 	}
 }
 
-// resultFile is one job's spill file plus its in-memory frame index. Methods
-// are safe for concurrent use (the cluster runner delivers results from
-// several worker streams at once) and nil-safe (a degraded or store-less job
-// carries a nil file).
+// resultFile is one job's spill file plus its in-memory index. Methods are
+// safe for concurrent use (the cluster runner delivers results from several
+// worker streams at once) and nil-safe (a degraded or store-less job carries
+// a nil file).
 type resultFile struct {
+	log      *wal.Log
 	mu       sync.Mutex
-	f        *os.File
-	path     string
-	offsets  []int64 // payload byte offset per point index; -1 = not spilled
-	lengths  []int32 // payload byte length per point index
-	n        int     // frames present
-	size     int64   // append position
+	offsets  []int64 // record offset per point index; -1 = not spilled
+	n        int     // records present
 	degraded bool    // an append failed: summary-only from here on
 	sealed   bool
 }
 
-// scan validates the magic and indexes every complete frame, truncating the
-// file at the first torn or corrupt one — exactly the journal's replay
-// stance: keep every record that fully landed, drop the tail that did not.
-// An empty or magic-less file is (re)initialised with a fsync'd header.
-func (rf *resultFile) scan() error {
-	info, err := rf.f.Stat()
-	if err != nil {
-		return err
-	}
-	var hdr [len(resultMagic)]byte
-	if info.Size() >= int64(len(resultMagic)) {
-		if _, err := rf.f.ReadAt(hdr[:], 0); err != nil {
-			return err
-		}
-	}
-	if string(hdr[:]) != resultMagic {
-		// New file (or a torn create that never finished its header): start
-		// clean. The header is fsync'd before any frame can follow it, the
-		// same barrier the WAL puts before its 202.
-		if err := rf.f.Truncate(0); err != nil {
-			return err
-		}
-		if _, err := rf.f.WriteAt([]byte(resultMagic), 0); err != nil {
-			return err
-		}
-		if err := rf.f.Sync(); err != nil {
-			return err
-		}
-		rf.size = int64(len(resultMagic))
-		return nil
-	}
-	off := int64(len(resultMagic))
-	var fh [resultFrameOverhead]byte
-	for {
-		if off+resultFrameOverhead > info.Size() {
-			break // torn frame header (or clean EOF)
-		}
-		if _, err := rf.f.ReadAt(fh[:], off); err != nil {
-			break
-		}
-		plen := int64(binary.BigEndian.Uint32(fh[0:4]))
-		idx := int(binary.BigEndian.Uint32(fh[4:8]))
-		if plen <= 0 || plen > maxResultFrame || idx < 0 || idx >= len(rf.offsets) {
-			break // corrupt header: truncate from here
-		}
-		if off+resultFrameOverhead+plen > info.Size() {
-			break // torn payload
-		}
-		if rf.offsets[idx] < 0 {
-			rf.offsets[idx] = off + resultFrameOverhead
-			rf.lengths[idx] = int32(plen)
-			rf.n++
-		}
-		off += resultFrameOverhead + plen
-	}
-	if off < info.Size() {
-		if err := rf.f.Truncate(off); err != nil {
-			return err
-		}
-		serveMetrics.Get().replayCorrupt.Inc()
-	}
-	rf.size = off
-	return nil
-}
-
 // append spills one completed point. First writer per index wins — a resumed
 // job re-reports pre-crash points, and the cluster path can race a reassigned
-// lease against its original; the frame already on disk is the one that was
+// lease against its original; the record already on disk is the one that was
 // already served. raw must be the point's loss-free codec bytes. A write
 // failure (disk full, injected fault) degrades the file: the error is
-// reported once, already-spilled frames stay readable, later appends no-op.
+// reported once, already-spilled records stay readable, later appends no-op.
 func (rf *resultFile) append(idx int, raw []byte) error {
 	if rf == nil {
 		return nil
@@ -253,32 +183,23 @@ func (rf *resultFile) append(idx int, raw []byte) error {
 		return nil
 	}
 	m := serveMetrics.Get()
-	if err := faultinject.Fire(faultinject.ServeResultsWrite); err != nil {
+	err := faultinject.Fire(faultinject.ServeResultsWrite)
+	var index [4]byte
+	binary.BigEndian.PutUint32(index[:], uint32(idx))
+	var off int64
+	if err == nil {
+		off, err = rf.log.Append(index[:], raw)
+	}
+	if err != nil {
 		rf.degraded = true
 		m.resultErrors.Inc()
 		m.resultDegraded.Inc()
 		return err
 	}
-	frame := make([]byte, resultFrameOverhead+len(raw))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(raw)))
-	binary.BigEndian.PutUint32(frame[4:8], uint32(idx))
-	copy(frame[resultFrameOverhead:], raw)
-	if _, err := rf.f.WriteAt(frame, rf.size); err != nil {
-		// A partial frame may be on disk; rewind so a later reopen's scan
-		// does not have to. Failure to truncate is fine — scan would drop
-		// the torn tail anyway.
-		_ = rf.f.Truncate(rf.size)
-		rf.degraded = true
-		m.resultErrors.Inc()
-		m.resultDegraded.Inc()
-		return err
-	}
-	rf.offsets[idx] = rf.size + resultFrameOverhead
-	rf.lengths[idx] = int32(len(raw))
-	rf.size += int64(len(frame))
+	rf.offsets[idx] = off
 	rf.n++
 	m.resultSpilled.Inc()
-	m.resultBytes.Add(int64(len(frame)))
+	m.resultBytes.Add(int64(len(index) + len(raw)))
 	return nil
 }
 
@@ -294,8 +215,8 @@ func (rf *resultFile) appendResult(res *sweep.PointResult) error {
 	return rf.append(res.Index, raw)
 }
 
-// seal fsyncs the spilled frames once the job is terminal. The file handle
-// stays open: retrieval keeps reading from it until eviction.
+// seal syncs the spilled records once the job is terminal. The log stays
+// open: retrieval keeps reading from it until eviction.
 func (rf *resultFile) seal() {
 	if rf == nil {
 		return
@@ -306,23 +227,20 @@ func (rf *resultFile) seal() {
 		return
 	}
 	rf.sealed = true
-	if err := rf.f.Sync(); err != nil {
+	if err := rf.log.Sync(); err != nil {
 		serveMetrics.Get().resultErrors.Inc()
 	}
 }
 
 // closeFile releases the descriptor (eviction).
 func (rf *resultFile) closeFile() {
-	if rf == nil {
-		return
+	if rf != nil {
+		_ = rf.log.Close()
 	}
-	rf.mu.Lock()
-	defer rf.mu.Unlock()
-	rf.f.Close()
 }
 
 // frame reads one point's raw codec bytes; (nil, nil) when the point has not
-// been spilled. The read fault point fires per frame, so an injected read
+// been spilled. The read fault point fires per record, so an injected read
 // failure surfaces as a partial page, not a wedged store.
 func (rf *resultFile) frame(idx int) ([]byte, error) {
 	if rf == nil {
@@ -330,9 +248,8 @@ func (rf *resultFile) frame(idx int) ([]byte, error) {
 	}
 	rf.mu.Lock()
 	off := int64(-1)
-	var n int32
 	if idx >= 0 && idx < len(rf.offsets) {
-		off, n = rf.offsets[idx], rf.lengths[idx]
+		off = rf.offsets[idx]
 	}
 	rf.mu.Unlock()
 	if off < 0 {
@@ -342,12 +259,12 @@ func (rf *resultFile) frame(idx int) ([]byte, error) {
 		serveMetrics.Get().resultErrors.Inc()
 		return nil, err
 	}
-	buf := make([]byte, n)
-	if _, err := rf.f.ReadAt(buf, off); err != nil {
+	rec, err := rf.log.ReadAt(off)
+	if err != nil {
 		serveMetrics.Get().resultErrors.Inc()
-		return nil, fmt.Errorf("results: reading frame %d: %w", idx, err)
+		return nil, fmt.Errorf("results: reading point %d: %w", idx, err)
 	}
-	return buf, nil
+	return rec[4:], nil
 }
 
 // snapshot reports (frames spilled, total points, degraded).

@@ -214,7 +214,7 @@ func TestChaosResultsWriteFault(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	specs := []PointSpec{hopfSpec("w0", 3e3), hopfSpec("w1", 3e3 + 1)}
+	specs := []PointSpec{hopfSpec("w0", 3e3), hopfSpec("w1", 3e3+1)}
 	_, st := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: specs})
 	done := waitState(t, ts.URL, st.ID, terminal)
 	if done.State != StateDone {

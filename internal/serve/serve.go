@@ -71,12 +71,12 @@ type Config struct {
 	// from worker pickup, applied on top of the request's own timeout_ms.
 	MaxJobWall time.Duration
 	// JournalDir, when non-empty, makes jobs durable: every accepted job gets
-	// an append-only JSONL journal under this directory (header fsync'd
-	// before the 202 goes out, terminal events fsync'd and rotated), and on
-	// restart the server replays the directory — terminal jobs come back
-	// queryable, non-terminal jobs are re-enqueued and resumed through the
-	// result cache, so already-computed points are cache hits. Empty keeps
-	// the PR-4 behaviour: jobs live only in process memory.
+	// an append-only journal under this directory (header synced before the
+	// 202 goes out, terminal event synced), and on restart the server
+	// replays the directory — terminal jobs come back queryable,
+	// non-terminal jobs are re-enqueued and resumed through the result
+	// cache, so already-computed points are cache hits. Empty: jobs live
+	// only in process memory.
 	JournalDir string
 	// Runner, when non-nil, executes jobs instead of the in-process sweep
 	// engine — the hook a cluster coordinator uses to lease points out to
@@ -191,8 +191,8 @@ type jobExec struct {
 }
 
 // emit appends ev to the job's event stream and journals exactly what was
-// stored (same sequence number). terminal events reach stable storage and
-// rotate the journal before emit returns.
+// stored (same sequence number). terminal events reach stable storage before
+// emit returns.
 func (j *job) emit(ev Event, terminal bool) {
 	stamped, ok := j.events.append(ev)
 	if ok {
@@ -400,7 +400,7 @@ func (s *Server) BeginDrain() {
 // for the workers to exit. Safe to call once.
 //
 // A shutdown during journal replay stops the replayer: recovered jobs not yet
-// enqueued keep their .wal files and resume on the next start.
+// enqueued keep their journals and resume on the next start.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
 	// The replayer must stop before the scheduler closes (a resumed job must
@@ -682,10 +682,10 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, spe
 		Workers: workers, NoCache: noCache, Idem: idemKey, IdemFP: idemFP,
 		LeaseTTLMS: leaseTTLMS, Trace: traceCtx.Traceparent(), Compose: compose,
 	})
-	j.trace = newJobTrace(traceCtx.Trace, tracePath(s.cfg.JournalDir, j.id))
-	// The spill file is opened (and its header fsync'd) while the job is
-	// still invisible: every reader that can find the job sees the same rf
-	// pointer for its whole life. A nil rf (store unavailable, disk trouble)
+	j.trace = openJobTrace(traceCtx.Trace, s.journal.tracePath(j.id))
+	// The spill file is opened (and synced) while the job is still
+	// invisible: every reader that can find the job sees the same rf pointer
+	// for its whole life. A nil rf (store unavailable, disk trouble)
 	// degrades this job to summary-only service.
 	j.rf = s.results.open(j.id, len(specs))
 	j.emit(Event{Type: "state", State: StateQueued}, false)
@@ -698,7 +698,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, spe
 		cancel()
 		s.tenants.unadmit(tenant)
 		j.jl.discard() // an unqueued job must not be resurrected on restart
-		j.trace.discard(tracePath(s.cfg.JournalDir, j.id))
+		j.trace.discard()
 		j.rf.closeFile()
 		s.results.remove(j.id)
 		m.queueDepth.Add(-1)
@@ -746,7 +746,7 @@ func (s *Server) evictLocked() {
 					delete(s.idem, j.idem)
 				}
 				s.journal.remove(id)
-				j.trace.discard(tracePath(s.cfg.JournalDir, id))
+				j.trace.discard()
 				j.rf.closeFile()
 				s.results.remove(id)
 				evicted = true
@@ -886,7 +886,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 // handleTrace serves the job's merged distributed timeline: this node's own
 // spans plus whatever has been ingested from workers, with per-stage and
 // per-process latency rollups. ?format=jsonl streams the raw events one JSON
-// line each — the journal-file format, pipe-friendly.
+// line each, pipe-friendly.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
@@ -1244,9 +1244,9 @@ func (s *Server) runViaRunner(j *job) (string, error) {
 	return "", nil
 }
 
-// finishJob settles the terminal state recorded by stepJob: the fsync'd +
-// rotated terminal event, sealed spill file, released tenant slot, metrics
-// and the closed trace.
+// finishJob settles the terminal state recorded by stepJob: the synced
+// terminal event, sealed spill file, released tenant slot, metrics and the
+// closed trace.
 func (s *Server) finishJob(j *job) {
 	m := serveMetrics.Get()
 	ex := j.exec
@@ -1262,9 +1262,9 @@ func (s *Server) finishJob(j *job) {
 	j.err = jobErr
 	j.wall = time.Since(ex.start)
 	j.mu.Unlock()
-	// The terminal event carries the job-level error and is fsync'd + rotated
-	// (.wal → .jsonl) before subscribers see the stream close: a crash after
-	// this line replays as a finished job, never as a re-run.
+	// The terminal event carries the job-level error and is synced before
+	// subscribers see the stream close: a crash after this line replays as a
+	// finished job, never as a re-run.
 	j.emit(Event{Type: "state", State: state, Error: sweep.EncodeError(jobErr)}, true)
 	j.events.close()
 	j.cancel() // release the token's forwarding goroutine
@@ -1294,7 +1294,7 @@ func classify(err error) string {
 // their pre-crash points are cache hits, so no completed work recomputes.
 // Runs in the background: the server accepts new traffic meanwhile, and
 // /readyz flips to 200 only when the whole directory is restored. A shutdown
-// mid-replay aborts cleanly: unprocessed .wal files wait for the next start.
+// mid-replay aborts cleanly: unprocessed journals wait for the next start.
 func (s *Server) recoverJobs() {
 	defer s.replay.Done()
 	m := serveMetrics.Get()
@@ -1302,12 +1302,12 @@ func (s *Server) recoverJobs() {
 	// is meaningless for replay and ignored.
 	_ = faultinject.Fire(faultinject.ServeReplayDelay)
 	for _, rj := range s.journal.replay() {
-		if rj.terminal || !rj.wal {
+		if rj.terminal {
 			s.restoreTerminal(rj, m)
 			continue
 		}
 		if !s.resumeJob(rj, m) {
-			return // draining: remaining .wal files recover on the next start
+			return // draining: remaining journals recover on the next start
 		}
 	}
 	s.mu.Lock()
@@ -1317,7 +1317,7 @@ func (s *Server) recoverJobs() {
 
 // restoreTerminal registers a finished job from its journal: queryable status
 // and replayable (closed) event stream. When the job's spill file survived
-// alongside the WAL, the loss-free results come back with it — ?full=1,
+// alongside the journal, the loss-free results come back with it — ?full=1,
 // /results pages and /results.jsonl all work across the restart; only a job
 // with no spill (pre-store journals, degraded runs) is summary-only.
 func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
@@ -1343,7 +1343,7 @@ func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
 	}
 	j.rf = s.results.openExisting(j.id, len(j.specs))
 	j.rf.seal() // terminal: frozen read-only, late appends no-op
-	j.trace = reopenJobTrace(traceCtx.Trace, tracePath(s.cfg.JournalDir, j.id))
+	j.trace = openJobTrace(traceCtx.Trace, s.journal.tracePath(j.id))
 	j.trace.close() // terminal: the timeline is read-only from here
 	if rj.err != nil {
 		j.err = rj.err
@@ -1351,15 +1351,6 @@ func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
 	restoreProgress(j, rj.events)
 	j.events.restore(rj.events)
 	j.events.close()
-	// A .wal holding a terminal event means the crash hit between the fsync
-	// and the rename; finish the rotation it was owed.
-	if rj.wal {
-		if jj := s.journal.reopen(j.id); jj != nil {
-			jj.mu.Lock()
-			jj.rotateLocked()
-			jj.mu.Unlock()
-		}
-	}
 	s.register(j)
 	m.recovered.With("terminal").Inc()
 }
@@ -1386,7 +1377,7 @@ func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
 		tok:          tok,
 		cancel:       cancel,
 		events:       newEventLog(),
-		jl:           s.journal.reopen(rj.hdr.ID),
+		jl:           s.journal.open(rj.hdr.ID),
 		idem:         rj.hdr.Idem,
 		traceCtx:     traceCtx,
 		state:        StateQueued,
@@ -1403,7 +1394,7 @@ func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
 	// resume marker records the restart itself — in-flight span trees died
 	// unemitted with the old process, and this marker is what explains the
 	// gap when reading the merged timeline.
-	j.trace = reopenJobTrace(traceCtx.Trace, tracePath(s.cfg.JournalDir, j.id))
+	j.trace = openJobTrace(traceCtx.Trace, s.journal.tracePath(j.id))
 	j.trace.Emit(obs.Event{Type: "resume", Name: "serve.job.resumed", StartNS: time.Now().UnixNano()})
 	j.events.restore(rj.events)
 	j.emit(Event{Type: "state", State: StateQueued}, false)
@@ -1422,7 +1413,7 @@ func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
 		return true
 	}
 	// Shutting down before this job could re-enter the queue: unregister
-	// and keep its .wal on disk so the next start resumes it.
+	// and keep its journal on disk so the next start resumes it.
 	cancel()
 	j.rf.closeFile()
 	m.queueDepth.Add(-1)

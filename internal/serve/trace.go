@@ -1,27 +1,23 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
 // The job trace is the distributed-tracing sibling of the job journal: every
 // job owns a bounded buffer of completed span events — its own (the serve.job
 // root span and the whole sweep subtree under it) plus events ingested from
 // worker nodes via the coordinator's trace pull. With journalling on, each
-// event is also appended to <JournalDir>/traces/<jobID>.jsonl as it arrives
-// (plain unbuffered writes: a SIGKILL loses at most the line in flight), so a
-// restarted coordinator still serves the pre-crash timeline. The traces/
-// subdirectory keeps trace files out of the job-journal replay walk.
-
-// traceSubdir is the journal subdirectory holding per-job trace files.
-const traceSubdir = "traces"
+// event is also appended to the log <JournalDir>/traces/<jobID>.wal as it
+// arrives (never synced: a SIGKILL loses nothing the OS already has, and the
+// buffer is the primary copy while the process lives), so a restarted
+// coordinator still serves the pre-crash timeline.
 
 // defaultTraceCap bounds a job's in-memory (and on-disk) trace buffer.
 const defaultTraceCap = 4096
@@ -43,12 +39,13 @@ var procID = func() string {
 // dropped and counted rather than growing without bound.
 type jobTrace struct {
 	trace string // trace ID stamped on locally emitted events
+	path  string // trace log ("" = memory-only)
 
 	mu      sync.Mutex
 	evs     []obs.Event
 	seen    map[string]struct{}
 	dropped int
-	f       *os.File // nil: memory-only (no journal dir)
+	log     *wal.Log // nil: memory-only, or closed
 	cap     int
 }
 
@@ -62,66 +59,26 @@ func recoveredTraceCtx(traceparent string) obs.SpanContext {
 	return obs.SpanContext{Trace: obs.NewTraceID()}
 }
 
-// tracePath maps a job ID into the traces subdirectory ("" when journalling
-// is off or the ID is path-hostile, mirroring journal.path).
-func tracePath(journalDir, id string) string {
-	if journalDir == "" || id == "" || len(id) > 64 || containsPathHostile(id) {
-		return ""
-	}
-	return filepath.Join(journalDir, traceSubdir, id+".jsonl")
-}
-
-func containsPathHostile(id string) bool {
-	for _, r := range id {
-		if r == '/' || r == '\\' || r == '.' {
-			return true
-		}
-	}
-	return false
-}
-
-// newJobTrace opens a fresh trace for a job. path == "" keeps it memory-only.
-func newJobTrace(traceID, path string) *jobTrace {
-	t := &jobTrace{trace: traceID, seen: make(map[string]struct{}), cap: defaultTraceCap}
-	if path != "" {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
-			if f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
-				t.f = f
-			}
-		}
-		if t.f == nil {
-			serveMetrics.Get().journalErrors.Inc()
-		}
-	}
-	return t
-}
-
-// reopenJobTrace restores a recovered job's timeline from its trace file and
-// reopens it for appending, so a restarted coordinator keeps extending the
-// same trace. Corrupt lines (the torn-final-line crash artifact) are skipped.
-func reopenJobTrace(traceID, path string) *jobTrace {
-	t := newJobTrace(traceID, path)
+// openJobTrace opens a job's trace at path ("" keeps it memory-only). A
+// recovered job's pre-crash timeline is read back from the log, which then
+// stays open for appending, so a restarted coordinator keeps extending the
+// same trace.
+func openJobTrace(traceID, path string) *jobTrace {
+	t := &jobTrace{trace: traceID, path: path, seen: make(map[string]struct{}), cap: defaultTraceCap}
 	if path == "" {
 		return t
 	}
-	f, err := os.Open(path)
+	log, _, err := wal.Open(path, func(_ int64, rec []byte) {
+		var ev obs.Event
+		if json.Unmarshal(rec, &ev) == nil {
+			t.restore(ev)
+		}
+	})
 	if err != nil {
+		serveMetrics.Get().journalErrors.Inc()
 		return t
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var ev obs.Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			continue
-		}
-		t.restore(ev)
-	}
+	t.log = log
 	return t
 }
 
@@ -202,23 +159,17 @@ func (t *jobTrace) record(ev obs.Event, local bool) bool {
 	}
 	t.seen[key] = struct{}{}
 	t.evs = append(t.evs, ev)
-	var f *os.File
-	if t.f != nil {
-		f = t.f
-	}
-	var line []byte
-	if f != nil {
-		line, _ = json.Marshal(ev)
+	log := t.log
+	var rec []byte
+	if log != nil {
+		rec, _ = json.Marshal(ev)
 	}
 	t.mu.Unlock()
 	if local {
 		m.traceSpans.Inc()
 	}
-	if f != nil && line != nil {
-		// One unbuffered write per event: torn tails are tolerated on reload,
-		// and an fsync per span would tax the sweep path for little — the
-		// buffer is the primary copy while the process lives.
-		if _, err := f.Write(append(line, '\n')); err != nil {
+	if rec != nil {
+		if _, err := log.Append(rec); err != nil {
 			m.journalErrors.Inc()
 		}
 	}
@@ -235,27 +186,25 @@ func (t *jobTrace) snapshot() ([]obs.Event, int) {
 	return append([]obs.Event(nil), t.evs...), t.dropped
 }
 
-// close releases the file handle (the buffer stays queryable).
+// close releases the log (the buffer stays queryable).
 func (t *jobTrace) close() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if t.f != nil {
-		_ = t.f.Close()
-		t.f = nil
+	if t.log != nil {
+		_ = t.log.Close()
+		t.log = nil
 	}
 	t.mu.Unlock()
 }
 
-// discard closes the handle and deletes the trace file — eviction-time
-// cleanup, paired with journal.remove.
-func (t *jobTrace) discard(path string) {
-	t.close()
-	if path != "" {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			serveMetrics.Get().journalErrors.Inc()
-		}
+// discard closes the log and deletes it — eviction-time cleanup, paired
+// with journal.remove.
+func (t *jobTrace) discard() {
+	if t != nil {
+		t.close()
+		removeJobFile(t.path)
 	}
 }
 

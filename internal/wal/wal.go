@@ -1,0 +1,201 @@
+// Package wal is the append-only record log under every durable per-job file
+// of the job server: the job journal, the result spill, the trace journal and
+// the coordinator's lease journal.
+//
+// A log file is an 8-byte magic followed by frames, integers big-endian:
+//
+//	[u32 length][u32 CRC-32C of the payload][payload]
+//
+// Payloads are never empty, so a zero-filled tail (what a filesystem can
+// leave past the last write after a crash) never reads as a frame. Append
+// hands each frame to the OS; only Sync makes it durable, and the caller
+// decides which records are worth that. A crash can therefore tear the last
+// frames, and Open keeps every frame up to the first one that is incomplete
+// or fails its checksum and cuts the file there, so later appends continue
+// right after the last intact record.
+package wal
+
+import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"sync"
+)
+
+// magic heads every log; a file without it holds no intact frame.
+const magic = "pnwal01\n"
+
+// frameHeader is the per-frame overhead: payload length + checksum.
+const frameHeader = 8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Log is one open log file. Its methods are safe for concurrent use.
+type Log struct {
+	f *os.File
+
+	mu      sync.Mutex
+	size    int64 // end of the last intact frame: where the next one goes
+	newFile bool  // Open found the file empty: the first Sync syncs its directory too
+}
+
+// Open opens the log at path, creating it if needed, and passes every intact
+// record to fn in file order with the offset of its frame (the offset ReadAt
+// takes). rec is only valid during the call; fn may be nil. Open cuts the
+// file at the first torn or corrupt frame and returns the number of bytes
+// cut: a file that does not start with the magic is cut to an empty log.
+func Open(path string, fn func(off int64, rec []byte)) (*Log, int64, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: %w", err)
+	}
+	info, err := f.Stat()
+	var end, cut int64
+	if err == nil {
+		end, err = scan(f, info.Size(), fn)
+		cut = info.Size() - end
+	}
+	if err == nil && cut > 0 {
+		err = f.Truncate(end)
+	}
+	if err == nil && end == 0 {
+		_, err = f.WriteAt([]byte(magic), 0)
+		end = int64(len(magic))
+	}
+	if err != nil {
+		f.Close()
+		return nil, 0, fmt.Errorf("wal: opening %s: %w", path, err)
+	}
+	return &Log{f: f, size: end, newFile: info.Size() == 0}, cut, nil
+}
+
+// scan walks the frames of a size-byte file and returns the end of the last
+// intact one, or 0 when the magic is missing. Only I/O errors are errors:
+// torn and corrupt frames just end the walk.
+func scan(f *os.File, size int64, fn func(int64, []byte)) (int64, error) {
+	if size < int64(len(magic)) {
+		return 0, nil
+	}
+	r := bufio.NewReaderSize(f, 64<<10)
+	var hdr [frameHeader]byte
+	if _, err := io.ReadFull(r, hdr[:len(magic)]); err != nil {
+		return 0, err
+	}
+	if string(hdr[:len(magic)]) != magic {
+		return 0, nil
+	}
+	off := int64(len(magic))
+	var buf []byte
+	for off+frameHeader <= size {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return 0, err
+		}
+		n := int64(binary.BigEndian.Uint32(hdr[0:4]))
+		if n == 0 || n > size-off-frameHeader {
+			break
+		}
+		if int64(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return 0, err
+		}
+		if crc32.Checksum(buf, castagnoli) != binary.BigEndian.Uint32(hdr[4:8]) {
+			break
+		}
+		if fn != nil {
+			fn(off, buf)
+		}
+		off += frameHeader + n
+	}
+	return off, nil
+}
+
+// Append writes one frame through to the OS and returns the frame's offset.
+// The frame's record is parts concatenated, so a caller that prefixes its
+// payload need not copy it first. The record is durable only after a later
+// Sync. A failed write is cut back off, so the log stays appendable.
+func (l *Log) Append(parts ...[]byte) (int64, error) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 || int64(n) > math.MaxUint32 {
+		return 0, fmt.Errorf("wal: record of %d bytes", n)
+	}
+	frame := make([]byte, frameHeader, frameHeader+n)
+	for _, p := range parts {
+		frame = append(frame, p...)
+	}
+	// Checksummed after the copy: parts handed to crc32 would escape, and a
+	// caller's stack-allocated prefix with them.
+	binary.BigEndian.PutUint32(frame[0:4], uint32(n))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(frame[frameHeader:], castagnoli))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	off := l.size
+	if _, err := l.f.WriteAt(frame, off); err != nil {
+		_ = l.f.Truncate(off) // if this fails too, the next Open cuts the torn frame
+		return 0, fmt.Errorf("wal: append: %w", err)
+	}
+	l.size += int64(len(frame))
+	return off, nil
+}
+
+// ReadAt returns the record of the frame at off, as returned by Append or
+// passed to Open's fn, after checking its CRC.
+func (l *Log) ReadAt(off int64) ([]byte, error) {
+	var hdr [frameHeader]byte
+	if _, err := l.f.ReadAt(hdr[:], off); err != nil {
+		return nil, fmt.Errorf("wal: reading frame at %d: %w", off, err)
+	}
+	n := int64(binary.BigEndian.Uint32(hdr[0:4]))
+	l.mu.Lock()
+	size := l.size
+	l.mu.Unlock()
+	if n == 0 || off < int64(len(magic)) || off+frameHeader+n > size {
+		return nil, fmt.Errorf("wal: no frame at %d", off)
+	}
+	rec := make([]byte, n)
+	if _, err := l.f.ReadAt(rec, off+frameHeader); err != nil {
+		return nil, fmt.Errorf("wal: reading frame at %d: %w", off, err)
+	}
+	if crc32.Checksum(rec, castagnoli) != binary.BigEndian.Uint32(hdr[4:8]) {
+		return nil, fmt.Errorf("wal: frame at %d: checksum mismatch", off)
+	}
+	return rec, nil
+}
+
+// Sync flushes the log to stable storage. The first Sync of a log that Open
+// found empty also syncs its directory, so the file itself survives a crash.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: sync: %w", err)
+	}
+	if l.newFile {
+		d, err := os.Open(filepath.Dir(l.f.Name()))
+		if err != nil {
+			return fmt.Errorf("wal: sync: %w", err)
+		}
+		err = d.Sync()
+		d.Close()
+		if err != nil {
+			return fmt.Errorf("wal: sync: %w", err)
+		}
+		l.newFile = false
+	}
+	return nil
+}
+
+// Close closes the log file.
+func (l *Log) Close() error {
+	return l.f.Close()
+}
