@@ -120,7 +120,7 @@ func clusterWaitReady(t *testing.T, base string) {
 // land mid-job) with per-point parameter salt so every point is distinct.
 func clusterSweepBody(n int, salt float64) string {
 	var sb strings.Builder
-	sb.WriteString(`{"workers":1,"points":[`)
+	sb.WriteString(`{"points":[`)
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			sb.WriteByte(',')

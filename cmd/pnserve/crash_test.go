@@ -116,7 +116,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	// lands mid-job with a wide margin.
 	const n = 8
 	var sb strings.Builder
-	sb.WriteString(`{"workers":1,"points":[`)
+	sb.WriteString(`{"points":[`)
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			sb.WriteByte(',')

@@ -1,14 +1,15 @@
 // Command pnserve runs the characterisation-as-a-service job server: an HTTP
 // JSON API (internal/serve) that characterises registered oscillator models —
-// single points or parameter sweeps — on a bounded worker pool, in front of
-// the content-addressed result cache (internal/cache).
+// single points or parameter sweeps — on one pool of -workers execution slots
+// (default GOMAXPROCS), in front of the content-addressed result cache
+// (internal/cache). Each slot runs one point at a time.
 //
 // Usage:
 //
 //	pnserve [-addr :8080] [-workers n] [-queue n]
 //	        [-cache-dir dir] [-cache-mem bytes] [-journal-dir dir]
 //	        [-coordinator url,url,...] [-lease-ttl d] [-lease-points n]
-//	        [-job-timeout d] [-drain-timeout d] [-lane-grant n]
+//	        [-job-timeout d] [-drain-timeout d]
 //	        [-tenant-rate r] [-tenant-burst n] [-tenant-inflight n]
 //	        [-tenant-quotas name=rate:burst:inflight:weight,...]
 //	        [-debug-addr :6060] [-cpuprofile f] [-memprofile f] [-trace-out f]
@@ -16,7 +17,7 @@
 // The API surface (see internal/serve for details):
 //
 //	POST /v1/characterise          {"model":"hopf","params":{...}}       → job
-//	POST /v1/sweep                 {"points":[...],"workers":4}          → job
+//	POST /v1/sweep                 {"points":[...],"timeout_ms":60000}   → job
 //	GET  /v1/jobs/{id}             job status (+?full=1 for full results)
 //	GET  /v1/jobs/{id}/results     loss-free results, paginated (?offset=&limit=)
 //	GET  /v1/jobs/{id}/results.jsonl  loss-free results as a JSONL stream
@@ -33,10 +34,9 @@
 // Submissions may carry an X-PN-Tenant header naming the submitting tenant
 // (absent = "default"); -tenant-rate/-tenant-burst/-tenant-inflight set every
 // tenant's admission quota, -tenant-quotas overrides individual tenants, and
-// the scheduler shares the worker pool across tenants by weight, with
-// interactive jobs (characterise, compose) in a strict-priority lane above
-// batch sweeps. -lane-grant bounds how many sweep points a batch job runs per
-// scheduler grant before it yields its worker.
+// the scheduler shares the slots across tenants by weight, one point per
+// grant, with interactive jobs (characterise, compose) in a strict-priority
+// lane above batch sweeps.
 // -cache-dir persists results across restarts and shares them with pnsweep
 // and pnchar runs pointed at the same directory; -cache-mem bounds the
 // in-memory tier. -journal-dir makes jobs durable: accepted jobs are
@@ -142,7 +142,7 @@ func parseTenantQuotas(spec string, def serve.TenantConfig) (map[string]serve.Te
 
 func run() int {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 2, "job worker pool size")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "execution slots: points (or coordinator-delegated jobs) run at once")
 	queue := flag.Int("queue", 16, "queued-job bound (submissions beyond it get 429)")
 	cacheDir := flag.String("cache-dir", "", "persist characterisation results in this directory (empty = memory only)")
 	cacheMem := flag.Int64("cache-mem", cache.DefaultMaxBytes, "in-memory result cache bound in bytes")
@@ -152,7 +152,6 @@ func run() int {
 	leasePoints := flag.Int("lease-points", 0, "coordinator mode: points per lease (0 = default)")
 	jobTimeout := flag.Duration("job-timeout", 0, "ceiling on any job's wall clock, on top of per-request timeout_ms (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain grace before in-flight jobs are cancelled")
-	laneGrant := flag.Int("lane-grant", 0, "batch-sweep points per scheduler grant before the job yields its worker (0 = default)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant submit rate in jobs/second, applied to every tenant without a -tenant-quotas override (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant submit burst on top of -tenant-rate (0 = ceil(rate))")
 	tenantInflight := flag.Int("tenant-inflight", 0, "per-tenant cap on accepted-but-unfinished jobs (0 = unlimited)")
@@ -226,7 +225,6 @@ func run() int {
 		JournalDir:     *journalDir,
 		Runner:         runner,
 		ClusterStatus:  clusterStatus,
-		LaneGrant:      *laneGrant,
 		TenantDefaults: tenantDefaults,
 		Tenants:        perTenant,
 	})
@@ -259,7 +257,7 @@ func run() int {
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 
-	fmt.Fprintf(os.Stderr, "pnserve: listening on %s (%d workers, queue %d, cache-mem %d, cache-dir %q, journal-dir %q, GOMAXPROCS %d)\n",
+	fmt.Fprintf(os.Stderr, "pnserve: listening on %s (%d slots, queue %d, cache-mem %d, cache-dir %q, journal-dir %q, GOMAXPROCS %d)\n",
 		ln.Addr(), *workers, *queue, *cacheMem, *cacheDir, *journalDir, runtime.GOMAXPROCS(0))
 	if len(workerURLs) > 0 {
 		fmt.Fprintf(os.Stderr, "pnserve: coordinator for %d worker nodes (lease-ttl %v): %s\n",

@@ -8,7 +8,7 @@
 //
 //	pnsweep -osc hopf|vanderpol|ring [-min v] [-max v] [-n points]
 //	        [-workers n] [-timeout d] [-point-timeout d] [-json file] [-v]
-//	        [-cache-dir dir] [-cache-mem bytes] [-server url] [-cluster url,url,...]
+//	        [-cache-dir dir] [-cache-mem bytes] [-server url]
 //	        [-status]
 //	        [-debug-addr :6060] [-cpuprofile f] [-memprofile f] [-trace-out f]
 //
@@ -24,24 +24,16 @@
 // Server-Sent Events with automatic reconnection — a pnserve restart
 // mid-sweep is survived transparently when the server journals its jobs —
 // and the same summary table and -json output render from the job's
-// loss-free results. SIGINT cancels the remote job through the API.
-// -workers then bounds the job's server-side parallelism, and the server's
-// cache (not -cache-dir) serves repeated points. Every remote submission
-// mints a distributed trace ID and sends it as a Traceparent header, so the
-// job's merged timeline — coordinator and worker spans under one trace — is
-// afterwards queryable at GET <server>/v1/jobs/{id}/trace.
+// loss-free results. SIGINT cancels the remote job through the API. The
+// server's own execution slots run the points (-workers is local only), and
+// the server's cache (not -cache-dir) serves repeated points. Every remote
+// submission mints a distributed trace ID and sends it as a Traceparent
+// header, so the job's merged timeline — coordinator and worker spans under
+// one trace — is afterwards queryable at GET <server>/v1/jobs/{id}/trace.
 //
 // -status (with -server) prints the server's live fleet view — worker health,
 // circuit-breaker states, flap quarantine, in-flight leases, queue depth —
 // from GET /v1/cluster/status, then exits.
-//
-// -cluster runs the sweep across several pnserve worker nodes with pnsweep
-// itself acting as the cluster coordinator (internal/cluster): points are
-// leased out by content-addressed routing, leases are heartbeat-renewed and
-// reassigned if a worker dies mid-sweep, and when no worker is reachable the
-// sweep degrades to in-process execution with a warning. Point the workers
-// at one shared cache volume so reassigned points are cache hits; -cache-dir
-// here backs only the local degraded path.
 //
 // -cache-dir reuses prior characterisations from a content-addressed result
 // store shared with pnchar and pnserve: identical points are served from the
@@ -77,8 +69,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
-	"sync"
 	"syscall"
 	"text/tabwriter"
 	"time"
@@ -86,7 +76,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cache"
 	"repro/internal/cliobs"
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/pnclient"
 	"repro/internal/serve"
@@ -147,7 +136,6 @@ func run() int {
 	cacheDir := flag.String("cache-dir", "", "reuse characterisation results from this directory (shared with pnchar and pnserve; empty = no cache)")
 	cacheMem := flag.Int64("cache-mem", cache.DefaultMaxBytes, "in-memory result cache bound in bytes (only with -cache-dir)")
 	server := flag.String("server", "", "run the sweep remotely on this pnserve base URL (e.g. http://127.0.0.1:8080) instead of in process")
-	clusterURLs := flag.String("cluster", "", "comma-separated pnserve worker base URLs: coordinate the sweep across them from this process")
 	statusOnly := flag.Bool("status", false, "with -server: print the server's live cluster status (workers, breakers, leases) and exit")
 	tenant := flag.String("tenant", "", "with -server: tenant identity sent as the "+serve.TenantHeader+" header; 429s are retried after the server's Retry-After (empty = the server's default tenant)")
 	streamOut := flag.String("stream-out", "", "with -server: download the loss-free results as a JSONL stream from /results.jsonl into this file, instead of one ?full=1 response body")
@@ -179,7 +167,7 @@ func run() int {
 		if *lanes > 1 {
 			fmt.Fprintln(os.Stderr, "pnsweep: -lanes applies to in-process sweeps only; the server chooses its own batching")
 		}
-		return runRemote(*server, specs, param, *workers, *timeout, *jsonPath, *verbose, *tenant, *streamOut)
+		return runRemote(*server, specs, param, *timeout, *jsonPath, *verbose, *tenant, *streamOut)
 	}
 	if *tenant != "" || *streamOut != "" {
 		fmt.Fprintln(os.Stderr, "pnsweep: -tenant and -stream-out apply to -server runs only")
@@ -191,13 +179,6 @@ func run() int {
 			log.Print(err)
 			return 1
 		}
-	}
-
-	if *clusterURLs != "" {
-		if *lanes > 1 {
-			fmt.Fprintln(os.Stderr, "pnsweep: -lanes applies to in-process sweeps only; worker nodes choose their own batching")
-		}
-		return runCluster(*clusterURLs, specs, param, *workers, *timeout, *jsonPath, *verbose, store)
 	}
 
 	points, err := resolveSpecs(specs)
@@ -253,7 +234,7 @@ func run() int {
 	wall := time.Since(start)
 
 	prog.finish() // clear the progress line before the summary table renders
-	printSummary(results, param, wall, *workers)
+	printSummary(results, param, wall, fmt.Sprintf("on %d workers", *workers))
 	if *jsonPath != "" {
 		if err := writeJSON(*jsonPath, results, param); err != nil {
 			log.Print(err)
@@ -358,7 +339,7 @@ func resolveSpecs(specs []serve.PointSpec) ([]sweep.Point, error) {
 // the same progress line, cancellation over the API on SIGINT, and the
 // standard summary table + -json output rendered from the job's loss-free
 // results.
-func runRemote(base string, specs []serve.PointSpec, param []float64, workers int, timeout time.Duration, jsonPath string, verbose bool, tenant, streamOut string) int {
+func runRemote(base string, specs []serve.PointSpec, param []float64, timeout time.Duration, jsonPath string, verbose bool, tenant, streamOut string) int {
 	c := pnclient.New(base, nil, pnclient.Retry{})
 	if tenant != "" {
 		// Every request from here on identifies as this tenant; the client's
@@ -386,7 +367,6 @@ func runRemote(base string, specs []serve.PointSpec, param []float64, workers in
 	start := time.Now()
 	st, err := c.Sweep(ctx, serve.SweepRequest{
 		Points:    specs,
-		Workers:   workers,
 		TimeoutMS: int64(timeout / time.Millisecond),
 	}, idemKey)
 	if err != nil {
@@ -464,7 +444,7 @@ func runRemote(base string, specs []serve.PointSpec, param []float64, workers in
 		printRemoteSummary(final, wall)
 		fmt.Printf("streamed %d loss-free results to %s\n", n, streamOut)
 	} else if len(final.Full) == len(param) {
-		printSummary(final.Full, param, wall, workers)
+		printSummary(final.Full, param, wall, "— job "+final.ID+" on "+base)
 		if jsonPath != "" {
 			if err := writeJSON(jsonPath, final.Full, param); err != nil {
 				log.Print(err)
@@ -523,123 +503,6 @@ func streamResultsToFile(ctx context.Context, c *pnclient.Client, id, path strin
 		serr = err
 	}
 	return len(seen), serr
-}
-
-// runCluster coordinates the sweep across pnserve worker nodes from this
-// process: pnsweep builds an internal/cluster coordinator, leases the grid
-// out to the workers, and renders the usual summary table from the merged
-// loss-free results. Worker death mid-sweep reassigns the affected lease; no
-// reachable workers at all degrades to in-process execution with a warning.
-func runCluster(urls string, specs []serve.PointSpec, param []float64, workers int, timeout time.Duration, jsonPath string, verbose bool, store *cache.Store) int {
-	var nodes []string
-	for _, u := range strings.Split(urls, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			nodes = append(nodes, strings.TrimRight(u, "/"))
-		}
-	}
-	coord := cluster.New(cluster.Config{Workers: nodes, Cache: store})
-	defer coord.Close()
-
-	// Same budget/SIGINT contract as the in-process path: first interrupt
-	// cancels (the summary still renders for completed points), second aborts.
-	tok, cancel := budget.WithCancel(nil)
-	defer cancel()
-	if timeout > 0 {
-		tok = budget.WithTimeout(tok, timeout)
-	}
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		fmt.Fprintln(os.Stderr, "pnsweep: interrupt — cancelling in-flight leases (interrupt again to abort)")
-		cancel()
-		<-sigc
-		os.Exit(130)
-	}()
-
-	// A fresh random job ID per invocation: the coordinator derives its lease
-	// idempotency keys from it, so retries inside this run deduplicate on the
-	// workers while distinct runs never collide.
-	var kb [16]byte
-	if _, err := rand.Read(kb[:]); err != nil {
-		log.Print(err)
-		return 1
-	}
-	jobID := "pnsweep-" + hex.EncodeToString(kb[:])
-	fmt.Fprintf(os.Stderr, "pnsweep: coordinating %d points across %d worker nodes (job %s)\n", len(specs), len(nodes), jobID)
-
-	// Lease streams complete concurrently; the progress line is not
-	// thread-safe, so serialise the summaries here.
-	prog := newProgress(len(specs), os.Stderr)
-	var progMu sync.Mutex
-	start := time.Now()
-	// Root span for the coordinated run; live only when -trace-out (or
-	// another emitter) is installed, in which case the lease/attempt spans
-	// nest under it in the recorded trace.
-	span := obs.StartSpan(nil, "pnsweep.cluster")
-	defer span.End()
-	// The coordinator streams each settled point through OnResult; the CLI is
-	// the one place that still wants the whole set in memory (for the summary
-	// table and -json), so collect into an index-aligned slice here.
-	results := make([]sweep.PointResult, len(specs))
-	var resMu sync.Mutex
-	err := coord.RunSweep(serve.RunnerRequest{
-		JobID:   jobID,
-		Kind:    "sweep",
-		Specs:   specs,
-		Tok:     tok,
-		Workers: workers,
-		Span:    span,
-		OnResult: func(r sweep.PointResult) {
-			if r.Index < 0 || r.Index >= len(results) {
-				return
-			}
-			resMu.Lock()
-			results[r.Index] = r
-			resMu.Unlock()
-		},
-		OnSummary: func(s serve.PointSummary) {
-			progMu.Lock()
-			defer progMu.Unlock()
-			if verbose {
-				status := "ok"
-				if !s.OK {
-					status = "failed"
-				} else if s.Cached {
-					status = "cached"
-				}
-				fmt.Fprintf(os.Stderr, "[%s] %s (%.0fms)\n", s.Name, status, s.WallMS)
-			}
-			r := sweep.PointResult{Index: s.Index, Name: s.Name, Cached: s.Cached}
-			if !s.OK {
-				r.Err = errors.New("failed")
-			}
-			if prog != nil && prog.done < len(specs) {
-				prog.point(r)
-			}
-		},
-	})
-	wall := time.Since(start)
-	prog.finish()
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-
-	printSummary(results, param, wall, workers)
-	if jsonPath != "" {
-		if werr := writeJSON(jsonPath, results, param); werr != nil {
-			log.Print(werr)
-			return 1
-		}
-		fmt.Printf("full results written to %s\n", jsonPath)
-	}
-	for _, r := range results {
-		if !r.OK() {
-			return 1
-		}
-	}
-	return 0
 }
 
 // runStatus renders a server's live fleet view from GET /v1/cluster/status:
@@ -711,7 +574,9 @@ func printRemoteSummary(st serve.JobStatus, wall time.Duration) {
 		okCount, st.Points, cached, wall.Round(time.Millisecond), st.ID, st.State)
 }
 
-func printSummary(results []sweep.PointResult, param []float64, wall time.Duration, workers int) {
+// printSummary renders the per-point table and a totals line ending in
+// where, which says what ran the points.
+func printSummary(results []sweep.PointResult, param []float64, wall time.Duration, where string) {
 	okCount, partial, cached := 0, 0, 0
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "point\tparam\tstatus\tf0 (Hz)\tc (s²·Hz)\tcorner (Hz)\tattempts\twall")
@@ -751,8 +616,8 @@ func printSummary(results []sweep.PointResult, param []float64, wall time.Durati
 			r.Name, param[i], st, f0s, cs, cor, len(r.Attempts), r.Wall.Round(time.Millisecond))
 	}
 	tw.Flush()
-	fmt.Printf("%d/%d points characterised (cached: %d) in %v on %d workers\n",
-		okCount, len(results), cached, wall.Round(time.Millisecond), workers)
+	fmt.Printf("%d/%d points characterised (cached: %d) in %v %s\n",
+		okCount, len(results), cached, wall.Round(time.Millisecond), where)
 	if partial > 0 {
 		fmt.Printf("* %d failed point(s) kept a converged periodic steady state (see JSON for details)\n", partial)
 	}

@@ -25,7 +25,7 @@ func TestChaosClusterLeaseDispatch(t *testing.T) {
 
 	f := startFabric(t, 2, nil)
 	const n = 8
-	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 100), Workers: 2})
+	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 100)})
 	assertAllOK(t, st, n)
 
 	snap := reg.Snapshot()
@@ -62,7 +62,7 @@ func TestChaosClusterWorkerKill(t *testing.T) {
 		c.HeartbeatEvery = 100 * time.Millisecond
 	})
 	const n = 4
-	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: ringPoints(n, 200), Workers: 2})
+	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: ringPoints(n, 200)})
 	assertAllOK(t, st, n)
 
 	snap := reg.Snapshot()
@@ -87,15 +87,22 @@ func TestChaosClusterHeartbeatDrop(t *testing.T) {
 		faultinject.ClusterHeartbeatDrop: {Mode: faultinject.ModeError, Count: 4},
 	})()
 
-	// One worker, one lease, sequential points: the four dropped renewals
-	// span the whole 400ms TTL while the lease is still mid-sweep.
-	f := startFabric(t, 1, func(c *Config) {
+	// One one-slot worker, one lease, sequential points: the four dropped
+	// renewals span the whole 400ms TTL while the lease is still mid-sweep.
+	// Under -race two ring points are enough to outlast the TTL many times
+	// over: each costs ~25s on a 2-core VM, most of it encoding and decoding
+	// its 5.8 MB payload on worker, coordinator and the final ?full=1 fetch,
+	// and eight would pass the client deadline.
+	f := startFabricSlots(t, 1, 1, func(c *Config) {
 		c.LeasePoints = 16
 		c.LeaseTTL = 400 * time.Millisecond
 		c.HeartbeatEvery = 100 * time.Millisecond
 	})
-	const n = 8
-	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: ringPoints(n, 300), Workers: 1})
+	n := 8
+	if raceEnabled {
+		n = 2
+	}
+	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: ringPoints(n, 300)})
 	assertAllOK(t, st, n)
 
 	snap := reg.Snapshot()
@@ -108,7 +115,7 @@ func TestChaosClusterHeartbeatDrop(t *testing.T) {
 	if got := snap.Counter("pn_cluster_leases_total", "requeued"); got < 1 {
 		t.Fatalf("requeued leases = %d, want >= 1 (expired lease reassigned)", got)
 	}
-	if got := snap.Counter("pn_core_characterisations_total", "ok"); got != n {
+	if got := snap.Counter("pn_core_characterisations_total", "ok"); got != int64(n) {
 		t.Fatalf("characterisations = %d, want exactly %d", got, n)
 	}
 }
@@ -128,7 +135,7 @@ func TestChaosTraceIngest(t *testing.T) {
 
 	f := startFabric(t, 2, nil)
 	const n = 6
-	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 500), Workers: 2})
+	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 500)})
 	assertAllOK(t, st, n)
 
 	snap := reg.Snapshot()
@@ -162,7 +169,7 @@ func TestClusterTraceTimeline(t *testing.T) {
 
 	f := startFabric(t, 2, nil)
 	const n = 8
-	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 600), Workers: 2})
+	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 600)})
 	assertAllOK(t, st, n)
 
 	jt := fetchTrace(t, f.frontTS.URL, st.ID)
@@ -243,7 +250,7 @@ func TestChaosClusterFlakyTransport(t *testing.T) {
 
 	f := startFabric(t, 2, nil)
 	const n = 8
-	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 400), Workers: 2})
+	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 400)})
 	assertAllOK(t, st, n)
 
 	if stats := faultinject.Stats()[faultinject.PnclientHTTP]; stats.Fired == 0 {

@@ -488,7 +488,6 @@ func (r *jobRun) runLease(ctx context.Context, l *lease) {
 		}
 		st, err := c.clients[w].Sweep(cctx, serve.SweepRequest{
 			Points:     l.specs,
-			Workers:    r.req.Workers,
 			NoCache:    r.req.NoCache,
 			LeaseTTLMS: int64(c.cfg.LeaseTTL / time.Millisecond),
 		}, l.idemKey(r.req.JobID))
@@ -752,10 +751,10 @@ func (c *Coordinator) heartbeat(ctx context.Context, w, workerJob string) {
 	}
 }
 
-// fallbackLease runs the lease's points in-process through internal/sweep —
-// the degraded mode when no worker is usable. Fallback leases serialise on
-// the coordinator so a dead cluster behaves like one local sweep, not
-// len(leases) competing ones.
+// fallbackLease runs the lease's points in-process through internal/sweep's
+// own worker pool — the degraded mode when no worker is usable. Fallback
+// leases serialise on the coordinator so a dead cluster behaves like one
+// local sweep, not len(leases) competing ones.
 func (r *jobRun) fallbackLease(l *lease, lsp *obs.Span) {
 	c := r.coord
 	c.cfg.Logf("cluster: WARNING: no usable worker for lease %d of job %s; running %d points in-process", l.id, r.req.JobID, len(l.specs))
@@ -791,7 +790,6 @@ func (r *jobRun) fallbackLease(l *lease, lsp *obs.Span) {
 		store = nil
 	}
 	sweep.Run(pts, &sweep.Config{
-		Workers:        r.req.Workers,
 		Budget:         r.req.Tok,
 		Cache:          store,
 		Span:           fsp,

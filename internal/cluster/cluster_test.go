@@ -23,16 +23,17 @@ import (
 // fastRetry keeps client-side backoff out of the test clock.
 var fastRetry = pnclient.Retry{Attempts: 5, Base: time.Millisecond, Max: 20 * time.Millisecond, Seed: 1}
 
-// startWorker boots one pnserve worker over httptest with its own cache
-// store on the shared disk directory — the same sharing model as separate
-// worker processes pointed at one cache volume.
-func startWorker(t *testing.T, cacheDir string) (*httptest.Server, *serve.Server) {
+// startWorker boots one pnserve worker with the given number of execution
+// slots over httptest, with its own cache store on the shared disk directory
+// — the same sharing model as separate worker processes pointed at one cache
+// volume.
+func startWorker(t *testing.T, cacheDir string, slots int) (*httptest.Server, *serve.Server) {
 	t.Helper()
 	store, err := cache.New(cache.Options{Dir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := serve.New(serve.Config{Workers: 2, Cache: store})
+	s := serve.New(serve.Config{Workers: slots, Cache: store})
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()
@@ -52,9 +53,15 @@ type fabric struct {
 
 func startFabric(t *testing.T, nWorkers int, mutate func(*Config)) *fabric {
 	t.Helper()
+	return startFabricSlots(t, nWorkers, 2, mutate)
+}
+
+// startFabricSlots is startFabric with workers of the given slot count.
+func startFabricSlots(t *testing.T, nWorkers, slots int, mutate func(*Config)) *fabric {
+	t.Helper()
 	f := &fabric{cacheDir: t.TempDir()}
 	for i := 0; i < nWorkers; i++ {
-		ts, _ := startWorker(t, f.cacheDir)
+		ts, _ := startWorker(t, f.cacheDir, slots)
 		f.workers = append(f.workers, ts.URL)
 	}
 	coordStore, err := cache.New(cache.Options{Dir: f.cacheDir})
@@ -160,7 +167,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	f := startFabric(t, 2, nil)
 	const n = 10
-	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 0), Workers: 2})
+	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 0)})
 	assertAllOK(t, st, n)
 
 	snap := reg.Snapshot()
@@ -189,7 +196,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	// Identical resubmission: all cache hits, zero new characterisations.
-	st2 := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 0), Workers: 2})
+	st2 := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 0)})
 	assertAllOK(t, st2, n)
 	if st2.CachedPoints != n {
 		t.Fatalf("resubmit cached %d of %d points", st2.CachedPoints, n)
@@ -243,7 +250,7 @@ func TestClusterDegradedNoWorkers(t *testing.T) {
 
 	f := startFabric(t, 0, func(c *Config) { c.Logf = logf })
 	const n = 4
-	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 50), Workers: 2})
+	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 50)})
 	assertAllOK(t, st, n)
 	logMu.Lock()
 	gotWarning := warned
@@ -262,7 +269,7 @@ func TestClusterDegradedNoWorkers(t *testing.T) {
 		c.Retry = pnclient.Retry{Attempts: 2, Base: time.Millisecond, Max: 2 * time.Millisecond, Seed: 1}
 		c.Logf = logf
 	})
-	st2 := submitAndWait(t, f2.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 80), Workers: 2})
+	st2 := submitAndWait(t, f2.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 80)})
 	assertAllOK(t, st2, n)
 }
 
@@ -281,7 +288,7 @@ func TestClusterResumeAfterCoordinatorRestart(t *testing.T) {
 	walDir := t.TempDir()
 	var workers []string
 	for i := 0; i < 2; i++ {
-		ts, _ := startWorker(t, cacheDir)
+		ts, _ := startWorker(t, cacheDir, 2)
 		workers = append(workers, ts.URL)
 	}
 	cfg := Config{
@@ -306,7 +313,7 @@ func TestClusterResumeAfterCoordinatorRestart(t *testing.T) {
 	go func() {
 		defer close(done1)
 		coord1.RunSweep(serve.RunnerRequest{
-			JobID: "restart-job", Kind: "sweep", Specs: specs, Tok: tok1, Workers: 2,
+			JobID: "restart-job", Kind: "sweep", Specs: specs, Tok: tok1,
 			OnSummary: func(s serve.PointSummary) {
 				if s.OK {
 					once.Do(func() { close(firstPoint) })
@@ -333,7 +340,7 @@ func TestClusterResumeAfterCoordinatorRestart(t *testing.T) {
 	results := make([]sweep.PointResult, n)
 	stored := make([]bool, n)
 	err := coord2.RunSweep(serve.RunnerRequest{
-		JobID: "restart-job", Kind: "sweep", Specs: specs, Tok: tok2, Workers: 2,
+		JobID: "restart-job", Kind: "sweep", Specs: specs, Tok: tok2,
 		OnResult: func(r sweep.PointResult) {
 			mu.Lock()
 			if r.Index >= 0 && r.Index < n {

@@ -39,22 +39,21 @@ type PointSpec struct {
 // job-wide knobs.
 type CharacteriseRequest struct {
 	PointSpec
-	// TimeoutMS bounds the job by wall clock from worker pickup; on expiry
-	// in-flight work is cut off with a budget error (0 = unbounded).
+	// TimeoutMS bounds the job by wall clock from its first slot grant; on
+	// expiry in-flight work is cut off with a budget error (0 = unbounded).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// NoCache bypasses the content-addressed result cache for this job (it
 	// neither reads nor writes).
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// SweepRequest is the body of POST /v1/sweep: a batch of points run on one
-// worker pool under one budget, sharing the retry ladder and the cache.
+// SweepRequest is the body of POST /v1/sweep: a batch of points under one
+// budget, sharing the retry ladder and the cache. The points run one per
+// execution slot of the server's pool; a request has no parallelism knob.
 type SweepRequest struct {
-	Points []PointSpec `json:"points"`
-	// Workers bounds the per-job sweep pool (clamped to the server's cap).
-	Workers   int   `json:"workers,omitempty"`
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	NoCache   bool  `json:"no_cache,omitempty"`
+	Points    []PointSpec `json:"points"`
+	TimeoutMS int64       `json:"timeout_ms,omitempty"`
+	NoCache   bool        `json:"no_cache,omitempty"`
 	// LeaseTTLMS, when > 0, makes the job a lease: unless the submitter
 	// renews it (POST /v1/jobs/{id}/renew) within every TTL window, the
 	// worker cancels the job itself. A cluster coordinator sets this so a

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/budget"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/pll"
 	"repro/internal/sweep"
 )
@@ -271,41 +269,27 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	specs := req.specLegs()
-	// Legs characterise in parallel like a sweep's points, one worker per
-	// leg up to the server cap.
-	workers := len(specs)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > s.cfg.MaxSweepWorkers {
-		workers = s.cfg.MaxSweepWorkers
-	}
-	s.submit(w, r, "compose", specs, req.TimeoutMS, workers, req.NoCache, 0, &req)
+	// Spec legs characterise like a sweep's points, one slot grant per leg.
+	s.submit(w, r, jrecord{Kind: "compose", Specs: req.specLegs(), TimeoutMS: req.TimeoutMS, NoCache: req.NoCache, Compose: &req})
 }
 
 // composeJob runs the composition step of a compose job: the legs have
 // already characterised (results in j.legs, possibly all cache hits), so
-// this is pure frequency-domain arithmetic under the job's span. Returns
-// ("", nil) on success after recording the composite on the job and
-// emitting the compose event.
-func (s *Server) composeJob(j *job, jtok *budget.Token, span *obs.Span) (string, error) {
-	// A cancel/timeout that landed before or during the legs wins here too:
-	// a composed result from a canceled job would be indistinguishable from
-	// a completed one.
-	if err := jtok.Err(); err != nil {
-		return classify(err), err
-	}
+// this is pure frequency-domain arithmetic under the job's span. On success
+// it records the composite on the job and emits the compose event. settle
+// calls it only under a live job token: a composed result from a canceled
+// job would be indistinguishable from a completed one.
+func (s *Server) composeJob(j *job) error {
 	j.mu.Lock()
 	results := j.legs
 	j.mu.Unlock()
 	cfg, err := j.compose.buildConfig(results)
 	if err != nil {
-		return classify(err), err
+		return err
 	}
-	comp, err := pll.ComposeWithSpan(cfg, span)
+	comp, err := pll.ComposeWithSpan(cfg, j.span)
 	if err != nil {
-		return classify(err), err
+		return err
 	}
 	sum := summarizeCompose(comp)
 	j.mu.Lock()
@@ -313,5 +297,5 @@ func (s *Server) composeJob(j *job, jtok *budget.Token, span *obs.Span) (string,
 	j.composeSum = &sum
 	j.mu.Unlock()
 	j.emit(Event{Type: "compose", Compose: &sum}, false)
-	return "", nil
+	return nil
 }

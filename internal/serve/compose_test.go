@@ -305,7 +305,7 @@ func TestJournalComposeRecovery(t *testing.T) {
 	// pure-inline chain — zero characterisation legs, numbers only — whose
 	// header must survive replay despite carrying no specs.
 	writeJournalFile(t, dir, "j5"+walExt, []jrecord{
-		{V: 1, T: "accepted", ID: "j5", Kind: "compose", Specs: []PointSpec{spec}, Workers: 1, Compose: &req},
+		{V: 1, T: "accepted", ID: "j5", Kind: "compose", Specs: []PointSpec{spec}, Compose: &req},
 		{V: 1, T: "event", Ev: &Event{Seq: 1, Type: "state", State: StateQueued}},
 		{V: 1, T: "event", Ev: &Event{Seq: 2, Type: "state", State: StateRunning}},
 	})

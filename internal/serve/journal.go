@@ -49,7 +49,6 @@ type jrecord struct {
 	Kind       string      `json:"kind,omitempty"`
 	Specs      []PointSpec `json:"specs,omitempty"`
 	TimeoutMS  int64       `json:"timeout_ms,omitempty"`
-	Workers    int         `json:"workers,omitempty"`
 	NoCache    bool        `json:"no_cache,omitempty"`
 	LeaseTTLMS int64       `json:"lease_ttl_ms,omitempty"` // lease window; resumed jobs re-arm it
 	Tenant     string      `json:"tenant,omitempty"`       // admission identity; recovery restores the in-flight slot

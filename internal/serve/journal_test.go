@@ -136,7 +136,7 @@ func TestJournalRecoveryTerminal(t *testing.T) {
 	sum0 := PointSummary{Index: 0, Name: "p0", OK: true, T: 1.25, F0: 0.8, C: 3e-9}
 	sum1 := PointSummary{Index: 1, Name: "p1", OK: true, Cached: true, T: 1.5, F0: 0.66, C: 4e-9}
 	writeJournalFile(t, dir, "j7"+walExt, []jrecord{
-		{V: 1, T: "accepted", ID: "j7", Kind: "sweep", Specs: []PointSpec{hopfSpec("p0", 3), hopfSpec("p1", 4)}, Workers: 1},
+		{V: 1, T: "accepted", ID: "j7", Kind: "sweep", Specs: []PointSpec{hopfSpec("p0", 3), hopfSpec("p1", 4)}},
 		{V: 1, T: "event", Ev: &Event{Seq: 1, Type: "state", State: StateQueued}},
 		{V: 1, T: "event", Ev: &Event{Seq: 2, Type: "state", State: StateRunning}},
 		{V: 1, T: "event", Ev: &Event{Seq: 3, Type: "point", Point: &sum0}},
@@ -205,7 +205,7 @@ func TestJournalRecoveryResume(t *testing.T) {
 	sum0 := PointSummary{Index: 0, Name: "p0", OK: true, T: 1, F0: 1, C: 1e-9}
 	sum1 := PointSummary{Index: 1, Name: "p1", OK: true, T: 1, F0: 1, C: 1e-9}
 	writeJournalFile(t, dir, "j3"+walExt, []jrecord{
-		{V: 1, T: "accepted", ID: "j3", Kind: "sweep", Specs: specs, Workers: 1},
+		{V: 1, T: "accepted", ID: "j3", Kind: "sweep", Specs: specs},
 		{V: 1, T: "event", Ev: &Event{Seq: 1, Type: "state", State: StateQueued}},
 		{V: 1, T: "event", Ev: &Event{Seq: 2, Type: "state", State: StateRunning}},
 		{V: 1, T: "event", Ev: &Event{Seq: 3, Type: "point", Point: &sum0}},
@@ -304,6 +304,76 @@ func TestJournalRecoveryResume(t *testing.T) {
 	}
 	if got := snap2.Counter("pn_core_characterisations_total", "ok"); got != 0 {
 		t.Fatalf("second restart ran the pipeline %d times, want 0", got)
+	}
+}
+
+// TestJournalConcurrentPointsReplay journals sweeps whose every attempt
+// fails at its start (the sweep.attempt fault), the cheapest points there
+// are: on a four-slot server each job's point events come from several slots
+// within microseconds of each other. After a restart over the same
+// directory every job must come back terminal with the contiguous 1..n
+// history it streamed live, and replay must skip no record as corrupt. Run
+// it with -race -count=10.
+func TestJournalConcurrentPointsReplay(t *testing.T) {
+	const n, jobs = 64, 8
+	specs := make([]PointSpec, n)
+	for i := range specs {
+		specs[i] = hopfSpec("p"+strconv.Itoa(i), 2+float64(i)/4)
+	}
+	dir := t.TempDir()
+
+	restore := faultinject.Enable(faultinject.Plan{faultinject.SweepAttempt: {Mode: faultinject.ModeError}})
+	defer restore()
+	s := New(Config{Workers: 4, JournalDir: dir})
+	ts := httptest.NewServer(s)
+	var ids []string
+	for i := 0; i < jobs; i++ {
+		_, st := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: specs})
+		ids = append(ids, st.ID)
+	}
+	live := make(map[string][]Event)
+	for _, id := range ids {
+		if st := waitState(t, ts.URL, id, terminal); st.State != StateDone || st.FailedPoints != n {
+			t.Fatalf("job %s: %+v, want done with %d failed points", id, st, n)
+		}
+		live[id] = readSSE(t, ts.URL, id)
+	}
+	ts.Close()
+	s.Shutdown(context.Background())
+	restore()
+
+	reg := obs.NewRegistry()
+	obs.SetGlobal(reg)
+	defer obs.SetGlobal(nil)
+	s2 := New(Config{Workers: 4, JournalDir: dir})
+	defer s2.Shutdown(context.Background())
+	ts2 := httptest.NewServer(s2)
+	defer ts2.Close()
+	waitReady(t, ts2.URL)
+
+	for _, id := range ids {
+		if st := getStatus(t, ts2.URL, id, false); st.State != StateDone || st.DonePoints != n {
+			t.Fatalf("restored job %s: %+v, want done with %d points", id, st, n)
+		}
+		evs := readSSE(t, ts2.URL, id)
+		if len(evs) != len(live[id]) {
+			t.Fatalf("job %s: %d events restored, %d streamed live", id, len(evs), len(live[id]))
+		}
+		for i, ev := range evs {
+			if ev.Seq != int64(i+1) || ev.Type != live[id][i].Type {
+				t.Fatalf("job %s: restored event %d is %+v, streamed live as %+v", id, i, ev, live[id][i])
+			}
+		}
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counter("pn_serve_journal_corrupt_records_total", ""); got != 0 {
+		t.Fatalf("replay skipped %d journal records as corrupt, want 0", got)
+	}
+	if got := snap.Counter("pn_serve_jobs_recovered_total", "terminal"); got != jobs {
+		t.Fatalf("recovered{terminal} = %d, want %d", got, jobs)
+	}
+	if got := snap.Counter("pn_serve_jobs_recovered_total", "resumed"); got != 0 {
+		t.Fatalf("recovered{resumed} = %d, want 0: a finished job was re-run", got)
 	}
 }
 
@@ -420,7 +490,7 @@ func TestJournalCorruptQuarantine(t *testing.T) {
 func TestReadyzLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	writeJournalFile(t, dir, "j1"+walExt, []jrecord{
-		{V: 1, T: "accepted", ID: "j1", Kind: "characterise", Specs: []PointSpec{hopfSpec("old", 3)}, Workers: 1},
+		{V: 1, T: "accepted", ID: "j1", Kind: "characterise", Specs: []PointSpec{hopfSpec("old", 3)}},
 		{V: 1, T: "event", Ev: &Event{Seq: 1, Type: "state", State: StateQueued}},
 		{V: 1, T: "event", Ev: &Event{Seq: 2, Type: "state", State: StateDone}},
 	})
@@ -617,7 +687,7 @@ func FuzzJournalReplay(f *testing.F) {
 	sum := PointSummary{Index: 0, Name: "p0", OK: true, T: 1, F0: 1, C: 1e-9}
 	var seed bytes.Buffer
 	for _, r := range []jrecord{
-		{V: 1, T: "accepted", ID: "j1", Kind: "sweep", Specs: []PointSpec{hopfSpec("p0", 3)}, Workers: 1},
+		{V: 1, T: "accepted", ID: "j1", Kind: "sweep", Specs: []PointSpec{hopfSpec("p0", 3)}},
 		{V: 1, T: "event", Ev: &Event{Seq: 1, Type: "state", State: StateQueued}},
 		{V: 1, T: "event", Ev: &Event{Seq: 2, Type: "state", State: StateRunning}},
 		{V: 1, T: "event", Ev: &Event{Seq: 3, Type: "point", Point: &sum}},

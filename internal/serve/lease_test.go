@@ -56,7 +56,7 @@ func TestLeaseRenewKeepsJobAlive(t *testing.T) {
 	obs.SetGlobal(reg)
 	defer obs.SetGlobal(nil)
 
-	s := New(Config{Workers: 2})
+	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -102,6 +102,8 @@ func TestLeaseRenewKeepsJobAlive(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("renew on terminal job: %d, want 200", resp.StatusCode)
 	}
+	// Wait past the TTL: the renewal must not have re-armed the lease.
+	time.Sleep(800 * time.Millisecond)
 	if st := getStatus(t, ts.URL, st.ID, false); st.State != StateDone {
 		t.Fatalf("terminal job flipped to %q after late renew", st.State)
 	}
@@ -120,6 +122,43 @@ func TestLeaseRenewKeepsJobAlive(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("renew on unknown job: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestLeaseRenewRestoredTerminal renews a leased job that a restart restored
+// as finished, as a coordinator replaying its own lease log does, and waits
+// past the TTL: the renewal must not arm a lease on the finished job.
+func TestLeaseRenewRestoredTerminal(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.SetGlobal(reg)
+	defer obs.SetGlobal(nil)
+
+	dir := t.TempDir()
+	writeJournalFile(t, dir, "j1"+walExt, []jrecord{
+		{V: 1, T: "accepted", ID: "j1", Kind: "sweep", Specs: []PointSpec{hopfSpec("p0", 3)}, LeaseTTLMS: 100},
+		{V: 1, T: "event", Ev: &Event{Seq: 1, Type: "state", State: StateQueued}},
+		{V: 1, T: "event", Ev: &Event{Seq: 2, Type: "state", State: StateDone}},
+	})
+	s := New(Config{Workers: 1, JournalDir: dir})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	waitReady(t, ts.URL)
+
+	resp, err := http.Post(ts.URL+"/v1/jobs/j1/renew", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("renew on restored job: %d, want 200", resp.StatusCode)
+	}
+	time.Sleep(300 * time.Millisecond)
+	if got := reg.Snapshot().Counter("pn_serve_lease_expirations_total", ""); got != 0 {
+		t.Fatalf("lease expirations = %d, want 0", got)
+	}
+	if st := getStatus(t, ts.URL, "j1", false); st.State != StateDone {
+		t.Fatalf("restored job flipped to %q after renew", st.State)
 	}
 }
 
@@ -205,12 +244,12 @@ func (r *stubRunner) RunSweep(req RunnerRequest) error {
 // in-process engine would.
 func TestRunnerDelegation(t *testing.T) {
 	r := &stubRunner{}
-	s := New(Config{Workers: 3, MaxSweepWorkers: 4, Runner: r})
+	s := New(Config{Workers: 3, Runner: r})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	req := SweepRequest{Points: []PointSpec{hopfSpec("a", 1e3), hopfSpec("b", 2e3), hopfSpec("c", 3e3)}, Workers: 2}
+	req := SweepRequest{Points: []PointSpec{hopfSpec("a", 1e3), hopfSpec("b", 2e3), hopfSpec("c", 3e3)}}
 	_, st := postJSON(t, ts.URL+"/v1/sweep", req)
 	done := waitState(t, ts.URL, st.ID, terminal)
 	if done.State != StateDone {
@@ -222,7 +261,7 @@ func TestRunnerDelegation(t *testing.T) {
 		// summaries, not from a parallel in-process run.
 		t.Fatalf("counters done=%d cached=%d failed=%d, want 3/1/3", done.DonePoints, done.CachedPoints, done.FailedPoints)
 	}
-	if r.got.JobID != st.ID || r.got.Kind != "sweep" || len(r.got.Specs) != 3 || r.got.Workers != 2 || r.got.Tok == nil {
+	if r.got.JobID != st.ID || r.got.Kind != "sweep" || len(r.got.Specs) != 3 || r.got.Tok == nil {
 		t.Fatalf("runner request %+v does not match the job", r.got)
 	}
 	if r.got.Specs[1].Name != "b" {

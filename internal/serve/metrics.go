@@ -38,9 +38,9 @@ var serveMetrics = obs.NewView(func(r *obs.Registry) *serveInstruments {
 		submitted:     r.CounterVec("pn_serve_submitted_total", "Jobs accepted onto the queue, by kind (characterise, sweep, compose).", "kind"),
 		jobs:          r.CounterVec("pn_serve_jobs_total", "Jobs finished, by terminal state (done, failed, canceled).", "state"),
 		rejected:      r.CounterVec("pn_serve_rejected_total", "Submissions rejected before queueing, by reason (queue_full, draining, too_large, bad_request, idem_mismatch).", "reason"),
-		queueDepth:    r.Gauge("pn_serve_queue_depth", "Jobs accepted but not yet picked up by a worker."),
-		inflight:      r.Gauge("pn_serve_jobs_inflight", "Jobs currently running on a worker."),
-		jobSeconds:    r.Histogram("pn_serve_job_seconds", "Wall-clock time per job from worker pickup to terminal state.", obs.ExpBuckets(0.001, 4, 12)),
+		queueDepth:    r.Gauge("pn_serve_queue_depth", "Jobs accepted but not yet granted an execution slot."),
+		inflight:      r.Gauge("pn_serve_jobs_inflight", "Jobs started and not yet terminal."),
+		jobSeconds:    r.Histogram("pn_serve_job_seconds", "Wall-clock time per job from its first slot grant to terminal state.", obs.ExpBuckets(0.001, 4, 12)),
 		idemHits:      r.Counter("pn_serve_idempotent_replays_total", "Submissions answered with an existing job via Idempotency-Key dedup."),
 		journalWrites: r.Counter("pn_serve_journal_writes_total", "Records appended to job journals."),
 		journalErrors: r.Counter("pn_serve_journal_write_errors_total", "Journal writes dropped on error (real or injected); the job continues, durability degrades."),
@@ -59,6 +59,6 @@ var serveMetrics = obs.NewView(func(r *obs.Registry) *serveInstruments {
 		resultReads:    r.CounterVec("pn_serve_results_reads_total", "Result retrievals served from spill files, by kind (page, jsonl, full).", "kind"),
 		tenantJobs:     r.CounterVec("pn_serve_tenant_jobs_total", "Jobs accepted, by tenant.", "tenant"),
 		tenantRejected: r.CounterVec("pn_serve_tenant_rejected_total", "Submissions rejected by tenant admission (rate or in-flight quota), by tenant.", "tenant"),
-		tenantGrants:   r.CounterVec("pn_serve_tenant_grants_total", "Scheduler lane grants (one per job pickup or batch chunk), by tenant.", "tenant"),
+		tenantGrants:   r.CounterVec("pn_serve_tenant_grants_total", "Scheduler grants, by tenant: one per point of an in-process job, one per runner-delegated job.", "tenant"),
 	}
 })

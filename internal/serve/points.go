@@ -37,6 +37,15 @@ func (p PointSpec) RoutingKey() string {
 	return cache.CharacterisationKey(p.Model, m.Params, m.X0, m.TGuess, opts.FingerprintFields())
 }
 
+// label is the point's name in results and events: Name, or the model name
+// when none was given.
+func (p PointSpec) label() string {
+	if p.Name == "" {
+		return p.Model
+	}
+	return p.Name
+}
+
 // Resolve turns a pure-data point spec into a runnable sweep point: it builds
 // the model, estimates the period over the registry's transient horizon when
 // no closed form exists (under tok, so a canceled job never burns the
@@ -67,12 +76,8 @@ func (p PointSpec) Resolve(tok *budget.Token) (sweep.Point, error) {
 			return sweep.Point{}, fmt.Errorf("model %q: period estimation: %w", p.Model, err)
 		}
 	}
-	name := p.Name
-	if name == "" {
-		name = p.Model
-	}
 	return sweep.Point{
-		Name:   name,
+		Name:   p.label(),
 		System: m.Sys,
 		X0:     x0,
 		TGuess: tGuess,

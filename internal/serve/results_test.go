@@ -76,7 +76,7 @@ func TestResultsPaginationAndJSONL(t *testing.T) {
 	for i := range specs {
 		specs[i] = hopfSpec(fmt.Sprintf("pg%d", i), 1e3+float64(i))
 	}
-	_, st := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: specs, Workers: 2})
+	_, st := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: specs})
 	done := waitState(t, ts.URL, st.ID, terminal)
 	if done.State != StateDone {
 		t.Fatalf("job: %+v", done)
@@ -156,7 +156,7 @@ func TestResultsAfterJournalRecovery(t *testing.T) {
 	s1 := New(Config{Workers: 2, JournalDir: dir})
 	ts1 := httptest.NewServer(s1)
 	waitReady(t, ts1.URL)
-	_, st := postJSON(t, ts1.URL+"/v1/sweep", SweepRequest{Points: specs, Workers: 2})
+	_, st := postJSON(t, ts1.URL+"/v1/sweep", SweepRequest{Points: specs})
 	if waitState(t, ts1.URL, st.ID, terminal).State != StateDone {
 		t.Fatal("first incarnation failed")
 	}
@@ -340,7 +340,7 @@ func TestServeResultMemoryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Workers: 2, Cache: store, MaxPoints: 4096, LaneGrant: 64})
+	s := New(Config{Workers: 2, Cache: store, MaxPoints: 4096})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -359,7 +359,7 @@ func TestServeResultMemoryBounded(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 
-	_, st := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: specs, Workers: 2})
+	_, st := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: specs})
 	done := waitState(t, ts.URL, st.ID, terminal)
 	if done.State != StateDone || done.DonePoints != n {
 		t.Fatalf("job: %+v", done)

@@ -38,8 +38,6 @@ type RunnerRequest struct {
 	// shutdown, a lease TTL expiry) and the job's wall-clock deadline both
 	// arrive through it.
 	Tok *budget.Token
-	// Workers is the requested parallelism (already clamped server-side).
-	Workers int
 	// NoCache asks the runner to bypass result caches for this job.
 	NoCache bool
 	// OnSummary, when non-nil, streams per-point completions. At most one

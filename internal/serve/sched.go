@@ -2,30 +2,33 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"sync"
 )
 
-// The scheduler replaces the old FIFO job channel with two priority lanes and
-// weighted-fair queueing across tenants, and it is what makes a 10⁴-point
-// batch sweep unable to starve an interactive request:
+// The scheduler feeds the server's one pool of execution slots
+// (Config.Workers) with two priority lanes and weighted-fair queueing across
+// tenants. It is what makes a 10⁴-point batch sweep unable to starve an
+// interactive request:
 //
 //   - Lane 0 (interactive) holds characterise and compose jobs; lane 1
-//     (batch) holds sweeps. Workers always drain lane 0 first — strict
+//     (batch) holds sweeps. Slots always drain lane 0 first — strict
 //     priority, safe because interactive jobs are short by construction.
-//   - Within a lane, each tenant has a FIFO of grants and a virtual time
-//     that advances by 1/weight per grant taken; the tenant with the lowest
-//     virtual time goes next. A tenant submitting ten jobs against a
-//     tenant submitting one alternates 1:1 (at equal weight), not 10:1.
-//   - Local batch sweeps do not occupy a worker start-to-finish: runUnit
-//     executes one chunk of Config.LaneGrant points, then the job re-enters
-//     its lane and the worker picks the highest-priority grant again. A
-//     queued interactive job therefore waits at most one chunk (plus
-//     in-flight attempts), whatever the batch backlog — preemption at
-//     lane-grant granularity without killing any work.
+//   - A job is granted in units: one point per grant when the job runs in
+//     process, the whole job when Config.Runner executes it or a compose has
+//     no spec legs. A job stays at the head of its tenant's FIFO until its
+//     last unit is granted, so a sweep's points go out in order.
+//   - Within a lane, each tenant has a FIFO of jobs and a virtual time that
+//     advances by 1/weight per unit granted; the tenant with the lowest
+//     virtual time goes next. A tenant submitting ten jobs against a tenant
+//     submitting one alternates 1:1 (at equal weight), not 10:1.
+//   - Preemption is per point: a queued interactive job waits at most for
+//     the points already in flight, one per slot, whatever the batch
+//     backlog, and no work is killed to make room.
 //
 // The queue bound (Config.Queue) counts jobs that have never been granted a
-// worker, exactly the old channel-capacity semantics; a batch job between
-// chunks has started and does not count against intake.
+// unit; a sweep with points still queued has started and does not count
+// against intake.
 
 const (
 	laneInteractive = 0
@@ -44,16 +47,16 @@ func laneFor(j *job) int {
 
 // tenantLane is one tenant's queue within one lane.
 type tenantLane struct {
-	jobs   []*job  // FIFO of jobs owed a grant
-	vtime  float64 // virtual time: grants taken / weight
+	jobs   []*job  // FIFO of jobs with units not yet granted
+	vtime  float64 // virtual time: units granted / weight
 	weight float64
 }
 
 var errSchedClosed = errors.New("serve: scheduler closed")
 var errSchedFull = errors.New("serve: queue full")
 
-// sched is the two-lane weighted-fair scheduler. All fields are guarded by
-// mu; workers block in next on cond.
+// sched is the two-lane weighted-fair scheduler. All fields (and every
+// job's granted count) are guarded by mu; slots block in next on cond.
 type sched struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -110,17 +113,10 @@ func (s *sched) minActiveLocked(lane int) (float64, bool) {
 func (s *sched) submit(j *job, weight float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return errSchedClosed
-	}
-	if s.bound > 0 && s.queued >= s.bound {
+	if !s.closed && s.bound > 0 && s.queued >= s.bound {
 		return errSchedFull
 	}
-	s.queued++
-	tl := s.tenantLaneLocked(laneFor(j), j.tenant, weight)
-	tl.jobs = append(tl.jobs, j)
-	s.cond.Signal()
-	return nil
+	return s.enqueueLocked(j, weight)
 }
 
 // resume enqueues a journal-recovered job. It respects closure (a draining
@@ -130,6 +126,10 @@ func (s *sched) submit(j *job, weight float64) error {
 func (s *sched) resume(j *job, weight float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.enqueueLocked(j, weight)
+}
+
+func (s *sched) enqueueLocked(j *job, weight float64) error {
 	if s.closed {
 		return errSchedClosed
 	}
@@ -140,22 +140,10 @@ func (s *sched) resume(j *job, weight float64) error {
 	return nil
 }
 
-// requeue re-enters a started batch job after a chunk — it does not count
-// against the intake bound and is accepted even while draining (started work
-// must finish). The job goes to the back of its tenant FIFO; the vtime
-// charge per grant is what keeps repeated requeues fair.
-func (s *sched) requeue(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tl := s.tenantLaneLocked(laneFor(j), j.tenant, 0)
-	tl.jobs = append(tl.jobs, j)
-	s.cond.Signal()
-}
-
-// next blocks until a grant is available and returns its job, or nil when
-// the scheduler is closed and fully drained. Interactive lane first; within
-// a lane, the queued tenant with the lowest virtual time.
-func (s *sched) next() *job {
+// next blocks until a unit is available and returns its job and unit index,
+// or a nil job when the scheduler is closed and fully drained. Interactive
+// lane first; within a lane, the queued tenant with the lowest virtual time.
+func (s *sched) next() (*job, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -176,23 +164,47 @@ func (s *sched) next() *job {
 				continue
 			}
 			j := best.jobs[0]
-			best.jobs = best.jobs[1:]
-			best.vtime += 1 / best.weight
-			if !j.granted {
-				j.granted = true
+			unit := j.granted
+			j.granted++
+			if unit == 0 {
 				s.queued--
 			}
+			if j.granted == j.units {
+				best.jobs = best.jobs[1:]
+			} else {
+				// Units left behind: wake another slot for them, or a job's
+				// points would only ever run on the slot its submit woke.
+				s.cond.Signal()
+			}
+			best.vtime += 1 / best.weight
 			serveMetrics.Get().tenantGrants.With(j.tenant).Inc()
-			return j
+			return j, unit
 		}
 		if s.closed {
-			return nil
+			return nil, 0
 		}
 		s.cond.Wait()
 	}
 }
 
-// depth reports jobs accepted but never yet granted a worker — the number
+// withdraw takes a started job's ungranted units out of its lane and
+// returns the first of them: units [from, j.units) will never be granted.
+// A slot calls it when it finds the job's budget tripped, so a cancelled
+// sweep settles once its in-flight points return instead of trickling
+// through other tenants' grants.
+func (s *sched) withdraw(j *job) (from int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	from = j.granted
+	if from < j.units {
+		j.granted = j.units
+		tl := s.lanes[laneFor(j)][j.tenant]
+		tl.jobs = slices.DeleteFunc(tl.jobs, func(q *job) bool { return q == j })
+	}
+	return from
+}
+
+// depth reports jobs accepted but never yet granted a slot — the number
 // the old len(queue-channel) reported.
 func (s *sched) depth() int {
 	s.mu.Lock()
@@ -200,7 +212,7 @@ func (s *sched) depth() int {
 	return s.queued
 }
 
-// close stops intake and wakes every worker; next drains what remains (so
+// close stops intake and wakes every slot; next drains what remains (so
 // queued jobs still reach a terminal state during shutdown) and then
 // returns nil.
 func (s *sched) close() {

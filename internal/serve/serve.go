@@ -1,8 +1,11 @@
 // Package serve is the characterisation-as-a-service layer: an HTTP JSON API
 // that runs phase-noise characterisation jobs — single points or whole
-// parameter sweeps — on a bounded worker pool, in front of the
-// content-addressed result cache (internal/cache) and the batch engine
-// (internal/sweep).
+// parameter sweeps — on one process-wide pool of execution slots, in front of
+// the content-addressed result cache (internal/cache) and the batch engine
+// (internal/sweep). Each slot runs one point at a time, granted by the
+// two-lane weighted-fair scheduler (sched.go), so a sweep's points spread
+// across the pool and an interactive request waits for at most one point per
+// slot, never for a whole sweep.
 //
 // Jobs are pure data: a registered model name plus a parameter map (see
 // internal/osc's registry), so requests are reproducible, cacheable by
@@ -34,6 +37,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/budget"
@@ -45,11 +49,12 @@ import (
 	"repro/internal/sweep"
 )
 
-// Config tunes a Server. The zero value is usable: 2 workers, a queue of 16,
-// no cache, a 1 MiB body limit.
+// Config tunes a Server. The zero value is usable: GOMAXPROCS slots, a
+// queue of 16, no cache, a 1 MiB body limit.
 type Config struct {
-	// Workers is the job worker pool size (default 2). Each worker runs one
-	// job at a time; a sweep job parallelises internally up to MaxSweepWorkers.
+	// Workers is the number of execution slots (default GOMAXPROCS), the
+	// server's only execution pool. Each slot runs one grant at a time: one
+	// point of an in-process job, or a whole job delegated to Runner.
 	Workers int
 	// Queue bounds accepted-but-not-started jobs (default 16); submissions
 	// beyond it are rejected with 429.
@@ -61,14 +66,12 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxPoints caps the points of one sweep request (default 4096).
 	MaxPoints int
-	// MaxSweepWorkers caps a job's internal sweep parallelism (default
-	// GOMAXPROCS).
-	MaxSweepWorkers int
 	// Retain bounds how many terminal jobs stay queryable (default 256);
 	// beyond it the oldest terminal jobs are evicted.
 	Retain int
 	// MaxJobWall, when > 0, is a server-side ceiling on any job's wall clock
-	// from worker pickup, applied on top of the request's own timeout_ms.
+	// from its first slot grant, applied on top of the request's own
+	// timeout_ms.
 	MaxJobWall time.Duration
 	// JournalDir, when non-empty, makes jobs durable: every accepted job gets
 	// an append-only journal under this directory (header synced before the
@@ -98,17 +101,11 @@ type Config struct {
 	TenantDefaults TenantConfig
 	// Tenants overrides the admission policy per tenant name.
 	Tenants map[string]TenantConfig
-	// LaneGrant is how many points of a local batch sweep one scheduler
-	// grant executes before the job yields its worker back to the fair
-	// queue (default 32). Larger grants amortise scheduling overhead;
-	// smaller ones tighten the bound on how long a queued interactive job
-	// waits behind a batch sweep.
-	LaneGrant int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
-		c.Workers = 2
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Queue <= 0 {
 		c.Queue = 16
@@ -119,9 +116,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxPoints <= 0 {
 		c.MaxPoints = 4096
 	}
-	if c.MaxSweepWorkers <= 0 {
-		c.MaxSweepWorkers = runtime.GOMAXPROCS(0)
-	}
 	if c.Retain <= 0 {
 		c.Retain = 256
 	}
@@ -130,23 +124,19 @@ func (c Config) withDefaults() Config {
 	} else if c.FlightRecorder < 0 {
 		c.FlightRecorder = 0
 	}
-	if c.LaneGrant <= 0 {
-		c.LaneGrant = 32
-	}
 	return c
 }
 
 // job is one queued/running/terminal characterisation job.
 type job struct {
-	id           string
-	kind         string // "characterise", "sweep" or "compose"
-	tenant       string // admission identity (DefaultTenant when none was sent)
-	specs        []PointSpec
-	compose      *ComposeRequest // non-nil for compose jobs: the composition to run over the legs
-	jobTimeout   time.Duration
-	sweepWorkers int
-	noCache      bool
-	leaseTTL     time.Duration // > 0: job self-cancels unless renewed within each TTL window
+	id         string
+	kind       string // "characterise", "sweep" or "compose"
+	tenant     string // admission identity (DefaultTenant when none was sent)
+	specs      []PointSpec
+	compose    *ComposeRequest // non-nil for compose jobs: the composition to run over the legs
+	jobTimeout time.Duration
+	noCache    bool
+	leaseTTL   time.Duration // > 0: job self-cancels unless renewed within each TTL window
 
 	tok      *budget.Token // child of the server root; tripped by cancel/shutdown
 	cancel   func()
@@ -157,11 +147,22 @@ type job struct {
 	trace    *jobTrace       // distributed timeline (always non-nil for runnable jobs)
 	traceCtx obs.SpanContext // trace ID + remote parent from the submit's traceparent
 
-	granted bool     // owned by sched.mu: the job has had its first worker grant
-	exec    *jobExec // owned by the granted worker: cross-chunk execution state
+	units   int          // scheduler grants the job takes: len(specs) when run point by point, else 1
+	granted int          // owned by sched.mu: units granted (or withdrawn) so far
+	left    atomic.Int64 // points not yet reported; the report that zeroes it settles the job
 
-	leaseMu sync.Mutex
-	leaseT  *time.Timer // armed while the lease is live; Reset on renew
+	// Execution state, set once by beginJob on the job's first grant; every
+	// later grant reads it after begin.Do returns.
+	begin sync.Once
+	start time.Time
+	span  *obs.Span
+	jtok  *budget.Token // tok plus the job's deadlines
+
+	leaseMu  sync.Mutex
+	leaseT   *time.Timer // armed while the lease is live; Reset on renew
+	leaseEnd bool        // set by stopLease: a terminal job's lease never re-arms
+
+	emitMu sync.Mutex // held across stamping and journalling one event (see emit)
 
 	mu                      sync.Mutex
 	state                   string
@@ -174,26 +175,14 @@ type job struct {
 	wall                    time.Duration
 }
 
-// jobExec is the execution state a job carries between scheduler grants: a
-// chunked batch sweep runs several grants, everything else exactly one. It
-// is created on the first grant and only ever touched by the worker holding
-// the job, so it needs no locking of its own.
-type jobExec struct {
-	start  time.Time
-	span   *obs.Span
-	jtok   *budget.Token
-	points []sweep.Point // resolved specs (local execution only)
-	store  *cache.Store
-	next   int // first point index the next chunk runs
-	onPt   func(res sweep.PointResult)
-	state  string // terminal state once decided ("" = still running)
-	err    error
-}
-
 // emit appends ev to the job's event stream and journals exactly what was
 // stored (same sequence number). terminal events reach stable storage before
-// emit returns.
+// emit returns. Stamping and journalling are one step under emitMu: slots
+// report a job's points concurrently, and replay stops a job's history at
+// the first sequence number that arrives out of order.
 func (j *job) emit(ev Event, terminal bool) {
+	j.emitMu.Lock()
+	defer j.emitMu.Unlock()
 	stamped, ok := j.events.append(ev)
 	if ok {
 		j.jl.event(stamped, terminal)
@@ -204,13 +193,17 @@ func (j *job) emit(ev Event, terminal bool) {
 // the job cancels itself through its budget token — a leased job whose
 // coordinator died or partitioned away stops consuming the worker; its
 // finished points are already in the shared result cache for whoever picks
-// the lease up next. No-op for jobs submitted without a lease TTL.
+// the lease up next. No-op for jobs submitted without a lease TTL, and
+// once the job is terminal (a renewal may arrive after it finished).
 func (j *job) armLease() {
 	if j.leaseTTL <= 0 {
 		return
 	}
 	j.leaseMu.Lock()
 	defer j.leaseMu.Unlock()
+	if j.leaseEnd {
+		return
+	}
 	if j.leaseT == nil {
 		j.leaseT = time.AfterFunc(j.leaseTTL, func() {
 			serveMetrics.Get().leaseExpired.Inc()
@@ -221,10 +214,11 @@ func (j *job) armLease() {
 	j.leaseT.Reset(j.leaseTTL)
 }
 
-// stopLease disarms the lease timer once the job is terminal (a late expiry
-// against a finished job would be harmless but noisy).
+// stopLease disarms the lease timer for good once the job is terminal: an
+// expiry against a finished job would count a spurious lease expiration.
 func (j *job) stopLease() {
 	j.leaseMu.Lock()
+	j.leaseEnd = true
 	if j.leaseT != nil {
 		j.leaseT.Stop()
 	}
@@ -309,7 +303,7 @@ type Server struct {
 	ready    bool // journal replay finished (immediately true without a journal)
 }
 
-// New builds a Server and starts its worker pool. With Config.JournalDir set
+// New builds a Server and starts its execution slots. With Config.JournalDir set
 // it also begins journal replay: the job-ID space is restored synchronously
 // (so new submissions never collide with recovered jobs), then recovery runs
 // in the background while the server already accepts traffic — /readyz
@@ -356,7 +350,7 @@ func New(cfg Config) *Server {
 	s.mux = mux
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
-		go s.worker()
+		go s.slot()
 	}
 	if s.journal != nil {
 		s.replay.Add(1)
@@ -397,7 +391,7 @@ func (s *Server) BeginDrain() {
 // Shutdown drains the server: it stops accepting submissions (503), lets
 // queued and running jobs finish, and — if ctx expires first — trips every
 // job's budget token so in-flight work is cut off cooperatively, then waits
-// for the workers to exit. Safe to call once.
+// for the slots to exit. Safe to call once.
 //
 // A shutdown during journal replay stops the replayer: recovered jobs not yet
 // enqueued keep their journals and resume on the next start.
@@ -421,7 +415,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 		err = ctx.Err()
 	}
-	// A journal-less store lives in a temp dir; release it with the workers
+	// A journal-less store lives in a temp dir; release it with the slots
 	// gone (terminal jobs lose their ?full payloads, as they always did
 	// without a journal — the process is exiting anyway).
 	s.results.close()
@@ -475,7 +469,7 @@ func (s *Server) handleCharacterise(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	s.submit(w, r, "characterise", []PointSpec{req.PointSpec}, req.TimeoutMS, 1, req.NoCache, 0, nil)
+	s.submit(w, r, jrecord{Kind: "characterise", Specs: []PointSpec{req.PointSpec}, TimeoutMS: req.TimeoutMS, NoCache: req.NoCache})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -493,25 +487,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "sweep of %d points exceeds the limit of %d", len(req.Points), s.cfg.MaxPoints)
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 || workers > s.cfg.MaxSweepWorkers {
-		workers = s.cfg.MaxSweepWorkers
-	}
-	s.submit(w, r, "sweep", req.Points, req.TimeoutMS, workers, req.NoCache, req.LeaseTTLMS, nil)
+	s.submit(w, r, jrecord{Kind: "sweep", Specs: req.Points, TimeoutMS: req.TimeoutMS, NoCache: req.NoCache, LeaseTTLMS: req.LeaseTTLMS})
 }
 
 // idemFingerprint condenses a submission's identity — kind, every point spec,
-// and the job-wide knobs — to a content address, so an Idempotency-Key reused
-// with a different body is detectable as a client error rather than silently
-// replaying the wrong job.
-func idemFingerprint(kind string, specs []PointSpec, timeoutMS int64, workers int, noCache bool, leaseTTLMS int64, compose *ComposeRequest) string {
+// and the job-wide knobs of its header — to a content address, so an
+// Idempotency-Key reused with a different body is detectable as a client
+// error rather than silently replaying the wrong job.
+func idemFingerprint(h jrecord) string {
 	f := cache.NewFingerprint()
-	f.Set("kind", kind)
-	if compose != nil {
-		f.Set("compose", compose.fingerprint())
+	f.Set("kind", h.Kind)
+	if h.Compose != nil {
+		f.Set("compose", h.Compose.fingerprint())
 	}
-	f.SetInt("points", len(specs))
-	for i, sp := range specs {
+	f.SetInt("points", len(h.Specs))
+	for i, sp := range h.Specs {
 		pfx := "p" + strconv.Itoa(i) + "."
 		f.Set(pfx+"name", sp.Name)
 		f.Set(pfx+"model", sp.Model)
@@ -519,25 +509,26 @@ func idemFingerprint(kind string, specs []PointSpec, timeoutMS int64, workers in
 			f.SetFloat(pfx+"param."+k, v)
 		}
 	}
-	f.SetInt("timeout_ms", int(timeoutMS))
-	f.SetInt("workers", workers)
-	if noCache {
+	f.SetInt("timeout_ms", int(h.TimeoutMS))
+	if h.NoCache {
 		f.SetInt("no_cache", 1)
 	}
-	if leaseTTLMS > 0 {
-		f.SetInt("lease_ttl_ms", int(leaseTTLMS))
+	if h.LeaseTTLMS > 0 {
+		f.SetInt("lease_ttl_ms", int(h.LeaseTTLMS))
 	}
 	return f.Key()
 }
 
 // submit validates the specs, registers the job and enqueues it, answering
-// 202 with the queued status — or the appropriate rejection. A request
-// carrying an Idempotency-Key header is deduplicated: resubmitting the same
-// body under the same key answers 200 with the existing job's status (however
-// far along it is) instead of queueing a duplicate, so clients can blindly
-// retry a submission whose response was lost. The key→job mapping survives
-// restarts through the journal header.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, specs []PointSpec, timeoutMS int64, workers int, noCache bool, leaseTTLMS int64, compose *ComposeRequest) {
+// 202 with the queued status — or the appropriate rejection. hdr carries the
+// request as the job's journal header; submit fills in the identity fields
+// (ID, tenant, idempotency, trace). A request carrying an Idempotency-Key
+// header is deduplicated: resubmitting the same body under the same key
+// answers 200 with the existing job's status (however far along it is)
+// instead of queueing a duplicate, so clients can blindly retry a submission
+// whose response was lost. The key→job mapping survives restarts through the
+// journal header.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, hdr jrecord) {
 	m := serveMetrics.Get()
 	tenant := r.Header.Get(TenantHeader)
 	if tenant == "" {
@@ -556,7 +547,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, spe
 		writeErr(w, http.StatusTooManyRequests, "tenant %q over submit quota: %v", tenant, err)
 		return
 	}
-	for i, sp := range specs {
+	for i, sp := range hdr.Specs {
 		if err := sp.validate(); err != nil {
 			m.rejected.With("bad_request").Inc()
 			writeErr(w, http.StatusBadRequest, "point %d: %v", i, err)
@@ -567,7 +558,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, spe
 	idemKey := r.Header.Get("Idempotency-Key")
 	var idemFP string
 	if idemKey != "" {
-		idemFP = idemFingerprint(kind, specs, timeoutMS, workers, noCache, leaseTTLMS, compose)
+		idemFP = idemFingerprint(hdr)
 		s.mu.Lock()
 		if ent, ok := s.idem[idemKey]; ok {
 			prior := s.jobs[ent.id]
@@ -613,40 +604,16 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, spe
 	// The submit's traceparent header roots the job in the caller's
 	// distributed trace (pnclient injects it; the coordinator's lease
 	// dispatches carry the attempt span). Absent or malformed, the job
-	// starts a fresh trace of its own.
-	traceCtx, hasTP := obs.ParseTraceparent(r.Header.Get("Traceparent"))
-	if !hasTP {
-		traceCtx = obs.SpanContext{Trace: obs.NewTraceID()}
-	}
-
-	tok, cancel := budget.WithCancel(s.root)
-	j := &job{
-		kind:         kind,
-		tenant:       tenant,
-		specs:        specs,
-		compose:      compose,
-		jobTimeout:   time.Duration(timeoutMS) * time.Millisecond,
-		sweepWorkers: workers,
-		noCache:      noCache,
-		leaseTTL:     time.Duration(leaseTTLMS) * time.Millisecond,
-		tok:          tok,
-		cancel:       cancel,
-		events:       newEventLog(),
-		idem:         idemKey,
-		traceCtx:     traceCtx,
-		state:        StateQueued,
-		summaries:    make([]PointSummary, len(specs)),
-	}
-	if compose != nil {
-		// Compose legs feed buildConfig positionally; keep them index-ordered
-		// whatever order they complete in.
-		j.legs = make([]sweep.PointResult, len(specs))
-	}
+	// starts a fresh trace of its own, and the header journals that one.
+	hdr.Tenant, hdr.Idem, hdr.IdemFP = tenant, idemKey, idemFP
+	hdr.Trace = r.Header.Get("Traceparent")
+	j := s.newJob(hdr, s.root)
+	hdr.Trace = j.traceCtx.Traceparent()
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		cancel()
+		j.cancel()
 		s.tenants.unadmit(tenant)
 		m.rejected.With("draining").Inc()
 		writeErr(w, http.StatusServiceUnavailable, "server is draining")
@@ -658,7 +625,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, spe
 		if ent, ok := s.idem[idemKey]; ok {
 			prior := s.jobs[ent.id]
 			s.mu.Unlock()
-			cancel()
+			j.cancel()
 			s.tenants.unadmit(tenant)
 			if ent.fp != idemFP || prior == nil {
 				m.rejected.With("idem_mismatch").Inc()
@@ -673,29 +640,26 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, spe
 	}
 	s.seq++
 	j.id = "j" + strconv.FormatInt(s.seq, 10)
+	hdr.ID = j.id
 	// The header is fsync'd before the 202 goes out: once the client hears
 	// "accepted", the job survives a crash. The queued event rides the same
-	// handle. Both land before the queue send, so everything a worker reads
+	// handle. Both land before the queue send, so everything a slot reads
 	// (id, the queued event) is in place before the job becomes visible.
-	j.jl = s.journal.create(jrecord{
-		ID: j.id, Kind: kind, Tenant: tenant, Specs: specs, TimeoutMS: timeoutMS,
-		Workers: workers, NoCache: noCache, Idem: idemKey, IdemFP: idemFP,
-		LeaseTTLMS: leaseTTLMS, Trace: traceCtx.Traceparent(), Compose: compose,
-	})
-	j.trace = openJobTrace(traceCtx.Trace, s.journal.tracePath(j.id))
+	j.jl = s.journal.create(hdr)
+	j.trace = openJobTrace(j.traceCtx.Trace, s.journal.tracePath(j.id))
 	// The spill file is opened (and synced) while the job is still
 	// invisible: every reader that can find the job sees the same rf pointer
 	// for its whole life. A nil rf (store unavailable, disk trouble)
 	// degrades this job to summary-only service.
-	j.rf = s.results.open(j.id, len(specs))
+	j.rf = s.results.open(j.id, len(j.specs))
 	j.emit(Event{Type: "state", State: StateQueued}, false)
-	// The gauge rises before the enqueue so the worker's decrement (not under
+	// The gauge rises before the enqueue so the slot's decrement (not under
 	// s.mu) can never be observed ahead of it leaving the depth negative
 	// forever; a momentary scrape race is the worst case.
 	m.queueDepth.Add(1)
 	if err := s.sched.submit(j, s.tenants.weight(tenant)); err != nil {
 		s.mu.Unlock()
-		cancel()
+		j.cancel()
 		s.tenants.unadmit(tenant)
 		j.jl.discard() // an unqueued job must not be resurrected on restart
 		j.trace.discard()
@@ -719,7 +683,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, spe
 	// of a wedged worker expires like any other, freeing the coordinator to
 	// reassign instead of waiting on a pickup that never comes.
 	j.armLease()
-	m.submitted.With(kind).Inc()
+	m.submitted.With(j.kind).Inc()
 	m.tenantJobs.With(tenant).Inc()
 	writeJSON(w, http.StatusAccepted, j.status(false))
 }
@@ -1029,38 +993,65 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// worker pulls jobs off the queue until Shutdown closes it.
-func (s *Server) worker() {
+// slot runs scheduler grants until Shutdown closes the scheduler. The
+// Config.Workers slots are the server's only execution pool.
+func (s *Server) slot() {
 	defer s.wg.Done()
 	for {
-		j := s.sched.next()
+		j, unit := s.sched.next()
 		if j == nil {
 			return // scheduler closed and drained
 		}
-		s.runUnit(j)
+		s.runUnit(j, unit)
 	}
 }
 
-// runUnit executes one scheduler grant: the whole body for interactive and
-// runner-delegated jobs, one LaneGrant chunk for a local batch sweep. A
-// chunked job that is not yet terminal re-enters its lane — that requeue is
-// the preemption point where a waiting interactive job (or another tenant)
-// can take the worker.
-func (s *Server) runUnit(j *job) {
-	if j.exec == nil {
-		s.beginJob(j)
-	}
-	s.stepJob(j)
-	if j.exec.state == "" {
-		s.sched.requeue(j)
+// perPoint reports whether a job with n specs is granted point by point (in
+// process) rather than as one whole-job unit (Config.Runner executes it, or
+// a compose has no spec legs).
+func (s *Server) perPoint(n int) bool { return s.cfg.Runner == nil && n > 0 }
+
+// runUnit executes one grant: one point of an in-process job, or the whole
+// of any other job. The first grant begins the job; concurrent grants of
+// the same job wait in begin.Do until it has.
+func (s *Server) runUnit(j *job, unit int) {
+	j.begin.Do(func() { s.beginJob(j) })
+	if !s.perPoint(len(j.specs)) {
+		var err error
+		if len(j.specs) > 0 {
+			err = s.runViaRunner(j)
+		}
+		s.settle(j, err)
 		return
 	}
-	s.finishJob(j)
+	if j.jtok.Err() != nil {
+		// A tripped token (cancel, deadline, lease expiry, shutdown) ends the
+		// job: its ungranted points leave the scheduler and go to the engine
+		// with this one, which reports each as not started under the spent
+		// budget. The job settles as soon as its in-flight points return.
+		idx := []int{unit}
+		for i := s.sched.withdraw(j); i < len(j.specs); i++ {
+			idx = append(idx, i)
+		}
+		pts := make([]sweep.Point, len(idx))
+		for k, i := range idx {
+			pts[k].Name = j.specs[i].label()
+		}
+		s.runPoints(j, idx, pts)
+		return
+	}
+	pt, err := j.specs[unit].Resolve(j.jtok)
+	if err != nil {
+		// Only this point's spec is resolved, so its error fails the point,
+		// not the job.
+		s.report(j, sweep.PointResult{Index: unit, Name: j.specs[unit].label(), Err: fmt.Errorf("point %d: %w", unit, err)})
+		return
+	}
+	s.runPoints(j, []int{unit}, []sweep.Point{pt})
 }
 
 // beginJob runs once per job, on its first grant: state transition, root
-// span, the composed budget token, and the per-point completion hook that
-// spills every loss-free result to the job's file the moment it lands.
+// span and the composed budget token.
 func (s *Server) beginJob(j *job) {
 	m := serveMetrics.Get()
 	m.queueDepth.Add(-1)
@@ -1081,176 +1072,121 @@ func (s *Server) beginJob(j *job) {
 	if s.cfg.MaxJobWall > 0 {
 		jtok = budget.WithTimeout(jtok, s.cfg.MaxJobWall)
 	}
-	ex := &jobExec{start: time.Now(), span: span, jtok: jtok}
-	ex.onPt = func(r sweep.PointResult) {
-		// Spill before summarising: once the summary is visible the loss-free
-		// payload must already be durable-ish (same ordering as emit-then-ack
-		// in the journal). Append failures degrade the file, never the job.
-		_ = j.rf.appendResult(&r)
-		sum := summarize(&r)
-		j.mu.Lock()
-		if j.legs != nil && r.Index >= 0 && r.Index < len(j.legs) {
-			j.legs[r.Index] = r // compose legs feed the composition step
-		}
-		j.summaries[r.Index] = sum
-		j.doneN++
-		if r.Cached {
-			j.cachedN++
-		}
-		if !r.OK() {
-			j.failedN++
-		}
-		j.mu.Unlock()
-		j.emit(Event{Type: "point", Point: &sum}, false)
-	}
-	j.exec = ex
+	j.start, j.span, j.jtok = time.Now(), span, jtok
 }
 
-// stepJob advances the job by one grant. It records the terminal outcome on
-// j.exec when the job is finished (or failed) and leaves exec.state empty
-// when a local batch sweep still has chunks to run.
-func (s *Server) stepJob(j *job) {
-	ex := j.exec
-	if len(j.specs) > 0 && s.cfg.Runner != nil && ex.next == 0 {
-		ex.next = len(j.specs)
-		if state, err := s.runViaRunner(j); err != nil {
-			ex.state, ex.err = state, err
-			return
-		}
+// runPoints runs points of job j through the engine's own per-point path,
+// sweep.Run, so the cache, retry ladder, panic isolation, skip accounting
+// and per-point metrics are the engine's; idx maps each point back to its
+// job index. A slot passes one resolved point, or the withdrawn points of a
+// job whose budget is spent. DiscardResults keeps the engine from holding
+// results nobody reads — the spill file is the system of record.
+func (s *Server) runPoints(j *job, idx []int, pts []sweep.Point) {
+	store := s.cfg.Cache
+	if j.noCache {
+		store = nil
 	}
-	if len(j.specs) > 0 && s.cfg.Runner == nil {
-		if ex.points == nil {
-			pts := make([]sweep.Point, len(j.specs))
-			for i, sp := range j.specs {
-				pt, err := sp.Resolve(ex.jtok)
-				if err != nil {
-					ex.state, ex.err = classify(err), fmt.Errorf("point %d: %w", i, err)
-					return
-				}
-				pts[i] = pt
-			}
-			ex.points = pts
-			ex.store = s.cfg.Cache
-			if j.noCache {
-				ex.store = nil
-			}
-		}
-		for ex.next < len(ex.points) {
-			a, b := ex.next, ex.next+s.cfg.LaneGrant
-			if j.kind != "sweep" || ex.jtok.Err() != nil || b > len(ex.points) {
-				// Interactive jobs run whole (their point counts are small);
-				// a dead budget drains the remainder in one pass — the engine
-				// delivers every never-started point as skipped, so the
-				// terminal job still accounts for all of them.
-				b = len(ex.points)
-			}
-			s.runChunk(j, a, b)
-			ex.next = b
-			if ex.next < len(ex.points) && ex.jtok.Err() == nil {
-				return // yield the worker; the scheduler picks who runs next
-			}
-		}
-	}
-	// A tripped job token is a job-level outcome (cancel endpoint, shutdown,
-	// or the job's own deadline); per-point failures under a live token are
-	// data, not a job failure.
-	if err := ex.jtok.Err(); err != nil {
-		ex.state, ex.err = classify(err), err
-		return
-	}
-	if j.compose != nil {
-		if state, err := s.composeJob(j, ex.jtok, ex.span); err != nil {
-			ex.state, ex.err = state, err
-			return
-		}
-	}
-	ex.state = StateDone
-}
-
-// runChunk runs points [a, b) through the in-process sweep engine. The engine
-// sees a zero-based sub-slice; results are re-indexed to job coordinates
-// before the completion hook. DiscardResults keeps the engine from returning
-// an O(chunk) slice nobody reads — the spill file is the system of record.
-func (s *Server) runChunk(j *job, a, b int) {
-	ex := j.exec
-	sweep.Run(ex.points[a:b], &sweep.Config{
-		Workers:        j.sweepWorkers,
-		Budget:         ex.jtok,
-		Cache:          ex.store,
-		Span:           ex.span,
+	sweep.Run(pts, &sweep.Config{
+		Budget:         j.jtok,
+		Cache:          store,
+		Span:           j.span,
 		FlightRecorder: s.cfg.FlightRecorder,
 		DiscardResults: true,
 		OnPoint: func(r sweep.PointResult) {
-			r.Index += a
-			ex.onPt(r)
+			r.Index = idx[r.Index]
+			s.report(j, r)
 		},
 	})
+}
+
+// report records one finished point of an in-process job: the loss-free
+// payload, then the summary and its point event. Every point is reported
+// exactly once; the report that completes the set settles the job. The
+// count is taken after the point event is emitted, so the terminal event is
+// always the last in the stream.
+func (s *Server) report(j *job, r sweep.PointResult) {
+	j.keep(&r)
+	j.progress(summarize(&r))
+	if j.left.Add(-1) == 0 {
+		s.settle(j, nil)
+	}
+}
+
+// keep spills one loss-free result and, for a compose job, holds it as a leg
+// for the composition step. Append failures degrade the file, never the job.
+func (j *job) keep(r *sweep.PointResult) {
+	_ = j.rf.appendResult(r)
+	if j.legs != nil {
+		j.mu.Lock()
+		j.legs[r.Index] = *r
+		j.mu.Unlock()
+	}
+}
+
+// progress folds one point summary into the job's counters and emits its
+// point event. Callers keep the result first: once the summary is visible
+// the loss-free payload must already be spilled.
+func (j *job) progress(sum PointSummary) {
+	j.mu.Lock()
+	j.summaries[sum.Index] = sum
+	j.doneN++
+	if sum.Cached {
+		j.cachedN++
+	}
+	if !sum.OK {
+		j.failedN++
+	}
+	j.mu.Unlock()
+	j.emit(Event{Type: "point", Point: &sum}, false)
 }
 
 // runViaRunner executes the job through the configured SweepRunner (a
-// cluster coordinator, in practice) and returns ("", nil) on success.
-// Per-point progress arrives through OnSummary — possibly concurrently from
-// several worker streams — and is folded into the job's counters and SSE
-// stream exactly like the in-process path's hook; the loss-free payloads
-// arrive through OnResult and go straight to the spill file. Both are
-// trusted to arrive at most once per index, but an out-of-range index is
-// dropped rather than corrupting state.
-func (s *Server) runViaRunner(j *job) (string, error) {
-	ex := j.exec
-	runErr := s.cfg.Runner.RunSweep(RunnerRequest{
+// cluster coordinator, in practice). Per-point progress arrives through
+// OnSummary — possibly concurrently from several worker streams — and is
+// folded into the job's counters and SSE stream exactly like the in-process
+// path; the loss-free payloads arrive through OnResult and go straight to
+// the spill file. Both are trusted to arrive at most once per index, but an
+// out-of-range index is dropped rather than corrupting state.
+func (s *Server) runViaRunner(j *job) error {
+	return s.cfg.Runner.RunSweep(RunnerRequest{
 		JobID:       j.id,
 		Kind:        j.kind,
 		Specs:       j.specs,
-		Tok:         ex.jtok,
-		Workers:     j.sweepWorkers,
+		Tok:         j.jtok,
 		NoCache:     j.noCache,
-		Span:        ex.span,
+		Span:        j.span,
 		IngestTrace: j.trace.ingest,
 		OnResult: func(r sweep.PointResult) {
-			if r.Index < 0 || r.Index >= len(j.specs) {
-				return
-			}
-			_ = j.rf.appendResult(&r)
-			if j.legs != nil {
-				j.mu.Lock()
-				j.legs[r.Index] = r
-				j.mu.Unlock()
+			if r.Index >= 0 && r.Index < len(j.specs) {
+				j.keep(&r)
 			}
 		},
 		OnSummary: func(sum PointSummary) {
-			if sum.Index < 0 || sum.Index >= len(j.specs) {
-				return
+			if sum.Index >= 0 && sum.Index < len(j.specs) {
+				j.progress(sum)
 			}
-			j.mu.Lock()
-			j.summaries[sum.Index] = sum
-			j.doneN++
-			if sum.Cached {
-				j.cachedN++
-			}
-			if !sum.OK {
-				j.failedN++
-			}
-			j.mu.Unlock()
-			j.emit(Event{Type: "point", Point: &sum}, false)
 		},
 	})
-
-	if runErr != nil {
-		return classify(runErr), runErr
-	}
-	if err := ex.jtok.Err(); err != nil {
-		return classify(err), err
-	}
-	return "", nil
 }
 
-// finishJob settles the terminal state recorded by stepJob: the synced
-// terminal event, sealed spill file, released tenant slot, metrics and the
-// closed trace.
-func (s *Server) finishJob(j *job) {
+// settle finishes a job once every point is reported (or its runner
+// returned err): the terminal state, the synced terminal event, sealed spill
+// file, released tenant slot, metrics and the closed trace. A tripped job
+// token is a job-level outcome (cancel endpoint, shutdown, lease expiry or
+// the job's own deadline); per-point failures under a live token are data,
+// not a job failure.
+func (s *Server) settle(j *job, err error) {
+	if err == nil {
+		err = j.jtok.Err()
+	}
+	if err == nil && j.compose != nil {
+		err = s.composeJob(j)
+	}
+	state := StateDone
+	if err != nil {
+		state = classify(err)
+	}
 	m := serveMetrics.Get()
-	ex := j.exec
-	state, jobErr := ex.state, ex.err
 	j.stopLease()
 	// Free the tenant's in-flight slot before the terminal state becomes
 	// visible: a client that polls its job to completion and immediately
@@ -1259,22 +1195,22 @@ func (s *Server) finishJob(j *job) {
 
 	j.mu.Lock()
 	j.state = state
-	j.err = jobErr
-	j.wall = time.Since(ex.start)
+	j.err = err
+	j.wall = time.Since(j.start)
 	j.mu.Unlock()
 	// The terminal event carries the job-level error and is synced before
 	// subscribers see the stream close: a crash after this line replays as a
 	// finished job, never as a re-run.
-	j.emit(Event{Type: "state", State: state, Error: sweep.EncodeError(jobErr)}, true)
+	j.emit(Event{Type: "state", State: state, Error: sweep.EncodeError(err)}, true)
 	j.events.close()
 	j.cancel() // release the token's forwarding goroutine
 	j.rf.seal()
 
 	m.inflight.Add(-1)
 	m.jobs.With(state).Inc()
-	m.jobSeconds.Observe(time.Since(ex.start).Seconds())
-	ex.span.SetAttr("state", state)
-	ex.span.EndErr(jobErr)
+	m.jobSeconds.Observe(time.Since(j.start).Seconds())
+	j.span.SetAttr("state", state)
+	j.span.EndErr(err)
 	// The timeline stays queryable from memory; the file handle is released
 	// now that the last span has landed (eviction deletes the file later).
 	j.trace.close()
@@ -1321,29 +1257,13 @@ func (s *Server) recoverJobs() {
 // /results pages and /results.jsonl all work across the restart; only a job
 // with no spill (pre-store journals, degraded runs) is summary-only.
 func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
-	tok, cancel := budget.WithCancel(nil)
-	cancel() // nothing will run; release the token immediately
-	traceCtx := recoveredTraceCtx(rj.hdr.Trace)
-	j := &job{
-		id:           rj.hdr.ID,
-		kind:         rj.hdr.Kind,
-		tenant:       recoveredTenant(rj.hdr),
-		specs:        rj.hdr.Specs,
-		compose:      rj.hdr.Compose,
-		jobTimeout:   time.Duration(rj.hdr.TimeoutMS) * time.Millisecond,
-		sweepWorkers: rj.hdr.Workers,
-		noCache:      rj.hdr.NoCache,
-		tok:          tok,
-		cancel:       cancel,
-		events:       newEventLog(),
-		idem:         rj.hdr.Idem,
-		traceCtx:     traceCtx,
-		state:        rj.state,
-		summaries:    make([]PointSummary, len(rj.hdr.Specs)),
-	}
+	j := s.newJob(rj.hdr, nil)
+	j.cancel()    // nothing will run; release the token immediately
+	j.stopLease() // a coordinator's renewal must not re-arm a finished job
+	j.state = rj.state
 	j.rf = s.results.openExisting(j.id, len(j.specs))
 	j.rf.seal() // terminal: frozen read-only, late appends no-op
-	j.trace = openJobTrace(traceCtx.Trace, s.journal.tracePath(j.id))
+	j.trace = openJobTrace(j.traceCtx.Trace, s.journal.tracePath(j.id))
 	j.trace.close() // terminal: the timeline is read-only from here
 	if rj.err != nil {
 		j.err = rj.err
@@ -1351,7 +1271,7 @@ func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
 	restoreProgress(j, rj.events)
 	j.events.restore(rj.events)
 	j.events.close()
-	s.register(j)
+	s.register(j, rj.hdr)
 	m.recovered.With("terminal").Inc()
 }
 
@@ -1362,30 +1282,8 @@ func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
 // restart from zero — the re-run recounts. Returns false when the server is
 // draining and the job could not be enqueued.
 func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
-	tok, cancel := budget.WithCancel(s.root)
-	traceCtx := recoveredTraceCtx(rj.hdr.Trace)
-	j := &job{
-		id:           rj.hdr.ID,
-		kind:         rj.hdr.Kind,
-		tenant:       recoveredTenant(rj.hdr),
-		specs:        rj.hdr.Specs,
-		compose:      rj.hdr.Compose,
-		jobTimeout:   time.Duration(rj.hdr.TimeoutMS) * time.Millisecond,
-		sweepWorkers: rj.hdr.Workers,
-		noCache:      rj.hdr.NoCache,
-		leaseTTL:     time.Duration(rj.hdr.LeaseTTLMS) * time.Millisecond,
-		tok:          tok,
-		cancel:       cancel,
-		events:       newEventLog(),
-		jl:           s.journal.open(rj.hdr.ID),
-		idem:         rj.hdr.Idem,
-		traceCtx:     traceCtx,
-		state:        StateQueued,
-		summaries:    make([]PointSummary, len(rj.hdr.Specs)),
-	}
-	if j.compose != nil {
-		j.legs = make([]sweep.PointResult, len(j.specs))
-	}
+	j := s.newJob(rj.hdr, s.root)
+	j.jl = s.journal.open(j.id)
 	// The re-run re-reports every point (pre-crash ones as cache hits); the
 	// reopened spill dedups by index, so frames that landed before the crash
 	// stay exactly as first written.
@@ -1394,11 +1292,11 @@ func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
 	// resume marker records the restart itself — in-flight span trees died
 	// unemitted with the old process, and this marker is what explains the
 	// gap when reading the merged timeline.
-	j.trace = openJobTrace(traceCtx.Trace, s.journal.tracePath(j.id))
+	j.trace = openJobTrace(j.traceCtx.Trace, s.journal.tracePath(j.id))
 	j.trace.Emit(obs.Event{Type: "resume", Name: "serve.job.resumed", StartNS: time.Now().UnixNano()})
 	j.events.restore(rj.events)
 	j.emit(Event{Type: "state", State: StateQueued}, false)
-	s.register(j)
+	s.register(j, rj.hdr)
 	// The lease resumes with a full TTL window: the coordinator's renew loop
 	// (or its own journal replay) has one whole period to find the restarted
 	// worker before the job self-cancels.
@@ -1414,7 +1312,7 @@ func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
 	}
 	// Shutting down before this job could re-enter the queue: unregister
 	// and keep its journal on disk so the next start resumes it.
-	cancel()
+	j.cancel()
 	j.rf.closeFile()
 	m.queueDepth.Add(-1)
 	s.mu.Lock()
@@ -1432,33 +1330,61 @@ func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
 	return false
 }
 
-// recoveredTenant maps a journal header to its admission identity; journals
-// written before tenancy existed carry no tenant and fold into the default.
-func recoveredTenant(hdr jrecord) string {
-	if validTenant(hdr.Tenant) {
-		return hdr.Tenant
+// newJob is the one job constructor: it builds a queued job from its journal
+// header — the submit's own, or one read back by replay — under a cancel
+// token derived from parent. A header's missing or invalid tenant (journals
+// from before tenancy) folds into the default tenant, and a missing or
+// malformed traceparent starts a fresh trace. The caller attaches the
+// journal, spill and trace handles.
+func (s *Server) newJob(hdr jrecord, parent *budget.Token) *job {
+	tok, cancel := budget.WithCancel(parent)
+	j := &job{
+		id:         hdr.ID,
+		kind:       hdr.Kind,
+		tenant:     hdr.Tenant,
+		specs:      hdr.Specs,
+		compose:    hdr.Compose,
+		jobTimeout: time.Duration(hdr.TimeoutMS) * time.Millisecond,
+		noCache:    hdr.NoCache,
+		leaseTTL:   time.Duration(hdr.LeaseTTLMS) * time.Millisecond,
+		tok:        tok,
+		cancel:     cancel,
+		events:     newEventLog(),
+		idem:       hdr.Idem,
+		traceCtx:   parseTraceCtx(hdr.Trace),
+		state:      StateQueued,
+		summaries:  make([]PointSummary, len(hdr.Specs)),
+		units:      1,
 	}
-	return DefaultTenant
+	if !validTenant(j.tenant) {
+		j.tenant = DefaultTenant
+	}
+	if s.perPoint(len(j.specs)) {
+		j.units = len(j.specs)
+	}
+	j.left.Store(int64(len(j.specs)))
+	if j.compose != nil {
+		// Compose legs feed buildConfig positionally; keep them index-ordered
+		// whatever order they complete in.
+		j.legs = make([]sweep.PointResult, len(j.specs))
+	}
+	return j
 }
 
 // register adds a recovered job to the server's tables (including the
 // idempotency map, so a client retrying its submission after the crash gets
-// the recovered job back, not a duplicate).
-func (s *Server) register(j *job) {
+// the recovered job back, not a duplicate). The fingerprint is recomputed
+// from the header rather than read from it, so a job journaled before a
+// fingerprint change still matches its retried body.
+func (s *Server) register(j *job, hdr jrecord) {
 	s.mu.Lock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	if j.idem != "" {
-		s.idem[j.idem] = idemEntry{id: j.id, fp: j.idemFP()}
+		s.idem[j.idem] = idemEntry{id: j.id, fp: idemFingerprint(hdr)}
 	}
 	s.evictLocked()
 	s.mu.Unlock()
-}
-
-// idemFP recomputes the job's idempotency fingerprint from its own fields
-// (recovered headers carry the key; the fingerprint is derivable).
-func (j *job) idemFP() string {
-	return idemFingerprint(j.kind, j.specs, int64(j.jobTimeout/time.Millisecond), j.sweepWorkers, j.noCache, int64(j.leaseTTL/time.Millisecond), j.compose)
 }
 
 // restoreProgress rebuilds a terminal job's counters and summaries from its

@@ -265,9 +265,10 @@ func TestServeSweepJob(t *testing.T) {
 	}
 }
 
-// slowSweep builds a many-point single-worker sweep request: each ring point
-// takes ~100ms, so the job stays in flight for seconds — a wide, reliable
-// window for cancellation and queue-occupancy tests.
+// slowSweep builds a many-point sweep request: each ring point takes ~100ms,
+// so on a one-slot server (Config{Workers: 1}) the job stays in flight for
+// seconds — a wide, reliable window for cancellation and queue-occupancy
+// tests.
 func slowSweep(n int) SweepRequest {
 	pts := make([]PointSpec, n)
 	for i := range pts {
@@ -277,7 +278,7 @@ func slowSweep(n int) SweepRequest {
 			Params: map[string]float64{"iee": 331e-6 * (1 + 0.001*float64(i))},
 		}
 	}
-	return SweepRequest{Points: pts, Workers: 1, NoCache: true}
+	return SweepRequest{Points: pts, NoCache: true}
 }
 
 // TestServeCancelInflight cancels a running job and checks the terminal state
@@ -350,6 +351,16 @@ func TestServeRejections(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/sweep", SweepRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty sweep: %d", resp.StatusCode)
+	}
+	// A request carries no parallelism knob: the strict decoder rejects a
+	// sweep body that still sends "workers".
+	old, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(`{"points":[{"model":"hopf"}],"workers":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Body.Close()
+	if old.StatusCode != http.StatusBadRequest {
+		t.Fatalf("sweep body with workers: %d, want 400", old.StatusCode)
 	}
 	resp, _ = postJSON(t, ts.URL+"/v1/sweep", slowSweep(51)) // over MaxPoints
 	if resp.StatusCode != http.StatusBadRequest {
@@ -428,5 +439,59 @@ func TestServeRejections(t *testing.T) {
 	hresp.Body.Close()
 	if !h.OK || !h.Draining {
 		t.Fatalf("health after drain: %+v", h)
+	}
+}
+
+// TestSlotsSettleEveryPointOnce runs two ring sweeps from two tenants on a
+// two-slot server, so their points interleave across the slots: one is
+// cancelled mid-flight, the other runs to completion. Each job's stream must
+// hold exactly one point event per index and end with its terminal event,
+// and its status must count every point — the cancelled job's withdrawn
+// points included. Run it with -race -count=10.
+func TestSlotsSettleEveryPointOnce(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	doomedReq, keptReq := slowSweep(8), slowSweep(4)
+	for i := range keptReq.Points {
+		keptReq.Points[i].Params["iee"] *= 1.1 // distinct from the doomed sweep's points
+	}
+	_, doomed := postJSONAs(t, ts.URL+"/v1/sweep", "a", doomedReq)
+	_, kept := postJSONAs(t, ts.URL+"/v1/sweep", "b", keptReq)
+	waitState(t, ts.URL, doomed.ID, func(s JobStatus) bool { return s.DonePoints >= 1 })
+	resp, err := http.Post(ts.URL+"/v1/jobs/"+doomed.ID+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	for _, c := range []struct {
+		id, state string
+		points    int
+	}{{doomed.ID, StateCanceled, 8}, {kept.ID, StateDone, 4}} {
+		st := waitState(t, ts.URL, c.id, terminal)
+		if st.State != c.state || st.Points != c.points || st.DonePoints != c.points {
+			t.Fatalf("job %s: state %q, %d/%d points done; want %q with all %d", c.id, st.State, st.DonePoints, st.Points, c.state, c.points)
+		}
+		evs := readSSE(t, ts.URL, c.id)
+		seen := make(map[int]int)
+		for _, ev := range evs {
+			if ev.Type == "point" {
+				seen[ev.Point.Index]++
+			}
+		}
+		for i := 0; i < c.points; i++ {
+			if seen[i] != 1 {
+				t.Fatalf("job %s: point %d reported %d times, want once (%v)", c.id, i, seen[i], seen)
+			}
+		}
+		if len(seen) != c.points {
+			t.Fatalf("job %s: point events for indices %v, want 0..%d", c.id, seen, c.points-1)
+		}
+		if last := evs[len(evs)-1]; last.Type != "state" || last.State != c.state {
+			t.Fatalf("job %s: last event %+v, want the terminal %q state", c.id, last, c.state)
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // the job touches the journal or the queue. One tenant hammering the API gets
 // its own 429s — with a Retry-After computed from its own bucket deficit —
 // while every other tenant's requests sail through; downstream, the
-// weighted-fair scheduler (sched.go) keeps the worker pool shared by weight
+// weighted-fair scheduler (sched.go) keeps the slot pool shared by weight
 // rather than by arrival order. Rejection reasons are split out in
 // pn_serve_rejected_total (tenant_rate, tenant_inflight) and per-tenant in
 // pn_serve_tenant_rejected_total.
@@ -36,7 +36,7 @@ type TenantConfig struct {
 	// MaxInFlight caps the tenant's accepted-but-not-finished jobs (queued +
 	// running); 0 means unlimited.
 	MaxInFlight int
-	// Weight is the tenant's share of the worker pool under contention
+	// Weight is the tenant's share of the slot pool under contention
 	// (see sched.go); <= 0 means 1.
 	Weight float64
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -192,21 +194,23 @@ func TestTenantInFlightCap(t *testing.T) {
 }
 
 // TestTenantFairness is the starvation test the scheduler exists for: with a
-// single worker already deep in tenant A's batch sweep, tenant B's interactive
-// characterise must be granted at the next lane boundary and finish while A's
-// sweep is still running — bounded wait, not FIFO-behind-the-backlog.
+// single slot already deep in tenant A's batch sweep, tenant B's interactive
+// characterise must be granted as soon as the point in flight returns and
+// finish while A's sweep is still running — bounded wait, not
+// FIFO-behind-the-backlog. Every point of the sweep is its own grant.
 func TestTenantFairness(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.SetGlobal(reg)
 	defer obs.SetGlobal(nil)
 
-	s := New(Config{Workers: 1, LaneGrant: 2})
+	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	// Tenant A floods the single worker with a slow batch sweep.
-	respA, batch := postJSONAs(t, ts.URL+"/v1/sweep", "batch-tenant", slowSweep(30))
+	// Tenant A occupies the single slot with a slow batch sweep.
+	const n = 5
+	respA, batch := postJSONAs(t, ts.URL+"/v1/sweep", "batch-tenant", slowSweep(n))
 	if respA.StatusCode != http.StatusAccepted {
 		t.Fatalf("batch submit: %d", respA.StatusCode)
 	}
@@ -228,39 +232,47 @@ func TestTenantFairness(t *testing.T) {
 	if terminal(batchNow) {
 		t.Fatalf("batch sweep already %q when the interactive job finished — no preemption happened", batchNow.State)
 	}
-	if batchNow.DonePoints >= 30 {
-		t.Fatalf("batch at %d/30 points — interactive job waited out the whole sweep", batchNow.DonePoints)
-	}
-
-	// Both tenants took grants; the batch tenant took many (one per chunk).
-	snap := reg.Snapshot()
-	if got := snap.Counter("pn_serve_tenant_grants_total", "live-tenant"); got != 1 {
-		t.Fatalf("grants{live-tenant} = %d, want 1", got)
-	}
-	if got := snap.Counter("pn_serve_tenant_grants_total", "batch-tenant"); got < 2 {
-		t.Fatalf("grants{batch-tenant} = %d, want >= 2 (chunked execution)", got)
+	if batchNow.DonePoints >= n {
+		t.Fatalf("batch at %d/%d points — interactive job waited out the whole sweep", batchNow.DonePoints, n)
 	}
 
 	// And the preempted sweep still finishes intact.
 	batchDone := waitState(t, ts.URL, batch.ID, terminal)
-	if batchDone.State != StateDone || batchDone.DonePoints != 30 {
+	if batchDone.State != StateDone || batchDone.DonePoints != n {
 		t.Fatalf("batch sweep after preemption: %+v", batchDone)
+	}
+
+	// Both tenants took grants: one per point granted.
+	snap := reg.Snapshot()
+	if got := snap.Counter("pn_serve_tenant_grants_total", "live-tenant"); got != 1 {
+		t.Fatalf("grants{live-tenant} = %d, want 1", got)
+	}
+	if got := snap.Counter("pn_serve_tenant_grants_total", "batch-tenant"); got != n {
+		t.Fatalf("grants{batch-tenant} = %d, want %d (one per point)", got, n)
 	}
 }
 
 // TestSchedLanesAndWeights unit-tests the scheduler's grant order: strict
-// interactive-lane priority, weighted interleave within a lane with the
-// deterministic name tie-break, the intake bound, and requeue/close
-// semantics.
+// interactive-lane priority, a multi-unit job holding the head of its FIFO,
+// weighted interleave within a lane with the deterministic name tie-break,
+// withdrawal, the intake bound, and closure.
 func TestSchedLanesAndWeights(t *testing.T) {
-	mk := func(kind, tenant string) *job {
-		return &job{id: kind + "-" + tenant, kind: kind, tenant: tenant}
+	mk := func(kind, tenant string, units int) *job {
+		return &job{id: kind + "-" + tenant, kind: kind, tenant: tenant, units: units}
+	}
+	grant := func(s *sched) (*job, int) {
+		t.Helper()
+		j, unit := s.next()
+		if j == nil {
+			t.Fatal("next returned no job")
+		}
+		return j, unit
 	}
 
 	// Lane priority: a batch backlog never delays an interactive grant.
 	s := newSched(0)
-	a1, a2 := mk("sweep", "a"), mk("sweep", "a")
-	b1 := mk("characterise", "b")
+	a1, a2 := mk("sweep", "a", 2), mk("sweep", "a", 1)
+	b1 := mk("characterise", "b", 1)
 	for _, j := range []*job{a1, a2} {
 		if err := s.submit(j, 1); err != nil {
 			t.Fatal(err)
@@ -269,80 +281,160 @@ func TestSchedLanesAndWeights(t *testing.T) {
 	if err := s.submit(b1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.next(); got != b1 {
+	if got, _ := grant(s); got != b1 {
 		t.Fatalf("first grant %v, want the interactive job", got.id)
 	}
-	if got := s.next(); got != a1 {
-		t.Fatalf("second grant %v, want the first batch job", got.id)
+	if got, unit := grant(s); got != a1 || unit != 0 {
+		t.Fatalf("second grant %v unit %d, want a1 unit 0", got.id, unit)
 	}
-	// A started job re-enters its lane without counting against intake.
+	// A started job does not count against intake.
 	if s.depth() != 1 {
 		t.Fatalf("depth = %d, want 1 (only the ungranted job)", s.depth())
 	}
-	s.requeue(a1)
+	// A multi-unit job stays at the head of its tenant's FIFO until its last
+	// unit is granted.
+	if got, unit := grant(s); got != a1 || unit != 1 {
+		t.Fatalf("third grant %v unit %d, want a1 unit 1 (head of FIFO)", got.id, unit)
+	}
 	if s.depth() != 1 {
-		t.Fatalf("depth after requeue = %d, want 1 (granted jobs are not intake)", s.depth())
+		t.Fatalf("depth after a1's last unit = %d, want 1", s.depth())
 	}
-	if got := s.next(); got != a2 {
-		t.Fatalf("third grant %v, want a2 (FIFO within tenant)", got.id)
+	if got, unit := grant(s); got != a2 || unit != 0 {
+		t.Fatalf("fourth grant %v unit %d, want a2 unit 0", got.id, unit)
 	}
-	if got := s.next(); got != a1 {
-		t.Fatalf("fourth grant %v, want the requeued a1", got.id)
+	if s.depth() != 0 {
+		t.Fatalf("depth after a2 = %d, want 0", s.depth())
 	}
 
-	// Weighted interleave: weight 2 takes two grants per weight-1 grant, with
-	// equal virtual times broken by tenant name.
+	// Weighted interleave, charged per unit: weight 2 takes two units per
+	// weight-1 unit, with equal virtual times broken by tenant name.
 	s = newSched(0)
-	var w, v []*job
-	for i := 0; i < 4; i++ {
-		w = append(w, mk("sweep", "w"))
-		v = append(v, mk("sweep", "v"))
+	w, v := mk("sweep", "w", 4), mk("sweep", "v", 4)
+	if err := s.submit(w, 2); err != nil {
+		t.Fatal(err)
 	}
-	for _, j := range w {
-		if err := s.submit(j, 2); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.submit(v, 1); err != nil {
+		t.Fatal(err)
 	}
-	for _, j := range v {
-		if err := s.submit(j, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := []*job{v[0], w[0], w[1], v[1], w[2], w[3], v[2], v[3]}
+	want := []*job{v, w, w, v, w, w, v, v}
 	for i, wj := range want {
-		if got := s.next(); got != wj {
+		if got, _ := grant(s); got != wj {
 			t.Fatalf("grant %d went to %s, want %s", i, got.tenant, wj.tenant)
 		}
 	}
 
+	// Withdrawal: a started job's ungranted units leave the lane, and a
+	// second withdrawal finds nothing left.
+	s = newSched(0)
+	x, y := mk("sweep", "x", 4), mk("sweep", "x", 1)
+	for _, j := range []*job{x, y} {
+		if err := s.submit(j, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grant(s)
+	if from := s.withdraw(x); from != 1 {
+		t.Fatalf("withdraw = %d, want 1 (units 1..3 ungranted)", from)
+	}
+	if from := s.withdraw(x); from != 4 {
+		t.Fatalf("second withdraw = %d, want 4 (nothing left)", from)
+	}
+	if got, _ := grant(s); got != y {
+		t.Fatalf("grant after withdrawal went to %s, want the next job", got.id)
+	}
+
 	// Intake bound and closure.
 	s = newSched(2)
-	if err := s.submit(mk("sweep", "x"), 1); err != nil {
+	if err := s.submit(mk("sweep", "x", 1), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.submit(mk("sweep", "x"), 1); err != nil {
+	if err := s.submit(mk("sweep", "x", 2), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.submit(mk("sweep", "x"), 1); err != errSchedFull {
+	if err := s.submit(mk("sweep", "x", 1), 1); err != errSchedFull {
 		t.Fatalf("submit over bound: %v, want errSchedFull", err)
 	}
 	// Recovered jobs bypass the bound but not closure.
-	if err := s.resume(mk("sweep", "y"), 1); err != nil {
+	if err := s.resume(mk("sweep", "y", 1), 1); err != nil {
 		t.Fatalf("resume over bound: %v, want nil", err)
 	}
 	s.close()
-	if err := s.submit(mk("sweep", "x"), 1); err != errSchedClosed {
+	if err := s.submit(mk("sweep", "x", 1), 1); err != errSchedClosed {
 		t.Fatalf("submit after close: %v, want errSchedClosed", err)
 	}
-	if err := s.resume(mk("sweep", "y"), 1); err != errSchedClosed {
+	if err := s.resume(mk("sweep", "y", 1), 1); err != errSchedClosed {
 		t.Fatalf("resume after close: %v, want errSchedClosed", err)
 	}
-	for i := 0; i < 3; i++ {
-		if s.next() == nil {
-			t.Fatalf("drain grant %d: scheduler gave up before empty", i)
-		}
+	for i := 0; i < 4; i++ {
+		grant(s) // closed: every queued unit still drains
 	}
-	if got := s.next(); got != nil {
+	if got, _ := s.next(); got != nil {
 		t.Fatalf("next on closed+empty = %v, want nil", got.id)
 	}
+}
+
+// TestSchedWakesSlotPerUnit: two slots block in next, then one 2-unit job is
+// submitted. Both slots must wake, one with each unit — the grant that
+// leaves a unit behind has to wake another slot, or a job's points would
+// only ever run on the slot its submit woke.
+func TestSchedWakesSlotPerUnit(t *testing.T) {
+	s := newSched(0)
+	type grantOf struct {
+		j    *job
+		unit int
+	}
+	got := make(chan grantOf, 2)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j, unit := s.next()
+			got <- grantOf{j, unit}
+		}()
+	}
+	defer func() {
+		s.close() // releases a slot a broken scheduler left blocked
+		wg.Wait()
+	}()
+	for deadline := time.Now().Add(5 * time.Second); parkedInNext() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("slots never blocked in next")
+		}
+	}
+
+	j := &job{id: "two", kind: "sweep", tenant: "t", units: 2}
+	if err := s.submit(j, 1); err != nil {
+		t.Fatal(err)
+	}
+	units := map[int]bool{}
+	for i := 0; i < 2; i++ {
+		select {
+		case g := <-got:
+			if g.j != j {
+				t.Fatalf("slot %d got job %v, want the submitted job", i, g.j)
+			}
+			units[g.unit] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of 2 blocked slots woke for a 2-unit job", i)
+		}
+	}
+	if !units[0] || !units[1] {
+		t.Fatalf("units granted %v, want 0 and 1", units)
+	}
+}
+
+// parkedInNext counts goroutines blocked in sched.next's cond.Wait, read off
+// the goroutine dump: the one observable sign that a slot is waiting for a
+// signal rather than about to scan the lanes.
+func parkedInNext() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[sync.Cond.Wait") && strings.Contains(g, "(*sched).next") {
+			n++
+		}
+	}
+	return n
 }

@@ -49,10 +49,11 @@ type jobTrace struct {
 	cap     int
 }
 
-// recoveredTraceCtx restores a job's span context from the journalled
-// traceparent string; pre-trace journals (or a corrupt header field) get a
-// fresh trace ID so the recovered job still has a coherent timeline.
-func recoveredTraceCtx(traceparent string) obs.SpanContext {
+// parseTraceCtx reads a job's span context from a traceparent string (the
+// submit's header, or the journalled copy); an absent or malformed one —
+// pre-trace journals, untraced clients — gets a fresh trace ID so the job
+// still has a coherent timeline.
+func parseTraceCtx(traceparent string) obs.SpanContext {
 	if sc, ok := obs.ParseTraceparent(traceparent); ok {
 		return sc
 	}

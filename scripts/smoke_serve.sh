@@ -191,7 +191,7 @@ wait_ready "$COORD" "${CLUSTER_PIDS[2]}" "coordinator"
 grep -q 'coordinator for 2 worker nodes' "$TMP/coord.log" \
   || fail "coordinator did not announce its worker fleet"
 
-SWEEP='{"points":[{"name":"c0","model":"hopf","params":{"lambda":1,"omega":3,"sigma":0.02}},{"name":"c1","model":"hopf","params":{"lambda":1,"omega":4,"sigma":0.02}},{"name":"c2","model":"hopf","params":{"lambda":1,"omega":5,"sigma":0.02}},{"name":"c3","model":"hopf","params":{"lambda":1,"omega":6,"sigma":0.02}}],"workers":2,"timeout_ms":120000}'
+SWEEP='{"points":[{"name":"c0","model":"hopf","params":{"lambda":1,"omega":3,"sigma":0.02}},{"name":"c1","model":"hopf","params":{"lambda":1,"omega":4,"sigma":0.02}},{"name":"c2","model":"hopf","params":{"lambda":1,"omega":5,"sigma":0.02}},{"name":"c3","model":"hopf","params":{"lambda":1,"omega":6,"sigma":0.02}}],"timeout_ms":120000}'
 
 echo "smoke_serve: sweeping 4 points through the lease fabric"
 resp="$(curl -sf "$COORD/v1/sweep" -d "$SWEEP")" || fail "cluster sweep submit failed"
@@ -258,7 +258,7 @@ echo "smoke_serve: overload phase — tenant quotas, paginated and streamed resu
 SERVER_PID=$!
 wait_ready "$TBASE" "$SERVER_PID" "overload-phase server"
 
-RSWEEP='{"points":[{"name":"p0","model":"hopf","params":{"lambda":1,"omega":7,"sigma":0.02}},{"name":"p1","model":"hopf","params":{"lambda":1,"omega":8,"sigma":0.02}},{"name":"p2","model":"hopf","params":{"lambda":1,"omega":9,"sigma":0.02}},{"name":"p3","model":"hopf","params":{"lambda":1,"omega":10,"sigma":0.02}},{"name":"p4","model":"hopf","params":{"lambda":1,"omega":11,"sigma":0.02}}],"workers":2,"timeout_ms":120000}'
+RSWEEP='{"points":[{"name":"p0","model":"hopf","params":{"lambda":1,"omega":7,"sigma":0.02}},{"name":"p1","model":"hopf","params":{"lambda":1,"omega":8,"sigma":0.02}},{"name":"p2","model":"hopf","params":{"lambda":1,"omega":9,"sigma":0.02}},{"name":"p3","model":"hopf","params":{"lambda":1,"omega":10,"sigma":0.02}},{"name":"p4","model":"hopf","params":{"lambda":1,"omega":11,"sigma":0.02}}],"timeout_ms":120000}'
 resp="$(curl -sf "$TBASE/v1/sweep" -d "$RSWEEP")" || fail "overload-phase sweep submit failed"
 rid="$(json_field id <<<"$resp")"
 [[ -n "$rid" ]] || fail "no job id in overload-phase response: $resp"
