@@ -25,15 +25,19 @@ vet:
 race:
 	$(GO) test -race -timeout 10m ./...
 
-# Fuzzing: each native fuzz target for 15 s (the decoders of crash-torn
-# bytes: the log scanner, journal replay, the non-finite float codec). Their
-# seed inputs also run as plain tests under `make test`. Minimization is
-# capped so a new input does not eat the whole budget. CI runs the same
-# target (fuzz job).
+# Fuzzing: each native fuzz target for 15 s (the decoders of crash-torn or
+# foreign bytes: the log scanner, journal replay, the non-finite float codec,
+# the loss-free result codecs and the cache's disk envelope). Their seed
+# inputs also run as plain tests under `make test`. Minimization is capped so
+# a new input does not eat the whole budget. CI runs the same target (fuzz
+# job).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWfloat$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/wfloat/
+	$(GO) test -run '^$$' -fuzz '^FuzzPointResultJSON$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/sweep/
+	$(GO) test -run '^$$' -fuzz '^FuzzResultJSON$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzDiskGet$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/cache/
 
 # Fault-injection (chaos) suite under the race detector: the faultinject
 # package itself, the named-fault consumers in cache/sweep/osc/serve

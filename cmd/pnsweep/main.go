@@ -483,7 +483,7 @@ func streamResultsToFile(ctx context.Context, c *pnclient.Client, id, path strin
 		if werr != nil || seen[r.Index] {
 			return
 		}
-		raw, err := json.Marshal(&r)
+		raw, err := r.MarshalJSON()
 		if err != nil {
 			werr = err
 			return

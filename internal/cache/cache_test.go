@@ -2,12 +2,15 @@ package cache
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func payload(i int) []byte { return []byte(fmt.Sprintf(`{"v":%d}`, i)) }
@@ -268,4 +271,58 @@ func TestConcurrentMixedOperationsRace(t *testing.T) {
 	if s.Bytes() > 200 {
 		t.Fatalf("byte bound violated: %d", s.Bytes())
 	}
+}
+
+// FuzzDiskGet: the disk tier serves a file only when its envelope decodes
+// with v = 1, the key it is stored under and a non-empty JSON payload — and
+// then serves exactly that payload. Anything else is a miss: the file is
+// removed so it cannot shadow a healthy write, and counted as a disk error.
+func FuzzDiskGet(f *testing.F) {
+	const key = "pnfp1-0123abcd"
+	env := func(v int, k, payload string) []byte {
+		return []byte(fmt.Sprintf(`{"v":%d,"key":%q,"payload":%s}`, v, k, payload))
+	}
+	f.Add(env(1, key, `{"c":1e-9}`)) // decodes to an incomplete result: the caller's to judge
+	f.Add(env(1, key, `{"index":3,"name":"skipped","error":{"msg":"sweep: point \"skipped\" not started: budget: wall-clock budget exceeded","kind":"budget"},"wall_ns":0}`))
+	f.Add(env(1, key, `null`))
+	f.Add(env(2, key, `{}`))
+	f.Add(env(1, "pnfp1-other", `{}`))
+	f.Add([]byte(`{"v":1,"key":"` + key + `"}`))
+	f.Add([]byte(`{"v":1,"key":"` + key + `","payload":{"c":`))
+	f.Add([]byte{})
+
+	reg := obs.NewRegistry()
+	obs.SetGlobal(reg)
+	defer obs.SetGlobal(nil)
+	d, err := newDiskStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	path, _ := d.path(key)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		errs := reg.Snapshot().Counter("pn_cache_disk_errors_total", "")
+		got, ok := d.get(key)
+
+		var want diskEnvelope
+		valid := json.Unmarshal(data, &want) == nil && want.V == 1 && want.Key == key &&
+			len(want.Payload) > 0 && json.Valid(want.Payload)
+		if ok {
+			if !valid || !bytes.Equal(got, want.Payload) {
+				t.Fatalf("served %q from file %q", got, data)
+			}
+			return
+		}
+		if valid {
+			t.Fatalf("valid entry %q not served", data)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("rejected file %q was not removed (stat: %v)", data, err)
+		}
+		if n := reg.Snapshot().Counter("pn_cache_disk_errors_total", ""); n != errs+1 {
+			t.Fatalf("rejected file %q counted %d disk errors, want 1", data, n-errs)
+		}
+	})
 }

@@ -118,3 +118,46 @@ func TestSpectrumJSONRoundTrip(t *testing.T) {
 		t.Fatal("NaN after round trip")
 	}
 }
+
+// FuzzResultJSON: a payload the cached path accepts (it decodes and passes
+// Check) never yields a result whose T, F0 or CornerFreq panics, and it
+// re-encodes to bytes that decode to the same encoding.
+func FuzzResultJSON(f *testing.F) {
+	for _, s := range []string{
+		// The result member of the sweep package's golden ok point.
+		`{"pss":{"X0":[1,0.1],"T":3.141592653589793,"Orbit":{"Points":[{"T":0,"X":[1,0.1],"DX":[-0.2,2]},{"T":1.5707963267948966,"X":[-0.1,1],"DX":[-2,-0.2]}]},"Monodromy":{"Rows":2,"Cols":2,"Data":[1,0,0.25,0.0183]},"Residual":3.5e-13,"Iters":4},"floquet":{"t":3.141592653589793,"multipliers":[[1,0],[0.0183,-1e-300]],"exponents":[[0,0],["-Inf",3.141592653589793]],"u10":[-0.2,2],"v10":[-0.0498,0.4975],"v1":{"Points":[{"T":0,"X":[-0.0498,0.4975],"DX":[0.001,-0.025]},{"T":3.141592653589793,"X":[-0.0498,0.4975],"DX":[0.001,-0.025]}]},"unit_err":"Inf","closure_err":"NaN","biortho_drift":2.5e-16},"c":0.0001,"per_source":[{"label":"n&2","c":0.000075,"fraction":0.75},{"label":"n<1>","c":0.000025,"fraction":0.25}],"sensitivity":[0.00005,0.00015],"labels":["n<1>","n&2"]}`,
+		`{"c":1e-9}`, // the payload that crashed pnserve's summarize
+		`{"pss":5}`,
+		`{"pss":{"T":0},"floquet":{}}`,
+		`{"pss":{"T":-1e-300},"floquet":{}}`,
+		`{"pss":{"T":1e-300},"floquet":{"multipliers":[["NaN","-Inf"]]}}`,
+		`null`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Result
+		if r.UnmarshalJSON(data) != nil || r.Check() != nil {
+			return
+		}
+		_, _, _ = r.T(), r.F0(), r.CornerFreq()
+		first, err := r.MarshalJSON()
+		if err != nil {
+			t.Fatalf("re-encoding an accepted payload: %v", err)
+		}
+		var back Result
+		if err := back.UnmarshalJSON(first); err != nil {
+			t.Fatalf("decoding our own encoding %s: %v", first, err)
+		}
+		if err := back.Check(); err != nil {
+			t.Fatalf("accepted payload re-encoded to a stale one: %v", err)
+		}
+		second, err := back.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("not a fixed point:\n%s\n%s", first, second)
+		}
+	})
+}

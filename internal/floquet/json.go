@@ -7,11 +7,15 @@ import (
 	"repro/internal/wfloat"
 )
 
-// decompositionJSON is the wire form of a Decomposition. complex128 has no
+// DecompositionWire is the wire form of a Decomposition. complex128 has no
 // native JSON encoding, so multipliers and exponents travel as [re, im]
 // pairs (of wfloat — exponents of collapsed multipliers are -Inf); every
 // other field round-trips verbatim.
-type decompositionJSON struct {
+//
+// It is a plain struct with no codec of its own, so a parent wire form
+// (core.ResultWire) nests it and encoding/json walks the whole tree in one
+// reflective pass instead of re-scanning the bytes at every json.Marshaler.
+type DecompositionWire struct {
 	T            float64           `json:"t"`
 	Multipliers  [][2]wfloat.Float `json:"multipliers"`
 	Exponents    [][2]wfloat.Float `json:"exponents"`
@@ -45,10 +49,13 @@ func pairsToComplex(in [][2]wfloat.Float) []complex128 {
 	return out
 }
 
-// MarshalJSON implements json.Marshaler, encoding complex slices as
-// [re, im] pairs so the decomposition survives a JSON round trip loss-free.
-func (d *Decomposition) MarshalJSON() ([]byte, error) {
-	return json.Marshal(decompositionJSON{
+// Wire converts d to its wire form (nil stays nil). Slices and the V1
+// trajectory are shared, not copied.
+func (d *Decomposition) Wire() *DecompositionWire {
+	if d == nil {
+		return nil
+	}
+	return &DecompositionWire{
 		T:            d.T,
 		Multipliers:  complexToPairs(d.Multipliers),
 		Exponents:    complexToPairs(d.Exponents),
@@ -58,16 +65,15 @@ func (d *Decomposition) MarshalJSON() ([]byte, error) {
 		UnitErr:      wfloat.Float(d.UnitErr),
 		ClosureErr:   wfloat.Float(d.ClosureErr),
 		BiorthoDrift: wfloat.Float(d.BiorthoDrift),
-	})
+	}
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
-func (d *Decomposition) UnmarshalJSON(data []byte) error {
-	var w decompositionJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
+// Decomposition converts the wire form back (nil stays nil).
+func (w *DecompositionWire) Decomposition() *Decomposition {
+	if w == nil {
+		return nil
 	}
-	*d = Decomposition{
+	return &Decomposition{
 		T:            w.T,
 		Multipliers:  pairsToComplex(w.Multipliers),
 		Exponents:    pairsToComplex(w.Exponents),
@@ -78,5 +84,20 @@ func (d *Decomposition) UnmarshalJSON(data []byte) error {
 		ClosureErr:   float64(w.ClosureErr),
 		BiorthoDrift: float64(w.BiorthoDrift),
 	}
+}
+
+// MarshalJSON implements json.Marshaler, encoding complex slices as
+// [re, im] pairs so the decomposition survives a JSON round trip loss-free.
+func (d *Decomposition) MarshalJSON() ([]byte, error) {
+	return json.Marshal(d.Wire())
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (d *Decomposition) UnmarshalJSON(data []byte) error {
+	var w DecompositionWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*d = *w.Decomposition()
 	return nil
 }

@@ -401,7 +401,7 @@ func (c *Client) streamResultsOnce(ctx context.Context, id string, fn func(sweep
 			continue
 		}
 		var res sweep.PointResult
-		if err := json.Unmarshal(line, &res); err != nil {
+		if err := res.UnmarshalJSON(line); err != nil {
 			return fmt.Errorf("pnclient: bad result line: %w", err)
 		}
 		fn(res)

@@ -208,7 +208,7 @@ func (rf *resultFile) appendResult(res *sweep.PointResult) error {
 	if rf == nil {
 		return nil
 	}
-	raw, err := json.Marshal(res)
+	raw, err := res.MarshalJSON()
 	if err != nil {
 		return err
 	}
@@ -347,7 +347,7 @@ func (rf *resultFile) decodeAll() []sweep.PointResult {
 		if err != nil || raw == nil {
 			return nil
 		}
-		if json.Unmarshal(raw, &out[i]) != nil {
+		if out[i].UnmarshalJSON(raw) != nil {
 			return nil
 		}
 	}

@@ -265,6 +265,61 @@ func TestServeSweepJob(t *testing.T) {
 	}
 }
 
+// TestServeIncompleteCacheEntryIsRecomputed: a -cache-dir entry from another
+// writer with a valid envelope but an incomplete payload decodes without
+// error into a Result with no PSS. Served as a hit, it crashed the process
+// in summarize (Result.T). It is stale instead: the point is computed, the
+// job ends done, and the fresh result replaces the entry, so the
+// resubmission is a cache hit.
+func TestServeIncompleteCacheEntryIsRecomputed(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.SetGlobal(reg)
+	defer obs.SetGlobal(nil)
+
+	dir := t.TempDir()
+	spec := hopfSpec("stale", 3)
+	pt, err := spec.Resolve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := cache.New(cache.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Put(pt.Key, []byte(`{"c":1e-9}`)); err != nil {
+		t.Fatal(err)
+	}
+	store, err := cache.New(cache.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, Cache: store})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	_, st := postJSON(t, ts.URL+"/v1/characterise", CharacteriseRequest{PointSpec: spec})
+	done := waitState(t, ts.URL, st.ID, terminal)
+	if done.State != StateDone || done.CachedPoints != 0 || len(done.Results) != 1 {
+		t.Fatalf("job over a stale entry: %+v", done)
+	}
+	if r := done.Results[0]; !r.OK || r.Cached || r.T <= 0 || r.C == 1e-9 {
+		t.Fatalf("point over a stale entry: %+v", r)
+	}
+	if got := reg.Snapshot().Counter("pn_core_characterisations_total", "ok"); got != 1 {
+		t.Fatalf("characterisations = %d, want 1", got)
+	}
+
+	_, st2 := postJSON(t, ts.URL+"/v1/characterise", CharacteriseRequest{PointSpec: spec})
+	again := waitState(t, ts.URL, st2.ID, terminal)
+	if again.State != StateDone || again.CachedPoints != 1 || again.Results[0].C != done.Results[0].C {
+		t.Fatalf("resubmission over the healed entry: %+v", again)
+	}
+	if got := reg.Snapshot().Counter("pn_core_characterisations_total", "ok"); got != 1 {
+		t.Fatalf("resubmission recomputed: %d characterisations, want 1", got)
+	}
+}
+
 // slowSweep builds a many-point sweep request: each ring point takes ~100ms,
 // so on a one-slot server (Config{Workers: 1}) the job stays in flight for
 // seconds — a wide, reliable window for cancellation and queue-occupancy

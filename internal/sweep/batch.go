@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -133,12 +132,11 @@ func runBatchUnit(idxs []int, points []Point, c *Config, out []PointResult, atte
 		p := points[k]
 		if c.Cache != nil && p.Key != "" {
 			if payload, hit := c.Cache.Get(p.Key); hit {
-				var cr core.Result
-				if jerr := json.Unmarshal(payload, &cr); jerr == nil {
+				if cr, ok := decodeCached(payload); ok {
 					out[k] = PointResult{
 						Index:  k,
 						Name:   p.Name,
-						Result: &cr,
+						Result: cr,
 						PSS:    cr.PSS,
 						Cached: true,
 						Wall:   time.Since(start),
@@ -146,7 +144,8 @@ func runBatchUnit(idxs []int, points []Point, c *Config, out []PointResult, atte
 					finalize(k)
 					continue
 				}
-				// Stale or foreign payload: recompute rather than fail.
+				// Stale or foreign payload: recompute rather than fail;
+				// commitCache stores the fresh result over it.
 			}
 		}
 		live = append(live, k)
@@ -347,15 +346,16 @@ func buildBatchEvaluator(points []Point, live []int) (be dynsys.BatchEvaluator, 
 	return osc.BatchSystems(systems)
 }
 
-// commitCache stores a freshly computed batched result under the point's
-// content key, best effort — the scalar path stores through Cache.Do, the
-// batched path through Put; both end up under the same pnfp1 key because
-// batching never changes the result.
+// commitCache stores a freshly computed result under the point's content
+// key, best effort — the scalar path stores through Cache.Do (and through
+// commitCache only over a stale entry), the batched path through Put; both
+// end up under the same pnfp1 key because batching never changes the
+// result.
 func commitCache(c *Config, p Point, r *core.Result) {
 	if c.Cache == nil || p.Key == "" || r == nil {
 		return
 	}
-	if payload, err := json.Marshal(r); err == nil {
+	if payload, err := r.MarshalJSON(); err == nil {
 		_ = c.Cache.Put(p.Key, payload)
 	}
 }

@@ -77,8 +77,8 @@ func decodeErr(w *RemoteError) error {
 	return w
 }
 
-// attemptJSON is the wire form of an Attempt.
-type attemptJSON struct {
+// AttemptWire is the wire form of an Attempt.
+type AttemptWire struct {
 	Rung     int           `json:"rung"`
 	RungName string        `json:"rung_name"`
 	Error    *RemoteError  `json:"error,omitempty"`
@@ -87,25 +87,21 @@ type attemptJSON struct {
 	Flight   []obs.Event   `json:"flight,omitempty"`
 }
 
-// MarshalJSON implements json.Marshaler.
-func (a Attempt) MarshalJSON() ([]byte, error) {
-	return json.Marshal(attemptJSON{
+// Wire converts a to its wire form.
+func (a Attempt) Wire() AttemptWire {
+	return AttemptWire{
 		Rung:     a.Rung,
 		RungName: a.RungName,
 		Error:    encodeErr(a.Err),
 		Trace:    a.Trace,
 		Wall:     a.Wall,
 		Flight:   a.Flight,
-	})
+	}
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
-func (a *Attempt) UnmarshalJSON(data []byte) error {
-	var w attemptJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*a = Attempt{
+// Attempt converts the wire form back.
+func (w *AttemptWire) Attempt() Attempt {
+	return Attempt{
 		Rung:     w.Rung,
 		RungName: w.RungName,
 		Err:      decodeErr(w.Error),
@@ -113,64 +109,104 @@ func (a *Attempt) UnmarshalJSON(data []byte) error {
 		Wall:     w.Wall,
 		Flight:   w.Flight,
 	}
+}
+
+// MarshalJSON implements json.Marshaler.
+func (a Attempt) MarshalJSON() ([]byte, error) {
+	return json.Marshal(a.Wire())
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (a *Attempt) UnmarshalJSON(data []byte) error {
+	var w AttemptWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*a = w.Attempt()
 	return nil
 }
 
-// pointResultJSON is the wire form of a PointResult. On success Result.PSS
-// and PointResult.PSS alias the same object; the wire form elides the
-// duplicate (pss_is_result) and restores the aliasing on decode.
-type pointResultJSON struct {
-	Index       int           `json:"index"`
-	Name        string        `json:"name"`
-	Result      *core.Result  `json:"result,omitempty"`
-	Error       *RemoteError  `json:"error,omitempty"`
-	PSS         *shooting.PSS `json:"pss,omitempty"`
-	PSSIsResult bool          `json:"pss_is_result,omitempty"`
-	Attempts    []Attempt     `json:"attempts,omitempty"`
-	Wall        time.Duration `json:"wall_ns"`
-	Cached      bool          `json:"cached,omitempty"`
+// PointResultWire is the wire form of a PointResult: one tree of plain
+// structs (this package's, core's and floquet's wire forms), so one
+// reflective pass encodes or decodes a whole loss-free result; see DESIGN
+// §9 "Store". On success Result.PSS and PointResult.PSS alias the same
+// object; the wire form elides the duplicate (pss_is_result) and restores
+// the aliasing on decode.
+type PointResultWire struct {
+	Index       int              `json:"index"`
+	Name        string           `json:"name"`
+	Result      *core.ResultWire `json:"result,omitempty"`
+	Error       *RemoteError     `json:"error,omitempty"`
+	PSS         *shooting.PSS    `json:"pss,omitempty"`
+	PSSIsResult bool             `json:"pss_is_result,omitempty"`
+	Attempts    []AttemptWire    `json:"attempts,omitempty"`
+	Wall        time.Duration    `json:"wall_ns"`
+	Cached      bool             `json:"cached,omitempty"`
 }
 
-// MarshalJSON implements json.Marshaler. Together with UnmarshalJSON it makes
-// a PointResult JSON round-trip loss-free up to error-chain identity: typed
-// budget/panic classification and every numeric field survive; wrapped error
-// values are flattened to their message (see RemoteError).
-func (r PointResult) MarshalJSON() ([]byte, error) {
-	w := pointResultJSON{
-		Index:    r.Index,
-		Name:     r.Name,
-		Result:   r.Result,
-		Error:    encodeErr(r.Err),
-		Attempts: r.Attempts,
-		Wall:     r.Wall,
-		Cached:   r.Cached,
+// Wire converts r to its wire form, sharing its slices and trajectories.
+func (r PointResult) Wire() PointResultWire {
+	w := PointResultWire{
+		Index:  r.Index,
+		Name:   r.Name,
+		Result: r.Result.Wire(),
+		Error:  encodeErr(r.Err),
+		Wall:   r.Wall,
+		Cached: r.Cached,
+	}
+	if r.Attempts != nil {
+		w.Attempts = make([]AttemptWire, len(r.Attempts))
+		for i, a := range r.Attempts {
+			w.Attempts[i] = a.Wire()
+		}
 	}
 	if r.Result != nil && r.PSS == r.Result.PSS {
 		w.PSSIsResult = true
 	} else {
 		w.PSS = r.PSS
 	}
-	return json.Marshal(w)
+	return w
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// PointResult converts the wire form back.
+func (w *PointResultWire) PointResult() PointResult {
+	r := PointResult{
+		Index:  w.Index,
+		Name:   w.Name,
+		Result: w.Result.Result(),
+		Err:    decodeErr(w.Error),
+		PSS:    w.PSS,
+		Wall:   w.Wall,
+		Cached: w.Cached,
+	}
+	if w.Attempts != nil {
+		r.Attempts = make([]Attempt, len(w.Attempts))
+		for i := range w.Attempts {
+			r.Attempts[i] = w.Attempts[i].Attempt()
+		}
+	}
+	if w.PSSIsResult && r.Result != nil {
+		r.PSS = r.Result.PSS
+	}
+	return r
+}
+
+// MarshalJSON implements json.Marshaler. Together with UnmarshalJSON it makes
+// a PointResult JSON round-trip loss-free up to error-chain identity: typed
+// budget/panic classification and every numeric field survive; wrapped error
+// values are flattened to their message (see RemoteError). Callers holding a
+// PointResult call it directly: json.Marshal would re-scan the output.
+func (r PointResult) MarshalJSON() ([]byte, error) {
+	return json.Marshal(r.Wire())
+}
+
+// UnmarshalJSON implements json.Unmarshaler. Callers holding the bytes call
+// it directly: json.Unmarshal would scan them twice more first.
 func (r *PointResult) UnmarshalJSON(data []byte) error {
-	var w pointResultJSON
+	var w PointResultWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	*r = PointResult{
-		Index:    w.Index,
-		Name:     w.Name,
-		Result:   w.Result,
-		Err:      decodeErr(w.Error),
-		PSS:      w.PSS,
-		Attempts: w.Attempts,
-		Wall:     w.Wall,
-		Cached:   w.Cached,
-	}
-	if w.PSSIsResult && w.Result != nil {
-		r.PSS = w.Result.PSS
-	}
+	*r = w.PointResult()
 	return nil
 }

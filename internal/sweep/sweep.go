@@ -33,7 +33,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -504,7 +503,7 @@ func runPointCached(index int, p Point, c *Config, attempt func(int, string, Att
 		if !r.OK() {
 			return nil, r.Err
 		}
-		return json.Marshal(r.Result)
+		return r.Result.MarshalJSON()
 	})
 	if computed != nil {
 		// This caller ran the pipeline; its PointResult has the full attempt
@@ -517,16 +516,32 @@ func runPointCached(index int, p Point, c *Config, attempt func(int, string, Att
 		res.Err = fmt.Errorf("sweep: point %q shared a failed identical computation: %w", p.Name, err)
 		return res
 	}
-	var cr core.Result
-	if jerr := json.Unmarshal(payload, &cr); jerr != nil {
-		// A stale or foreign payload under our key: fall back to computing
-		// rather than failing the point on a cache artefact.
-		return runLadder(index, p, c, attempt, psp)
+	cr, ok := decodeCached(payload)
+	if !ok {
+		// A stale or foreign payload under our key: compute rather than fail
+		// the point on a cache artefact, and store the fresh result over it.
+		r := runLadder(index, p, c, attempt, psp)
+		if r.OK() {
+			commitCache(c, p, r.Result)
+		}
+		return r
 	}
 	_ = origin // mem/disk/shared all count as cached for the result record
-	res.Result = &cr
+	res.Result = cr
 	res.PSS = cr.PSS
 	return res
+}
+
+// decodeCached decodes a cache payload into a servable result. A payload
+// that fails to decode, or decodes to an incomplete result (see
+// core.Result.Check), is stale: the disk tier is shared with other
+// processes and versions, so the caller recomputes and stores over it.
+func decodeCached(payload []byte) (*core.Result, bool) {
+	var cr core.Result
+	if cr.UnmarshalJSON(payload) != nil || cr.Check() != nil {
+		return nil, false
+	}
+	return &cr, true
 }
 
 // runLadder walks one point up the ladder until an attempt succeeds or the
