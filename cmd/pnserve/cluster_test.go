@@ -14,6 +14,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/serve"
 )
 
 // The cluster e2e suite runs the sweep fabric over real processes: plain
@@ -125,10 +128,36 @@ func clusterSweepBody(n int, salt float64) string {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		fmt.Fprintf(&sb, `{"name":"ring%d","model":"ring","params":{"iee":%g}}`, i, 331e-6*(1+0.001*(salt+float64(i))))
+		fmt.Fprintf(&sb, `{"name":"ring%d","model":"ring","params":{"iee":%g}}`, i, clusterSweepIEE(i, salt))
 	}
 	sb.WriteString(`]}`)
 	return sb.String()
+}
+
+// clusterSweepIEE is point i's tail current in clusterSweepBody(n, salt).
+func clusterSweepIEE(i int, salt float64) float64 { return 331e-6 * (1 + 0.001*(salt+float64(i))) }
+
+// clusterSplitSalt returns the first salt from start up whose n-point sweep
+// has points homed on every worker of the coordinator's hash ring (the
+// default ring, over the same URLs the -coordinator flag lists). Leases are
+// cut per home worker, so such a sweep puts a lease on each worker whatever
+// ports the workers drew; a fixed salt leaves one worker idle in about one
+// run in fifteen.
+func clusterSplitSalt(t *testing.T, n int, start float64, workers ...string) float64 {
+	t.Helper()
+	ring := cluster.NewRing(workers, 0)
+	for salt := start; salt < start+100; salt++ {
+		homes := map[string]bool{}
+		for i := 0; i < n; i++ {
+			sp := serve.PointSpec{Model: "ring", Params: map[string]float64{"iee": clusterSweepIEE(i, salt)}}
+			homes[ring.Primary(sp.RoutingKey())] = true
+		}
+		if len(homes) == len(workers) {
+			return salt
+		}
+	}
+	t.Fatalf("no salt in [%g, %g) spreads %d points over workers %v", start, start+100, n, workers)
+	return 0
 }
 
 func clusterSubmit(t *testing.T, base, idemKey, body string) clusterJobView {
@@ -335,8 +364,10 @@ func TestClusterCoordinatorRestartE2E(t *testing.T) {
 	clusterWaitReady(t, worker2)
 	clusterWaitReady(t, coord1)
 
+	// Both workers must hold a lease for the merged trace to span them.
 	const n = 10
-	job := clusterSubmit(t, coord1, "cluster-e2e-restart", clusterSweepBody(n, 100))
+	salt := clusterSplitSalt(t, n, 100, worker, worker2)
+	job := clusterSubmit(t, coord1, "cluster-e2e-restart", clusterSweepBody(n, salt))
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		st := clusterGetJob(t, coord1, job.ID)

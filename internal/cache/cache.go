@@ -8,9 +8,13 @@
 // pipeline run.
 //
 // Payloads are opaque JSON ([]byte) — the cache knows nothing about
-// core.Result, so it serves any (de)serialisable product. All methods are
-// safe for concurrent use and safe on a nil *Store (a nil store never hits
-// and Do simply computes), making the cache a zero-cost optional dependency.
+// core.Result, so it serves any (de)serialisable product. Beside each
+// memory-tier payload the store keeps an equally opaque note from the caller
+// (the sweep engine's checked scalars), which lets a hit skip decoding the
+// payload; a payload read from disk, or stored by Put, has no note until the
+// caller checks it and calls Note. All methods are safe for concurrent use
+// and safe on a nil *Store (a nil store never hits and Do simply computes),
+// making the cache a zero-cost optional dependency.
 package cache
 
 import (
@@ -70,14 +74,16 @@ type Options struct {
 
 // entry is one in-memory LRU element.
 type entry struct {
-	key string
-	val []byte
+	key  string
+	val  []byte
+	note any // the caller's note on val (nil: none)
 }
 
 // flight is one in-progress computation that concurrent callers join.
 type flight struct {
 	done chan struct{}
 	val  []byte
+	note any
 	err  error
 }
 
@@ -116,68 +122,89 @@ func New(o Options) (*Store, error) {
 	return s, nil
 }
 
-// Get returns the payload for key from memory or disk. Disk hits are
-// promoted to the memory tier. The returned slice must be treated as
-// read-only (it may be shared with other callers).
+// Get returns the payload for key from memory or disk, without its note.
+// Disk hits are promoted to the memory tier. The returned slice must be
+// treated as read-only (it may be shared with other callers).
 func (s *Store) Get(key string) ([]byte, bool) {
-	v, origin := s.lookup(key, true)
+	v, _, origin := s.lookup(key, true)
 	return v, origin.Cached()
 }
 
 // lookup is Get plus origin reporting; record=false suppresses hit/miss
 // metrics (used by Do, which classifies the outcome itself).
-func (s *Store) lookup(key string, record bool) ([]byte, Origin) {
+func (s *Store) lookup(key string, record bool) ([]byte, any, Origin) {
 	if s == nil || key == "" {
-		return nil, OriginComputed
+		return nil, nil, OriginComputed
 	}
 	m := cacheMetrics.Get()
 	s.mu.Lock()
 	if el, ok := s.idx[key]; ok {
 		s.lru.MoveToFront(el)
-		val := el.Value.(*entry).val
+		e := el.Value.(*entry)
+		val, note := e.val, e.note
 		s.mu.Unlock()
 		if record {
 			m.hitsMem.Inc()
 		}
-		return val, OriginMem
+		return val, note, OriginMem
 	}
 	s.mu.Unlock()
 	if s.disk != nil {
 		if val, ok := s.disk.get(key); ok {
-			s.insertMem(key, val)
+			s.insertMem(key, val, nil)
 			if record {
 				m.hitsDisk.Inc()
 			}
-			return val, OriginDisk
+			return val, nil, OriginDisk
 		}
 	}
 	if record {
 		m.misses.Inc()
 	}
-	return nil, OriginComputed
+	return nil, nil, OriginComputed
 }
 
-// Put stores a JSON payload under key in both tiers. Non-JSON payloads are
-// rejected (the disk envelope embeds the payload verbatim, and every
-// legitimate caller stores serialised results anyway).
-func (s *Store) Put(key string, payload []byte) error {
+// Put stores a JSON payload under key in both tiers, without a note. Non-JSON
+// payloads are rejected (the disk envelope embeds the payload verbatim, and
+// every legitimate caller stores serialised results anyway).
+func (s *Store) Put(key string, payload []byte) error { return s.put(key, payload, nil) }
+
+func (s *Store) put(key string, payload []byte, note any) error {
 	if s == nil || key == "" {
 		return nil
 	}
 	if !json.Valid(payload) {
 		return errors.New("cache: payload is not valid JSON")
 	}
-	s.insertMem(key, payload)
+	s.insertMem(key, payload, note)
 	if s.disk != nil {
 		s.disk.put(key, payload)
 	}
 	return nil
 }
 
+// Note keeps note beside key's memory-tier entry, provided the entry still
+// holds payload itself (the same bytes, not a copy): a caller that has
+// checked a payload it was served records that, and later hits return the
+// note instead of asking for another check. A no-op when the entry was
+// replaced, evicted or never held in memory.
+func (s *Store) Note(key string, payload []byte, note any) {
+	if s == nil || key == "" || len(payload) == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.idx[key]; ok {
+		if e := el.Value.(*entry); len(e.val) == len(payload) && &e.val[0] == &payload[0] {
+			e.note = note
+		}
+	}
+}
+
 // insertMem adds (or refreshes) a memory-tier entry and evicts from the LRU
 // tail until the byte bound holds. Oversized payloads are skipped: evicting
 // the whole cache for one giant entry would serve nobody.
-func (s *Store) insertMem(key string, val []byte) {
+func (s *Store) insertMem(key string, val []byte, note any) {
 	sz := int64(len(val))
 	if sz > s.maxBytes {
 		return
@@ -189,10 +216,10 @@ func (s *Store) insertMem(key string, val []byte) {
 		old := el.Value.(*entry)
 		s.bytes += sz - int64(len(old.val))
 		m.memBytes.Add(float64(sz - int64(len(old.val))))
-		old.val = val
+		old.val, old.note = val, note
 		s.lru.MoveToFront(el)
 	} else {
-		s.idx[key] = s.lru.PushFront(&entry{key: key, val: val})
+		s.idx[key] = s.lru.PushFront(&entry{key: key, val: val, note: note})
 		s.bytes += sz
 		m.memBytes.Add(float64(sz))
 		m.memEntries.Add(1)
@@ -212,29 +239,30 @@ func (s *Store) insertMem(key string, val []byte) {
 	}
 }
 
-// Do returns the payload for key, computing it at most once across all
-// concurrent callers: a cached value is returned immediately; if an
-// identical computation is already in flight the caller waits for it and
-// shares its outcome (value or error — a shared error means the one
-// computation failed, and each waiter reports it verbatim); otherwise
-// compute runs, and a successful result is stored in both tiers.
+// Do returns the payload for key and the note kept beside it, computing
+// them at most once across all concurrent callers: a cached value is
+// returned immediately; if an identical computation is already in flight the
+// caller waits for it and shares its outcome (value and note, or error — a
+// shared error means the one computation failed, and each waiter reports it
+// verbatim); otherwise compute runs, and a successful result is stored in
+// both tiers, its note in memory only.
 //
 // Failed computations are never cached: the next Do for the key computes
 // again. On a nil Store (or empty key), Do just runs compute.
-func (s *Store) Do(key string, compute func() ([]byte, error)) ([]byte, Origin, error) {
+func (s *Store) Do(key string, compute func() ([]byte, any, error)) ([]byte, any, Origin, error) {
 	if s == nil || key == "" {
-		val, err := compute()
-		return val, OriginComputed, err
+		val, note, err := compute()
+		return val, note, OriginComputed, err
 	}
 	m := cacheMetrics.Get()
-	if val, origin := s.lookup(key, false); origin.Cached() {
+	if val, note, origin := s.lookup(key, false); origin.Cached() {
 		switch origin {
 		case OriginMem:
 			m.hitsMem.Inc()
 		case OriginDisk:
 			m.hitsDisk.Inc()
 		}
-		return val, origin, nil
+		return val, note, origin, nil
 	}
 	s.mu.Lock()
 	if fl, ok := s.sf[key]; ok {
@@ -242,18 +270,19 @@ func (s *Store) Do(key string, compute func() ([]byte, error)) ([]byte, Origin, 
 		<-fl.done
 		m.shared.Inc()
 		if fl.err != nil {
-			return nil, OriginShared, fl.err
+			return nil, nil, OriginShared, fl.err
 		}
-		return fl.val, OriginShared, nil
+		return fl.val, fl.note, OriginShared, nil
 	}
 	// Re-check the memory tier under the lock: a flight that completed
 	// between lookup and Lock has already stored its value.
 	if el, ok := s.idx[key]; ok {
 		s.lru.MoveToFront(el)
-		val := el.Value.(*entry).val
+		e := el.Value.(*entry)
+		val, note := e.val, e.note
 		s.mu.Unlock()
 		m.hitsMem.Inc()
-		return val, OriginMem, nil
+		return val, note, OriginMem, nil
 	}
 	fl := &flight{done: make(chan struct{})}
 	s.sf[key] = fl
@@ -261,13 +290,14 @@ func (s *Store) Do(key string, compute func() ([]byte, error)) ([]byte, Origin, 
 
 	m.misses.Inc()
 	m.inflight.Add(1)
-	val, err := compute()
+	val, note, err := compute()
 	if err == nil {
-		err = s.Put(key, val)
+		err = s.put(key, val, note)
 	}
-	fl.val, fl.err = val, err
-	if err != nil {
-		fl.val = nil
+	if err == nil {
+		fl.val, fl.note = val, note
+	} else {
+		fl.err = err
 	}
 	s.mu.Lock()
 	delete(s.sf, key)
@@ -275,9 +305,9 @@ func (s *Store) Do(key string, compute func() ([]byte, error)) ([]byte, Origin, 
 	m.inflight.Add(-1)
 	close(fl.done)
 	if err != nil {
-		return nil, OriginComputed, err
+		return nil, nil, OriginComputed, err
 	}
-	return val, OriginComputed, nil
+	return val, note, OriginComputed, nil
 }
 
 // Len returns the number of entries in the memory tier.

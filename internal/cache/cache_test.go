@@ -102,9 +102,9 @@ func TestSingleflightCollapsesConcurrentIdenticalJobs(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-gate
-			v, origin, err := s.Do("job", func() ([]byte, error) {
+			v, _, origin, err := s.Do("job", func() ([]byte, any, error) {
 				computes.Add(1)
-				return payload(42), nil
+				return payload(42), nil, nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -137,17 +137,66 @@ func TestDoSharesErrorsWithoutCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := fmt.Errorf("pipeline exploded")
-	if _, _, err := s.Do("k", func() ([]byte, error) { return nil, boom }); err != boom {
+	if _, _, _, err := s.Do("k", func() ([]byte, any, error) { return nil, nil, boom }); err != boom {
 		t.Fatalf("got %v", err)
 	}
 	// Failure was not cached: the next Do computes again.
-	v, origin, err := s.Do("k", func() ([]byte, error) { return payload(1), nil })
+	v, _, origin, err := s.Do("k", func() ([]byte, any, error) { return payload(1), nil, nil })
 	if err != nil || origin != OriginComputed || !bytes.Equal(v, payload(1)) {
 		t.Fatalf("v=%q origin=%v err=%v", v, origin, err)
 	}
 	// Now it is cached.
-	if _, origin, _ := s.Do("k", func() ([]byte, error) { t.Fatal("must not compute"); return nil, nil }); origin != OriginMem {
+	if _, _, origin, _ := s.Do("k", func() ([]byte, any, error) { t.Fatal("must not compute"); return nil, nil, nil }); origin != OriginMem {
 		t.Fatalf("origin=%v want mem", origin)
+	}
+}
+
+// TestNoteKeptBesidePayload: a computed value's note is served with every
+// later memory hit; Put stores no note; Note attaches one only to the entry
+// still holding those exact bytes; a disk hit (a new store on the same
+// directory) has no note until noted.
+func TestNoteKeptBesidePayload(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	note := &struct{ c float64 }{1e-9}
+	v, got, origin, err := s.Do("k", func() ([]byte, any, error) { return payload(1), note, nil })
+	if err != nil || origin != OriginComputed || got != note {
+		t.Fatalf("compute: note %v origin %v err %v", got, origin, err)
+	}
+	if _, got, origin, _ := s.Do("k", nil); origin != OriginMem || got != note {
+		t.Fatalf("memory hit: note %v origin %v, want the computed note", got, origin)
+	}
+
+	if err := s.Put("k", payload(2)); err != nil {
+		t.Fatal(err)
+	}
+	v, got, _, _ = s.Do("k", nil)
+	if got != nil {
+		t.Fatalf("Put kept the old note %v", got)
+	}
+	s.Note("k", append([]byte(nil), v...), note) // equal bytes, not the entry's
+	if _, got, _, _ := s.Do("k", nil); got != nil {
+		t.Fatalf("a note on a copy of the payload stuck: %v", got)
+	}
+	s.Note("k", v, note)
+	if _, got, _, _ := s.Do("k", nil); got != note {
+		t.Fatalf("note on the entry's own payload: %v", got)
+	}
+
+	s2, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, got, origin, _ = s2.Do("k", nil)
+	if origin != OriginDisk || got != nil || !bytes.Equal(v, payload(2)) {
+		t.Fatalf("disk hit: %q note %v origin %v", v, got, origin)
+	}
+	s2.Note("k", v, note)
+	if _, got, origin, _ := s2.Do("k", nil); origin != OriginMem || got != note {
+		t.Fatalf("memory hit after noting a disk hit: note %v origin %v", got, origin)
 	}
 }
 
@@ -234,7 +283,7 @@ func TestNilStoreIsCachingOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	ran := false
-	v, origin, err := s.Do("k", func() ([]byte, error) { ran = true; return payload(2), nil })
+	v, _, origin, err := s.Do("k", func() ([]byte, any, error) { ran = true; return payload(2), nil, nil })
 	if !ran || err != nil || origin.Cached() || !bytes.Equal(v, payload(2)) {
 		t.Fatalf("nil Do: ran=%v v=%q origin=%v err=%v", ran, v, origin, err)
 	}
@@ -262,7 +311,7 @@ func TestConcurrentMixedOperationsRace(t *testing.T) {
 				case 1:
 					s.Get(k)
 				default:
-					_, _, _ = s.Do(k, func() ([]byte, error) { return payload(i), nil })
+					_, _, _, _ = s.Do(k, func() ([]byte, any, error) { return payload(i), nil, nil })
 				}
 			}
 		}(w)

@@ -77,9 +77,31 @@ func (r *Result) F0() float64 { return r.PSS.F0() }
 // CornerFreq returns the Lorentzian corner (half-width) f_c = π f0² c of the
 // first-harmonic phase-noise spectrum; below f_c the 1/f² approximation
 // (Eq. 28) breaks down and the exact form (Eq. 27) must be used.
-func (r *Result) CornerFreq() float64 {
-	f0 := r.F0()
-	return math.Pi * f0 * f0 * r.C
+func (r *Result) CornerFreq() float64 { return r.Scalars().CornerFreq() }
+
+// Scalars are the few numbers of a Result that served code reads: the period,
+// c (Eq. 29) and its per-source split with the source labels (Eqs. 30–31).
+// They travel beside the result's encoded bytes, so a cache hit is summarised
+// or composed without decoding the trajectories.
+type Scalars struct {
+	T         float64
+	C         float64
+	PerSource []SourceContribution
+}
+
+// Scalars returns r's scalars, sharing its PerSource slice. r must pass Check.
+func (r *Result) Scalars() Scalars {
+	return Scalars{T: r.PSS.T, C: r.C, PerSource: r.PerSource}
+}
+
+// F0 returns the oscillation frequency in Hz, exactly as Result.F0 does.
+func (s Scalars) F0() float64 { return 1 / s.T }
+
+// CornerFreq returns the Lorentzian corner f_c = π f0² c (see
+// Result.CornerFreq).
+func (s Scalars) CornerFreq() float64 {
+	f0 := s.F0()
+	return math.Pi * f0 * f0 * s.C
 }
 
 // JitterVariance returns the mean-square timing error of the k-th clock

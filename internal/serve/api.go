@@ -92,7 +92,8 @@ type PointSummary struct {
 // indistinguishable from a served one in the SSE stream.
 func Summarize(r *sweep.PointResult) PointSummary { return summarize(r) }
 
-// summarize compacts one point result for status payloads and events.
+// summarize compacts one point result for status payloads and events. It
+// reads only the result's scalars, so a cache hit is summarised undecoded.
 func summarize(r *sweep.PointResult) PointSummary {
 	s := PointSummary{
 		Index:    r.Index,
@@ -104,11 +105,11 @@ func summarize(r *sweep.PointResult) PointSummary {
 		WallMS:   float64(r.Wall) / float64(time.Millisecond),
 		Error:    sweep.EncodeError(r.Err),
 	}
-	if r.OK() {
-		s.T = r.Result.T()
-		s.F0 = r.Result.F0()
-		s.C = r.Result.C
-		s.CornerHz = r.Result.CornerFreq()
+	if sc, ok := r.Scalars(); ok {
+		s.T = sc.T
+		s.F0 = sc.F0()
+		s.C = sc.C
+		s.CornerHz = sc.CornerFreq()
 	} else if r.PSS != nil {
 		s.T = r.PSS.T // degraded: shooting converged, so the period is known
 	}

@@ -177,14 +177,15 @@ func (req *ComposeRequest) buildShape() *pll.Config {
 	return cfg
 }
 
-// fillLeg turns a characterised point into leg numbers: carrier from the
-// PSS period, the scalar c, and the per-source split so a Sources selection
-// in the request still applies. A failed leg fails the whole composition
-// with the point's own error — budget/panic classification intact, so
-// errors.Is against the pipeline sentinels works on the client after a JSON
-// round trip (sweep.RemoteError).
+// fillLeg turns a characterised point's scalars into leg numbers, so a
+// cached leg is never decoded: carrier from the period, the scalar c, and
+// the per-source split so a Sources selection in the request still applies.
+// A failed leg fails the whole composition with the point's own error —
+// budget/panic classification intact, so errors.Is against the pipeline
+// sentinels works on the client after a JSON round trip (sweep.RemoteError).
 func fillLeg(l *pll.Leg, spec *PointSpec, r *sweep.PointResult) error {
-	if !r.OK() {
+	sc, ok := r.Scalars()
+	if !ok {
 		name := spec.Name
 		if name == "" {
 			name = spec.Model
@@ -194,18 +195,18 @@ func fillLeg(l *pll.Leg, spec *PointSpec, r *sweep.PointResult) error {
 	if l.Name == "" {
 		l.Name = r.Name
 	}
-	l.F0Hz = r.Result.F0()
-	l.C = r.Result.C
-	l.PerSource = perSource(r.Result)
+	l.F0Hz = sc.F0()
+	l.C = sc.C
+	l.PerSource = perSource(sc.PerSource)
 	return nil
 }
 
-func perSource(res *core.Result) []pll.SourceC {
-	if len(res.PerSource) == 0 {
+func perSource(src []core.SourceContribution) []pll.SourceC {
+	if len(src) == 0 {
 		return nil
 	}
-	out := make([]pll.SourceC, len(res.PerSource))
-	for i, s := range res.PerSource {
+	out := make([]pll.SourceC, len(src))
+	for i, s := range src {
 		out[i] = pll.SourceC{Label: s.Label, C: s.C}
 	}
 	return out

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/budget"
@@ -16,6 +17,29 @@ import (
 func (p PointSpec) validate() error {
 	_, err := osc.Build(p.Model, p.Params)
 	return err
+}
+
+// validateSpecs validates every point spec of a submission, naming the first
+// bad one.
+func validateSpecs(specs []PointSpec) error {
+	for i, sp := range specs {
+		if err := sp.validate(); err != nil {
+			return fmt.Errorf("point %d: %v", i, err)
+		}
+	}
+	return nil
+}
+
+// validate rejects a sweep with no points or more than maxPoints; submit
+// validates its point specs, as for every job kind.
+func (req *SweepRequest) validate(maxPoints int) error {
+	switch {
+	case len(req.Points) == 0:
+		return errors.New("sweep needs at least one point")
+	case len(req.Points) > maxPoints:
+		return fmt.Errorf("sweep of %d points exceeds the limit of %d", len(req.Points), maxPoints)
+	}
+	return nil
 }
 
 // RoutingKey returns the point's content-addressed cache key without running

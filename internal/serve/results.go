@@ -29,7 +29,10 @@ import (
 //
 // A record is a 4-byte big-endian point index followed by exactly
 // sweep.PointResult.MarshalJSON's output — the loss-free codec — so streamed
-// retrieval is byte-identical to what the in-memory path used to serve. The
+// retrieval is byte-identical to what the in-memory path used to serve. For
+// a point that went through the result cache that output is the point
+// envelope with the cache payload spliced in: the result is not encoded
+// again, and a memory-tier hit is spilled without ever being decoded. The
 // sync discipline matches the journal: a new spill is synced at create,
 // records are plain appends (a crash loses at most the records the OS had
 // not written; every earlier point survives), and seal — called when the job
@@ -203,7 +206,8 @@ func (rf *resultFile) append(idx int, raw []byte) error {
 	return nil
 }
 
-// appendResult encodes and spills one result.
+// appendResult encodes (or, for a cached point, splices) and spills one
+// result.
 func (rf *resultFile) appendResult(res *sweep.PointResult) error {
 	if rf == nil {
 		return nil
@@ -321,12 +325,19 @@ func (rf *resultFile) writeJSONL(w io.Writer) error {
 		if raw == nil {
 			continue
 		}
-		if _, err := w.Write(append(raw, '\n')); err != nil {
+		// Two writes: raw is exactly one record long, so appending the
+		// newline would copy the whole record.
+		if _, err := w.Write(raw); err != nil {
+			return err
+		}
+		if _, err := w.Write(newline); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+var newline = []byte{'\n'}
 
 // decodeAll rebuilds the loss-free []sweep.PointResult from the spill file —
 // the ?full=1 payload, now served from disk for live and journal-recovered

@@ -477,14 +477,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if len(req.Points) == 0 {
+	if err := req.validate(s.cfg.MaxPoints); err != nil {
 		serveMetrics.Get().rejected.With("bad_request").Inc()
-		writeErr(w, http.StatusBadRequest, "sweep needs at least one point")
-		return
-	}
-	if len(req.Points) > s.cfg.MaxPoints {
-		serveMetrics.Get().rejected.With("bad_request").Inc()
-		writeErr(w, http.StatusBadRequest, "sweep of %d points exceeds the limit of %d", len(req.Points), s.cfg.MaxPoints)
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.submit(w, r, jrecord{Kind: "sweep", Specs: req.Points, TimeoutMS: req.TimeoutMS, NoCache: req.NoCache, LeaseTTLMS: req.LeaseTTLMS})
@@ -547,12 +542,10 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, hdr jrecord) {
 		writeErr(w, http.StatusTooManyRequests, "tenant %q over submit quota: %v", tenant, err)
 		return
 	}
-	for i, sp := range hdr.Specs {
-		if err := sp.validate(); err != nil {
-			m.rejected.With("bad_request").Inc()
-			writeErr(w, http.StatusBadRequest, "point %d: %v", i, err)
-			return
-		}
+	if err := validateSpecs(hdr.Specs); err != nil {
+		m.rejected.With("bad_request").Inc()
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	idemKey := r.Header.Get("Idempotency-Key")
@@ -1114,8 +1107,11 @@ func (s *Server) report(j *job, r sweep.PointResult) {
 
 // keep spills one loss-free result and, for a compose job, holds it as a leg
 // for the composition step. Append failures degrade the file, never the job.
+// The serve.spill_append span lands in the job trace.
 func (j *job) keep(r *sweep.PointResult) {
-	_ = j.rf.appendResult(r)
+	sp := obs.StartSpan(j.span, "serve.spill_append")
+	sp.SetAttr("index", r.Index)
+	sp.EndErr(j.rf.appendResult(r))
 	if j.legs != nil {
 		j.mu.Lock()
 		j.legs[r.Index] = *r

@@ -132,15 +132,9 @@ func runBatchUnit(idxs []int, points []Point, c *Config, out []PointResult, atte
 		p := points[k]
 		if c.Cache != nil && p.Key != "" {
 			if payload, hit := c.Cache.Get(p.Key); hit {
-				if cr, ok := decodeCached(payload); ok {
-					out[k] = PointResult{
-						Index:  k,
-						Name:   p.Name,
-						Result: cr,
-						PSS:    cr.PSS,
-						Cached: true,
-						Wall:   time.Since(start),
-					}
+				if res, ok := fromCache(PointResult{Index: k, Name: p.Name, Cached: true}, payload, nil, c, p.Key, bsp); ok {
+					res.Wall = time.Since(start)
+					out[k] = res
 					finalize(k)
 					continue
 				}
@@ -309,8 +303,8 @@ func runBatchUnit(idxs []int, points []Point, c *Config, out []PointResult, atte
 		if att.Err == nil {
 			res.Result = bo.results[i]
 			res.PSS = res.Result.PSS
+			commitCache(c, p, &res, bsp)
 			out[k] = res
-			commitCache(c, p, res.Result)
 			finalize(k)
 			continue
 		}
@@ -322,9 +316,7 @@ func runBatchUnit(idxs []int, points []Point, c *Config, out []PointResult, atte
 			// shooting-reuse fast path applies when only downstream knobs
 			// change on the next rung.
 			res = continueLadder(k, p, c, attempt, bsp, res, 1, lc.opts, lc.partial.PSS)
-			if res.OK() {
-				commitCache(c, p, res.Result)
-			}
+			commitCache(c, p, &res, bsp)
 		}
 		out[k] = res
 		finalize(k)
@@ -346,16 +338,17 @@ func buildBatchEvaluator(points []Point, live []int) (be dynsys.BatchEvaluator, 
 	return osc.BatchSystems(systems)
 }
 
-// commitCache stores a freshly computed result under the point's content
-// key, best effort — the scalar path stores through Cache.Do (and through
-// commitCache only over a stale entry), the batched path through Put; both
-// end up under the same pnfp1 key because batching never changes the
-// result.
-func commitCache(c *Config, p Point, r *core.Result) {
-	if c.Cache == nil || p.Key == "" || r == nil {
+// commitCache encodes a freshly computed successful result once (see
+// encodeResult) and stores it under the point's content key with its
+// scalars noted, best effort — the scalar path stores through Cache.Do (and
+// through commitCache only over a stale entry), the batched path through
+// Put; both end up under the same pnfp1 key because batching never changes
+// the result.
+func commitCache(c *Config, p Point, r *PointResult, sp *obs.Span) {
+	if c.Cache == nil || p.Key == "" || !r.OK() || encodeResult(r, sp) != nil {
 		return
 	}
-	if payload, err := r.MarshalJSON(); err == nil {
-		_ = c.Cache.Put(p.Key, payload)
+	if c.Cache.Put(p.Key, r.payload) == nil {
+		c.Cache.Note(p.Key, r.payload, r.scalars)
 	}
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -238,6 +239,51 @@ func TestCacheStaleEntryIsHealed(t *testing.T) {
 			if got := reg.Snapshot().Counter("pn_core_characterisations_total", "ok"); got != computed {
 				t.Fatalf("%s lanes=%d: healed entry recomputed (%d characterisations, want %d)", payload, lanes, got, computed)
 			}
+		}
+	}
+}
+
+// TestCacheHitUndecodedUnderDiscardResults pins what a cache hit carries.
+// Under DiscardResults a memory-tier hit reaches OnPoint undecoded — Result
+// nil, still OK — with the computed point's scalars and a MarshalJSON that
+// splices the cache payload, byte for byte the record of the decoded hit.
+// Without DiscardResults the returned slice holds decoded results.
+func TestCacheHitUndecodedUnderDiscardResults(t *testing.T) {
+	store, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := []Point{keyedHopfPoint("a", 2), keyedHopfPoint("b", 3)}
+	computed := Run(pts, &Config{Workers: 1, Cache: store})
+
+	var hits []PointResult
+	Run(pts, &Config{Workers: 1, Cache: store, DiscardResults: true, OnPoint: func(r PointResult) { hits = append(hits, r) }})
+	decoded := Run(pts, &Config{Workers: 1, Cache: store})
+	if len(hits) != len(pts) {
+		t.Fatalf("%d hits delivered, want %d", len(hits), len(pts))
+	}
+	for _, h := range hits {
+		want := computed[h.Index]
+		if !h.OK() || !h.Cached || h.Result != nil || h.PSS != nil {
+			t.Fatalf("point %d: ok=%v cached=%v result=%v pss=%v, want an undecoded hit", h.Index, h.OK(), h.Cached, h.Result != nil, h.PSS != nil)
+		}
+		sc, ok := h.Scalars()
+		if wsc := want.Result.Scalars(); !ok || sc.T != wsc.T || sc.C != wsc.C || len(sc.PerSource) != len(wsc.PerSource) {
+			t.Fatalf("point %d: scalars %+v, want %+v", h.Index, sc, wsc)
+		}
+		d := decoded[h.Index]
+		if !d.OK() || !d.Cached || d.Result == nil || d.PSS != d.Result.PSS {
+			t.Fatalf("point %d: returned hit is not decoded: %+v", h.Index, d)
+		}
+		d.Wall = h.Wall
+		got, err1 := h.MarshalJSON()
+		again, err2 := d.MarshalJSON()
+		if err1 != nil || err2 != nil || !bytes.Equal(got, again) {
+			t.Fatalf("point %d: undecoded hit encodes differently from the decoded one (%v, %v)", h.Index, err1, err2)
+		}
+		var back PointResult
+		if err := back.UnmarshalJSON(got); err != nil || back.Result == nil || back.PSS != back.Result.PSS || back.Result.C != want.Result.C {
+			t.Fatalf("point %d: spliced record does not decode to the result: %v", h.Index, err)
 		}
 	}
 }

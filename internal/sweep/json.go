@@ -128,10 +128,11 @@ func (a *Attempt) UnmarshalJSON(data []byte) error {
 
 // PointResultWire is the wire form of a PointResult: one tree of plain
 // structs (this package's, core's and floquet's wire forms), so one
-// reflective pass encodes or decodes a whole loss-free result; see DESIGN
-// §9 "Store". On success Result.PSS and PointResult.PSS alias the same
-// object; the wire form elides the duplicate (pss_is_result) and restores
-// the aliasing on decode.
+// reflective pass decodes a whole loss-free result; see DESIGN §9 "Store".
+// On success Result.PSS and PointResult.PSS alias the same object; the wire
+// form elides the duplicate (pss_is_result) and restores the aliasing on
+// decode. The "result" member follows "name" and precedes "wall_ns", which
+// is never omitted: MarshalJSON splices the result's bytes in there.
 type PointResultWire struct {
 	Index       int              `json:"index"`
 	Name        string           `json:"name"`
@@ -144,7 +145,9 @@ type PointResultWire struct {
 	Cached      bool             `json:"cached,omitempty"`
 }
 
-// Wire converts r to its wire form, sharing its slices and trajectories.
+// Wire converts r to its wire form, sharing its slices and trajectories. An
+// undecoded cache hit (Result nil) has its result only as bytes, which
+// MarshalJSON splices in; the wire struct's Result stays nil.
 func (r PointResult) Wire() PointResultWire {
 	w := PointResultWire{
 		Index:  r.Index,
@@ -160,7 +163,8 @@ func (r PointResult) Wire() PointResultWire {
 			w.Attempts[i] = a.Wire()
 		}
 	}
-	if r.Result != nil && r.PSS == r.Result.PSS {
+	// An undecoded cache hit carries its PSS inside the payload only.
+	if r.Result != nil && r.PSS == r.Result.PSS || r.Result == nil && r.payload != nil {
 		w.PSSIsResult = true
 	} else {
 		w.PSS = r.PSS
@@ -196,8 +200,40 @@ func (w *PointResultWire) PointResult() PointResult {
 // budget/panic classification and every numeric field survive; wrapped error
 // values are flattened to their message (see RemoteError). Callers holding a
 // PointResult call it directly: json.Marshal would re-scan the output.
+//
+// The result member is the point's cache payload when it carries one, else
+// Result's own encoding: encoding/json writes the envelope without it, and
+// the bytes are copied in after the encoded name. Both are the output of the
+// same codec, so the record is byte for byte what encoding the whole tree in
+// one pass gives.
 func (r PointResult) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.Wire())
+	result := r.payload
+	if result == nil && r.Result != nil {
+		var err error
+		if result, err = r.Result.MarshalJSON(); err != nil {
+			return nil, err
+		}
+	}
+	w := r.Wire()
+	w.Result = nil
+	env, err := json.Marshal(w)
+	if err != nil || result == nil {
+		return env, err
+	}
+	head, err := json.Marshal(struct {
+		Index int    `json:"index"`
+		Name  string `json:"name"`
+	}{w.Index, w.Name})
+	if err != nil {
+		return nil, err
+	}
+	n := len(head) - 1 // env opens with head, up to head's closing brace
+	const key = `,"result":`
+	out := make([]byte, 0, len(env)+len(key)+len(result))
+	out = append(out, env[:n]...)
+	out = append(out, key...)
+	out = append(out, result...)
+	return append(out, env[n:]...), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler. Callers holding the bytes call

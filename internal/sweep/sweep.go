@@ -140,11 +140,21 @@ type Attempt struct {
 
 // PointResult is the outcome of one point: either a characterisation or a
 // structured failure, plus the full retry history.
+//
+// A point that went through Config.Cache also carries its result encoded
+// once — the cache payload, core.Result.MarshalJSON's bytes — and the
+// result's scalars (core.Scalars). MarshalJSON splices those bytes in rather
+// than encoding Result again, and Scalars serves summaries and compositions
+// from the scalars, so a served point's trajectories are encoded once and,
+// on a memory-tier hit, never decoded: with Config.DiscardResults set such a
+// hit arrives with Result nil.
 type PointResult struct {
-	Index  int    // position in the input slice
-	Name   string // Point.Name
+	Index int    // position in the input slice
+	Name  string // Point.Name
+	// Result is the decoded characterisation; nil on failure, and on a
+	// memory-tier cache hit delivered under Config.DiscardResults.
 	Result *core.Result
-	Err    error // nil iff Result != nil; the last attempt's error otherwise
+	Err    error // nil iff the point succeeded; the last attempt's error otherwise
 	// PSS is the best converged periodic steady state seen across all
 	// attempts (smallest closure residual). On success it equals
 	// Result.PSS; on a degraded failure — shooting converged but Floquet
@@ -157,10 +167,26 @@ type PointResult struct {
 	// store (or by joining an identical in-flight computation) without
 	// running the pipeline; Attempts is empty in that case.
 	Cached bool
+
+	payload []byte        // Result's encoding, when the point went through the cache
+	scalars *core.Scalars // Result's scalars, checked (core.Result.Check) in this process
 }
 
 // OK reports whether the point characterised successfully.
-func (r *PointResult) OK() bool { return r.Err == nil && r.Result != nil }
+func (r *PointResult) OK() bool { return r.Err == nil && (r.Result != nil || r.scalars != nil) }
+
+// Scalars returns the numbers served code reads off a successful point: the
+// ones carried beside the cache payload, else Result's own. ok is false for
+// a failed point.
+func (r *PointResult) Scalars() (sc core.Scalars, ok bool) {
+	switch {
+	case !r.OK():
+		return core.Scalars{}, false
+	case r.scalars != nil:
+		return *r.scalars, true
+	}
+	return r.Result.Scalars(), true
+}
 
 // Degraded reports whether the point failed overall but still carries a
 // converged periodic steady state (partial result).
@@ -208,6 +234,12 @@ type Config struct {
 	// computed ones take seconds. Consumers must key on res.Index, never on
 	// arrival order. Points skipped because the batch budget tripped are
 	// reported here too.
+	//
+	// What a cache hit carries: the cache payload and the result's scalars
+	// always; the decoded Result unless DiscardResults is set and the hit
+	// came from the memory tier, where the payload was checked when it was
+	// stored. Read a point's numbers through res.Scalars and encode it with
+	// res.MarshalJSON, and the hit costs neither a decode nor an encode.
 	OnPoint func(res PointResult)
 	// Cache, when non-nil, is the content-addressed result store consulted
 	// for every point with a non-empty Key before its retry ladder runs. A
@@ -247,7 +279,9 @@ type Config struct {
 	// OnPoint delivery and return nil instead of the accumulated slice — the
 	// memory-bounding mode for huge sweeps whose results stream somewhere
 	// else (a spill file, a network sink) as they complete. OnPoint is the
-	// only way to observe results in this mode.
+	// only way to observe results in this mode, and memory-tier cache hits
+	// reach it undecoded (see OnPoint). Without it every successful point
+	// Run returns holds a decoded Result.
 	DiscardResults bool
 }
 
@@ -493,17 +527,21 @@ func runPoint(index int, p Point, c *Config, attempt func(int, string, Attempt),
 }
 
 // runPointCached funnels the point through Config.Cache: one caller per key
-// runs the ladder and stores a successful result; everyone else is served
-// from the store or by joining that computation.
+// runs the ladder and stores a successful result, encoded once with its
+// scalars as the cache note; everyone else is served from the store or by
+// joining that computation.
 func runPointCached(index int, p Point, c *Config, attempt func(int, string, Attempt), psp *obs.Span) PointResult {
 	var computed *PointResult
-	payload, origin, err := c.Cache.Do(p.Key, func() ([]byte, error) {
+	payload, note, _, err := c.Cache.Do(p.Key, func() ([]byte, any, error) {
 		r := runLadder(index, p, c, attempt, psp)
 		computed = &r
 		if !r.OK() {
-			return nil, r.Err
+			return nil, nil, r.Err
 		}
-		return r.Result.MarshalJSON()
+		if err := encodeResult(&r, psp); err != nil {
+			return nil, nil, err
+		}
+		return r.payload, r.scalars, nil
 	})
 	if computed != nil {
 		// This caller ran the pipeline; its PointResult has the full attempt
@@ -516,29 +554,75 @@ func runPointCached(index int, p Point, c *Config, attempt func(int, string, Att
 		res.Err = fmt.Errorf("sweep: point %q shared a failed identical computation: %w", p.Name, err)
 		return res
 	}
-	cr, ok := decodeCached(payload)
-	if !ok {
-		// A stale or foreign payload under our key: compute rather than fail
-		// the point on a cache artefact, and store the fresh result over it.
-		r := runLadder(index, p, c, attempt, psp)
-		if r.OK() {
-			commitCache(c, p, r.Result)
-		}
-		return r
+	if hit, ok := fromCache(res, payload, note, c, p.Key, psp); ok {
+		return hit
 	}
-	_ = origin // mem/disk/shared all count as cached for the result record
-	res.Result = cr
-	res.PSS = cr.PSS
-	return res
+	// A stale or foreign payload under our key: compute rather than fail the
+	// point on a cache artefact, and store the fresh result over it.
+	r := runLadder(index, p, c, attempt, psp)
+	commitCache(c, p, &r, psp)
+	return r
+}
+
+// fromCache completes a cache hit res from the payload and its note. A
+// payload noted with scalars passed core.Result.Check in this process: under
+// DiscardResults the hit carries the bytes and scalars and is never decoded.
+// Any other payload — read from disk, or stored without a note — is decoded
+// and checked here, once, and noted for later hits. ok is false for a stale
+// payload, which the caller recomputes.
+func fromCache(res PointResult, payload []byte, note any, c *Config, key string, psp *obs.Span) (PointResult, bool) {
+	res.payload = payload
+	res.scalars, _ = note.(*core.Scalars)
+	if res.scalars != nil && c.DiscardResults {
+		return res, true
+	}
+	cr, ok := decodeCached(payload, psp)
+	if !ok {
+		return res, false
+	}
+	if res.scalars == nil {
+		sc := cr.Scalars()
+		res.scalars = &sc
+		c.Cache.Note(key, payload, res.scalars)
+	}
+	res.Result, res.PSS = cr, cr.PSS
+	return res, true
+}
+
+// encodeResult encodes a successful point's result, the one encode a cached
+// point gets: the bytes become the cache payload, and every later hop (the
+// spill, a results download) copies them. Scalars are kept only for a
+// result that passes core.Result.Check, as a hit would demand.
+func encodeResult(r *PointResult, psp *obs.Span) error {
+	sp := obs.StartSpan(psp, "cache.encode")
+	payload, err := r.Result.MarshalJSON()
+	sp.SetAttr("bytes", len(payload))
+	sp.EndErr(err)
+	if err != nil {
+		return err
+	}
+	r.payload = payload
+	if r.Result.Check() == nil {
+		sc := r.Result.Scalars()
+		r.scalars = &sc
+	}
+	return nil
 }
 
 // decodeCached decodes a cache payload into a servable result. A payload
 // that fails to decode, or decodes to an incomplete result (see
 // core.Result.Check), is stale: the disk tier is shared with other
 // processes and versions, so the caller recomputes and stores over it.
-func decodeCached(payload []byte) (*core.Result, bool) {
+func decodeCached(payload []byte, psp *obs.Span) (*core.Result, bool) {
+	sp := obs.StartSpan(psp, "cache.decode")
+	sp.SetAttr("bytes", len(payload))
 	var cr core.Result
-	if cr.UnmarshalJSON(payload) != nil || cr.Check() != nil {
+	err := cr.UnmarshalJSON(payload)
+	if err == nil {
+		err = cr.Check()
+	}
+	sp.EndErr(err)
+	if err != nil {
 		return nil, false
 	}
 	return &cr, true
