@@ -80,9 +80,8 @@ bench-json:
 	$(GO) test -json -bench . -benchmem -count 3 -run '^$$' ./... > BENCH_$$(date +%Y-%m-%d).json
 
 # Benchmark regression gate: re-runs the gated benchmark set and fails on
-# >10% ns/op drift (CPU-calibrated vs the machine that wrote the baseline),
-# any allocs/op increase, or the batched sweep dropping below its required
-# speedup over the scalar sweep. Refresh after intentional perf changes with
+# >10% ns/op drift (CPU-calibrated vs the machine that wrote the baseline)
+# or any allocs/op increase. Refresh after intentional perf changes with
 # `go run ./scripts/bench_compare -update`.
 bench-compare:
 	$(GO) run ./scripts/bench_compare

@@ -266,22 +266,6 @@ func benchmarkSweep(b *testing.B, workers int) {
 func BenchmarkSweepSerial8(b *testing.B)   { benchmarkSweep(b, 1) }
 func BenchmarkSweepParallel8(b *testing.B) { benchmarkSweep(b, runtime.GOMAXPROCS(0)) }
 
-// BenchmarkSweepBatched8 runs the same 8-point grid as BenchmarkSweepSerial8
-// on one worker but through the lockstep SoA batch path (K=8): the
-// scalar-vs-batched ns/op ratio of these two benchmarks is the
-// batching-speedup acceptance criterion, enforced by scripts/bench_compare.
-func BenchmarkSweepBatched8(b *testing.B) {
-	pts := sweepGrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range sweep.Run(pts, &sweep.Config{Workers: 1, BatchLanes: 8}) {
-			if !r.OK() {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-}
-
 // BenchmarkSweepLadderRecovery measures the retry-ladder overhead on a point
 // that needs all three rungs (see sweep.TestRunLadderRecoversHardPoint).
 func BenchmarkSweepLadderRecovery(b *testing.B) {

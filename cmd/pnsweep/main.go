@@ -128,7 +128,6 @@ func run() int {
 	pmax := flag.Float64("max", 0, "sweep parameter upper bound (0 = oscillator default)")
 	n := flag.Int("n", 8, "number of grid points")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size")
-	lanes := flag.Int("lanes", 0, "SoA batch width: run up to this many compatible points in lockstep per worker (0 or 1 = scalar; results are bit-identical either way)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole sweep (0 = unbounded)")
 	ptTimeout := flag.Duration("point-timeout", 0, "wall-clock budget per point, all retries included (0 = unbounded)")
 	jsonPath := flag.String("json", "", "write full JSON results to this file")
@@ -164,9 +163,6 @@ func run() int {
 	}
 
 	if *server != "" {
-		if *lanes > 1 {
-			fmt.Fprintln(os.Stderr, "pnsweep: -lanes applies to in-process sweeps only; the server chooses its own batching")
-		}
 		return runRemote(*server, specs, param, *timeout, *jsonPath, *verbose, *tenant, *streamOut)
 	}
 	if *tenant != "" || *streamOut != "" {
@@ -207,7 +203,6 @@ func run() int {
 
 	cfg := &sweep.Config{
 		Workers:      *workers,
-		BatchLanes:   *lanes,
 		Budget:       tok,
 		PointTimeout: *ptTimeout,
 		Cache:        store,

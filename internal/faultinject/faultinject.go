@@ -62,15 +62,6 @@ const (
 	// runs — the knob for driving the retry ladder and per-point failure
 	// accounting without a hostile model.
 	SweepAttempt = "sweep.attempt"
-	// OdeBatchKernel fires at the entry of the batched SoA integration
-	// kernels (BatchRK4 / BatchVariational / BatchAdjointBackward): the whole
-	// batch fails as infrastructure, exercising the sweep engine's fallback
-	// from a batched rung to the per-point scalar ladder.
-	OdeBatchKernel = "ode.batch.kernel"
-	// SweepBatch fails a batched sweep rung at its start, before any lane
-	// runs — the knob for driving the batch→scalar fallback and its
-	// accounting without touching the integrators.
-	SweepBatch = "sweep.batch"
 	// ClusterLeaseDispatch fails a lease submission in the cluster
 	// coordinator before the HTTP request goes out — the knob for driving
 	// worker selection fallback and circuit-breaker accounting.
@@ -120,7 +111,6 @@ var points = []string{
 	ClusterLeaseDispatch,
 	ClusterTraceIngest,
 	ClusterWorkerKill,
-	OdeBatchKernel,
 	OscEvalDelay,
 	OscEvalNaN,
 	OscEvalPanic,
@@ -133,7 +123,6 @@ var points = []string{
 	ServeResultsRead,
 	ServeResultsWrite,
 	SweepAttempt,
-	SweepBatch,
 }
 
 // Points returns the registered fault-point names, sorted. Chaos suites use

@@ -137,7 +137,7 @@ func TestPointsInventory(t *testing.T) {
 		}
 		seen[p] = true
 	}
-	for _, want := range []string{CacheDiskRead, CacheDiskWrite, OdeBatchKernel, OscEvalDelay, OscEvalNaN, OscEvalPanic, ServeHandlerLatency, ServeJournalWrite, ServeReplayDelay, SweepAttempt, SweepBatch} {
+	for _, want := range []string{CacheDiskRead, CacheDiskWrite, OscEvalDelay, OscEvalNaN, OscEvalPanic, ServeHandlerLatency, ServeJournalWrite, ServeReplayDelay, SweepAttempt} {
 		if !seen[want] {
 			t.Fatalf("inventory missing %q", want)
 		}

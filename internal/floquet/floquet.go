@@ -197,8 +197,7 @@ type adjPrep struct {
 
 // preAdjoint runs the scalar stages of Analyze that precede the adjoint
 // integration: the monodromy eigenanalysis, unit-multiplier search, stability
-// check and the v1(0) eigenvector. Shared verbatim by Analyze and
-// AnalyzeBatch so the two paths cannot drift apart.
+// check and the v1(0) eigenvector.
 func preAdjoint(sys dynsys.System, pss *shooting.PSS, o Options, tr *Trace) (*adjPrep, error) {
 	n := sys.Dim()
 	phi := pss.Monodromy
@@ -265,7 +264,7 @@ func preAdjoint(sys dynsys.System, pss *shooting.PSS, o Options, tr *Trace) (*ad
 
 // postAdjoint runs the scalar stages downstream of the adjoint integration:
 // closure diagnostic, biorthogonality drift, pointwise renormalisation and
-// assembly of the Decomposition. Shared by Analyze and AnalyzeBatch.
+// assembly of the Decomposition.
 func postAdjoint(sys dynsys.System, pss *shooting.PSS, o Options, tr *Trace, prep *adjPrep, v1traj *ode.Trajectory) (*Decomposition, error) {
 	fm := floquetMetrics.Get()
 	n := sys.Dim()

@@ -17,7 +17,6 @@ type odeInstruments struct {
 	trapNewton     *obs.Counter // pn_ode_newton_iters_total
 	trapJacFactor  *obs.Counter // pn_ode_trap_jac_factorisations_total
 	nonFinite      *obs.Counter // pn_ode_nonfinite_total
-	batchLaneSteps *obs.Counter // pn_ode_batch_lane_steps_total
 }
 
 var odeMetrics = obs.NewView(func(r *obs.Registry) *odeInstruments {
@@ -32,6 +31,5 @@ var odeMetrics = obs.NewView(func(r *obs.Registry) *odeInstruments {
 		trapNewton:     r.Counter("pn_ode_newton_iters_total", "Implicit trapezoidal Newton corrector iterations."),
 		trapJacFactor:  r.Counter("pn_ode_trap_jac_factorisations_total", "Jacobian LU factorisations in the trapezoidal Newton corrector (modified Newton re-uses a frozen factorisation, so this stays well below the iteration count)."),
 		nonFinite:      r.Counter("pn_ode_nonfinite_total", "Integrations aborted on a non-finite state or step size."),
-		batchLaneSteps: r.Counter("pn_ode_batch_lane_steps_total", "Per-lane steps completed by the batched (SoA lockstep) integrators. A K-lane batch step counts K."),
 	}
 })

@@ -248,6 +248,87 @@ func (tr *Trajectory) Deriv(t float64, dst []float64) {
 	}
 }
 
+// Locator is an O(1) segment finder over a (near-)uniform trajectory,
+// replacing the per-call binary search of Trajectory.At in hot interpolation
+// loops (the c quadrature, the adjoint renormalisation pass). It locates
+// exactly the same bracketing segment as the binary search and runs the same
+// Hermite arithmetic, so its results are bit-identical; non-uniform
+// trajectories fall back to Trajectory.At. Build one outside the loop: the
+// constructor scans the knots once.
+type Locator struct {
+	tr      *Trajectory
+	first   float64
+	h       float64
+	uniform bool
+}
+
+func NewLocator(tr *Trajectory) Locator {
+	lc := Locator{tr: tr}
+	pts := tr.Points
+	if len(pts) < 2 {
+		return lc
+	}
+	first := pts[0].T
+	h := (pts[len(pts)-1].T - first) / float64(len(pts)-1)
+	if h <= 0 || h-h != 0 {
+		return lc
+	}
+	// Fixed-step recordings accumulate knot times as s·h + h, which drifts
+	// from first + i·h by at most a few thousand ulps — far inside this
+	// tolerance. Anything worse (adaptive output, hand-built knots) keeps
+	// the binary-search path.
+	tol := 1e-6 * h
+	for i := range pts {
+		if math.Abs(pts[i].T-(first+float64(i)*h)) > tol {
+			return lc
+		}
+	}
+	lc.first, lc.h, lc.uniform = first, h, true
+	return lc
+}
+
+// At evaluates the trajectory at t into dst, bit-identical to tr.At(t, dst).
+func (lc *Locator) At(t float64, dst []float64) {
+	if !lc.uniform {
+		lc.tr.At(t, dst)
+		return
+	}
+	pts := lc.tr.Points
+	if t <= pts[0].T {
+		copy(dst, pts[0].X)
+		return
+	}
+	if t >= pts[len(pts)-1].T {
+		copy(dst, pts[len(pts)-1].X)
+		return
+	}
+	lo := int((t - lc.first) / lc.h)
+	if lo < 0 {
+		lo = 0
+	}
+	if lo > len(pts)-2 {
+		lo = len(pts) - 2
+	}
+	for lo < len(pts)-2 && pts[lo+1].T <= t {
+		lo++
+	}
+	for lo > 0 && pts[lo].T > t {
+		lo--
+	}
+	a, b := pts[lo], pts[lo+1]
+	h := b.T - a.T
+	s := (t - a.T) / h
+	s2 := s * s
+	s3 := s2 * s
+	h00 := 2*s3 - 3*s2 + 1
+	h10 := s3 - 2*s2 + s
+	h01 := -2*s3 + 3*s2
+	h11 := s3 - s2
+	for i := range dst {
+		dst[i] = h00*a.X[i] + h10*h*a.DX[i] + h01*b.X[i] + h11*h*b.DX[i]
+	}
+}
+
 // Options configures the adaptive integrators.
 type Options struct {
 	RTol     float64 // relative tolerance (default 1e-9)

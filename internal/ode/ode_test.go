@@ -2,7 +2,9 @@ package ode
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -494,5 +496,133 @@ func TestAdjointBackwardCanceledBudget(t *testing.T) {
 	}
 	if done != 0 {
 		t.Fatalf("pre-canceled token: got %d steps done, want 0", done)
+	}
+}
+
+func TestStepperZeroAllocs(t *testing.T) {
+	st := NewStepper(2)
+	f := harmonic(2)
+	x := []float64{1, 0}
+	out := make([]float64, 2)
+	allocs := testing.AllocsPerRun(100, func() {
+		st.Step(f, 0, x, 1e-3, out)
+	})
+	if allocs != 0 {
+		t.Fatalf("Stepper.Step allocates %v per call, want 0", allocs)
+	}
+}
+
+func TestStepperMatchesRK4Step(t *testing.T) {
+	f := harmonic(3)
+	x := []float64{0.3, -1.2}
+	want := make([]float64, 2)
+	RK4Step(f, 0.1, x, 0.05, want)
+	got := make([]float64, 2)
+	NewStepper(2).Step(f, 0.1, x, 0.05, got)
+	if got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("Stepper.Step %v != RK4Step %v", got, want)
+	}
+}
+
+// TestRK4ErrorConvention pins the shared failure convention of the RK4
+// exits: the reported step is the 1-indexed step that did not complete and
+// the reported t is the time of the last valid state (the start of that
+// step), identically for the budget-trip and non-finite paths.
+func TestRK4ErrorConvention(t *testing.T) {
+	// Budget trip before the very first step: step 1, t = t0.
+	tok, cancel := budget.WithCancel(nil)
+	cancel()
+	_, err := RK4(decay, 2.5, 3.5, []float64{1}, 10, tok)
+	if err == nil {
+		t.Fatal("tripped token did not abort")
+	}
+	if want := "at t=2.5 (step 1/10)"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("budget error %q does not contain %q", err, want)
+	}
+
+	// Non-finite state produced by step 4 (t crosses 0.3): step 4 starts at
+	// t = 0.3 and is the last valid state time.
+	poison := func(tt float64, x, dst []float64) {
+		dst[0] = 1
+		if tt > 0.35 {
+			dst[0] = nan()
+		}
+	}
+	_, err = RK4(poison, 0, 1, []float64{0}, 10, nil)
+	if !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("want ErrNonFinite, got %v", err)
+	}
+	// Step 4 starts at t = 3·h, the last valid state time.
+	h := float64(1) / float64(10)
+	want := fmt.Sprintf("at t=%g (step 4/10)", float64(3)*h)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("non-finite error %q does not contain %q", err, want)
+	}
+}
+
+func nan() float64 {
+	z := 0.0
+	return z / z
+}
+
+func TestKnotLocatorMatchesAt(t *testing.T) {
+	rec := &Trajectory{}
+	vari(harmonic(1.3), harmonicJac(1.3), 0, 3, []float64{1, 0}, 137, rec)
+	lc := NewLocator(rec)
+	if !lc.uniform {
+		t.Fatal("fixed-step recording not recognised as uniform")
+	}
+	got := make([]float64, 2)
+	want := make([]float64, 2)
+	for i := 0; i <= 1000; i++ {
+		tt := -0.1 + 3.2*float64(i)/1000
+		lc.At(tt, got)
+		rec.At(tt, want)
+		if got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("locator at t=%g: %v != At %v", tt, got, want)
+		}
+	}
+	// Non-uniform knots must fall back to the binary-search path.
+	nu := &Trajectory{}
+	nu.Append(0, []float64{0, 0}, []float64{0, 0})
+	nu.Append(1, []float64{1, 1}, []float64{0, 0})
+	nu.Append(3, []float64{2, 2}, []float64{0, 0})
+	if NewLocator(nu).uniform {
+		t.Fatal("non-uniform trajectory classified as uniform")
+	}
+}
+
+func TestTrapezoidalJacobianFreezing(t *testing.T) {
+	// With freezing on, the stiff decay still converges to the same answer
+	// while factorising far fewer Jacobians than Newton iterations.
+	f := func(tt float64, x, dst []float64) { dst[0] = -50 * x[0] }
+	jac := func(tt float64, x, dst []float64) { dst[0] = -50 }
+	fresh, err := Trapezoidal(f, jac, 0, 1, []float64{1}, 400, &TrapezoidalOptions{NewtonTol: 1e-13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := Trapezoidal(f, jac, 0, 1, []float64{1}, 400, &TrapezoidalOptions{NewtonTol: 1e-13, FreshJacTol: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := frozen.X[0] - fresh.X[0]; d > 1e-12 || d < -1e-12 {
+		t.Fatalf("frozen-Jacobian result %v differs from fresh %v", frozen.X[0], fresh.X[0])
+	}
+}
+
+func BenchmarkScalarRK4x8(b *testing.B) {
+	const lanes = 8
+	fs := make([]Func, lanes)
+	for j := range fs {
+		fs[j] = harmonic(1 + 0.25*float64(j))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < lanes; j++ {
+			if _, err := RK4(fs[j], 0, 1, []float64{1, 0}, 500, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -346,10 +346,10 @@ func Find(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*PSS,
 
 // settle relaxes the initial guess onto the attractor by transient
 // integration and refines the period guess by a closest-return scan. It is
-// the pre-Newton stage shared by Find and FindBatch: the scan integrates 2.5
-// guess periods and takes the time of the closest return to x, which brings
-// even a 10–30% period error within Newton's convergence basin — that
-// matters for relaxation-like cycles with very stiff monodromy.
+// Find's pre-Newton stage: the scan integrates 2.5 guess periods and takes
+// the time of the closest return to x, which brings even a 10–30% period
+// error within Newton's convergence basin — that matters for
+// relaxation-like cycles with very stiff monodromy.
 func settle(f ode.Func, x0 []float64, tGuess float64, o Options, tr *Trace) ([]float64, float64, error) {
 	n := len(x0)
 	x := append([]float64(nil), x0...)

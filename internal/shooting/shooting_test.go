@@ -296,3 +296,39 @@ func TestEstimatePeriodBudget(t *testing.T) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
 }
+
+// TestMonodromyEigenMemoized checks the PSS eigendecomposition cache: two
+// calls agree, and callers get private copies they may reorder freely.
+func TestMonodromyEigenMemoized(t *testing.T) {
+	h := &osc.Hopf{Lambda: 1, Omega: 1}
+	pss, err := Find(h, []float64{0.8, 0.1}, 6.0, &Options{Transient: 5, StepsPerPeriod: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pss.eig == nil {
+		t.Fatal("Find returned a PSS without an eigen cache")
+	}
+	first, err := pss.MonodromyEigen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first[0] = complex(42, 42) // must not leak into the cache
+	second, err := pss.MonodromyEigen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second[0] == complex(42, 42) {
+		t.Fatal("MonodromyEigen returned a shared slice")
+	}
+	// A decoded PSS (nil cache) still answers.
+	bare := &PSS{Monodromy: pss.Monodromy}
+	vals, err := bare.MonodromyEigen()
+	if err != nil || len(vals) != len(second) {
+		t.Fatalf("cacheless MonodromyEigen: %v (%d values)", err, len(vals))
+	}
+	for i := range vals {
+		if vals[i] != second[i] {
+			t.Fatalf("cacheless eigenvalues differ at %d: %v vs %v", i, vals[i], second[i])
+		}
+	}
+}

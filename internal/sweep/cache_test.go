@@ -190,55 +190,50 @@ func TestCacheDiskRoundTripServesNewProcess(t *testing.T) {
 
 // TestCacheStaleEntryIsHealed: a disk-tier entry (shared with other writers)
 // whose payload does not decode, or decodes to an incomplete result, is
-// stale on both the scalar and the batched path. The point is computed, not
-// served — an incomplete result has no period to summarise — and the fresh
-// result replaces the entry, so a new process over the same directory hits.
+// stale. The point is computed, not served — an incomplete result has no
+// period to summarise — and the fresh result replaces the entry, so a new
+// process over the same directory hits.
 func TestCacheStaleEntryIsHealed(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.SetGlobal(reg)
 	defer obs.SetGlobal(nil)
 
 	for _, payload := range []string{`{"pss":5}`, `{"c":1e-9}`, `{"pss":{"T":0},"floquet":{"t":0}}`, `{"pss":{"T":2}}`} {
-		for _, lanes := range []int{0, 2} {
-			pts := []Point{keyedHopfPoint("a", 2)}
-			if lanes > 0 {
-				pts = append(pts, keyedHopfPoint("b", 3))
+		pts := []Point{keyedHopfPoint("a", 2)}
+		dir := t.TempDir()
+		writer, err := cache.New(cache.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pts {
+			if err := writer.Put(p.Key, []byte(payload)); err != nil {
+				t.Fatal(err)
 			}
-			dir := t.TempDir()
-			writer, err := cache.New(cache.Options{Dir: dir})
+		}
+		run := func() []PointResult {
+			store, err := cache.New(cache.Options{Dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range pts {
-				if err := writer.Put(p.Key, []byte(payload)); err != nil {
-					t.Fatal(err)
-				}
+			return Run(pts, &Config{Workers: 1, Cache: store})
+		}
+		before := reg.Snapshot().Counter("pn_core_characterisations_total", "ok")
+		for i, r := range run() {
+			if !r.OK() || r.Cached || r.Result.T() <= 0 {
+				t.Fatalf("%s point %d over a stale entry: ok=%v cached=%v err=%v", payload, i, r.OK(), r.Cached, r.Err)
 			}
-			run := func() []PointResult {
-				store, err := cache.New(cache.Options{Dir: dir})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return Run(pts, &Config{Workers: 1, BatchLanes: lanes, Cache: store})
+		}
+		computed := reg.Snapshot().Counter("pn_core_characterisations_total", "ok")
+		if computed-before != int64(len(pts)) {
+			t.Fatalf("%s: %d characterisations, want %d", payload, computed-before, len(pts))
+		}
+		for i, r := range run() {
+			if !r.OK() || !r.Cached {
+				t.Fatalf("%s point %d: entry not healed: ok=%v cached=%v err=%v", payload, i, r.OK(), r.Cached, r.Err)
 			}
-			before := reg.Snapshot().Counter("pn_core_characterisations_total", "ok")
-			for i, r := range run() {
-				if !r.OK() || r.Cached || r.Result.T() <= 0 {
-					t.Fatalf("%s lanes=%d point %d over a stale entry: ok=%v cached=%v err=%v", payload, lanes, i, r.OK(), r.Cached, r.Err)
-				}
-			}
-			computed := reg.Snapshot().Counter("pn_core_characterisations_total", "ok")
-			if computed-before != int64(len(pts)) {
-				t.Fatalf("%s lanes=%d: %d characterisations, want %d", payload, lanes, computed-before, len(pts))
-			}
-			for i, r := range run() {
-				if !r.OK() || !r.Cached {
-					t.Fatalf("%s lanes=%d point %d: entry not healed: ok=%v cached=%v err=%v", payload, lanes, i, r.OK(), r.Cached, r.Err)
-				}
-			}
-			if got := reg.Snapshot().Counter("pn_core_characterisations_total", "ok"); got != computed {
-				t.Fatalf("%s lanes=%d: healed entry recomputed (%d characterisations, want %d)", payload, lanes, got, computed)
-			}
+		}
+		if got := reg.Snapshot().Counter("pn_core_characterisations_total", "ok"); got != computed {
+			t.Fatalf("%s: healed entry recomputed (%d characterisations, want %d)", payload, got, computed)
 		}
 	}
 }

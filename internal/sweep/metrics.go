@@ -15,7 +15,6 @@ type sweepInstruments struct {
 	abandoned      *obs.Counter    // pn_sweep_abandoned_total
 	queueDepth     *obs.Gauge      // pn_sweep_queue_depth
 	pointSeconds   *obs.Histogram  // pn_sweep_point_seconds
-	batches        *obs.CounterVec // pn_sweep_batches_total{outcome}
 	pssReuses      *obs.Counter    // pn_sweep_pss_reuse_total
 	flightDumps    *obs.Counter    // pn_sweep_flight_dumps_total
 }
@@ -32,7 +31,6 @@ var sweepMetrics = obs.NewView(func(r *obs.Registry) *sweepInstruments {
 		abandoned:      r.Counter("pn_sweep_abandoned_total", "Attempts abandoned because the model ignored cancellation past the grace period."),
 		queueDepth:     r.Gauge("pn_sweep_queue_depth", "Points of the current batch not yet finished."),
 		pointSeconds:   r.Histogram("pn_sweep_point_seconds", "Wall-clock time per sweep point across its whole retry ladder.", obs.ExpBuckets(0.001, 4, 12)),
-		batches:        r.CounterVec("pn_sweep_batches_total", "Lockstep base-rung batches run, by outcome (ok = batch completed and lanes resolved individually, fallback = batch-level infrastructure failure sent every lane to the scalar path, abandoned = the batch ignored cancellation past the grace period).", "outcome"),
 		pssReuses:      r.Counter("pn_sweep_pss_reuse_total", "Retry-ladder attempts that skipped Newton shooting by reusing the previous attempt's converged periodic steady state."),
 		flightDumps:    r.Counter("pn_sweep_flight_dumps_total", "Flight-recorder dumps attached to crashed attempts (panic, budget/timeout cut-off, abandonment)."),
 	}

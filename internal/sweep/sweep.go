@@ -251,20 +251,6 @@ type Config struct {
 	// identical computation shares its outcome, including a failure (a
 	// budget trip in the computing caller fails its waiters too).
 	Cache *cache.Store
-	// BatchLanes, when > 1, groups compatible points — same state dimension
-	// and identical effective base-rung solver options — into lockstep SoA
-	// batches of up to this many lanes. A batched group runs its base-rung
-	// attempt through core.CharacteriseBatch at full width; every lane's
-	// result is bit-identical to the scalar pipeline (and hashes to the same
-	// cache key), so batching is purely a throughput lever. Per-point budget
-	// cut-offs, structured failures and attempt traces are preserved: a lane
-	// that fails retryably continues its own scalar retry ladder from the
-	// next rung, and a batch-level infrastructure failure (injected fault,
-	// model panic inside the lockstep kernels) falls every lane back to the
-	// fully isolated scalar path from the base rung. Cached points are
-	// served by a cache pre-check before the batch is built; fresh successes
-	// are committed back to the store.
-	BatchLanes int
 	// Span, when non-nil, parents the batch's root span so the whole sweep
 	// subtree lands in the caller's trace (e.g. a serve job's span). When nil
 	// the root span starts on the process-wide emitter as before.
@@ -430,25 +416,15 @@ func Run(points []Point, cfg *Config) []PointResult {
 		}
 	}
 
-	// A unit is what one worker picks up in one go: a single point's retry
-	// ladder, or a lockstep batch of compatible points.
-	units := planUnits(points, &c)
-	rsp.SetAttr("units", len(units))
-
 	var wg sync.WaitGroup
-	next := make(chan []int)
+	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idxs := range next {
-				if len(idxs) == 1 {
-					k := idxs[0]
-					out[k] = runPoint(k, points[k], &c, attempt, rsp)
-					finalize(k)
-					continue
-				}
-				runBatchUnit(idxs, points, &c, out, attempt, finalize, rsp)
+			for k := range next {
+				out[k] = runPoint(k, points[k], &c, attempt, rsp)
+				finalize(k)
 			}
 		}()
 	}
@@ -456,15 +432,15 @@ func Run(points []Point, cfg *Config) []PointResult {
 	// workers cannot strand it: pending points are marked without running.
 	cancelCh := c.Budget.Done() // nil when the budget is not cancelable
 feed:
-	for u := range units {
+	for k := range points {
 		if err := c.Budget.Err(); err != nil { // deadline-only budgets have no Done channel
-			markSkipped(points, out, units[u:], err, done)
+			markSkipped(points, out, k, err, done)
 			break feed
 		}
 		select {
-		case next <- units[u]:
+		case next <- k:
 		case <-cancelCh:
-			markSkipped(points, out, units[u:], c.Budget.Err(), done)
+			markSkipped(points, out, k, c.Budget.Err(), done)
 			break feed
 		}
 	}
@@ -477,24 +453,22 @@ feed:
 	return out
 }
 
-// markSkipped records budget-typed failures for every point of the units
-// that never reached a worker.
-func markSkipped(points []Point, out []PointResult, units [][]int, cause error, done func(PointResult)) {
+// markSkipped records budget-typed failures for points[from:], which never
+// reached a worker.
+func markSkipped(points []Point, out []PointResult, from int, cause error, done func(PointResult)) {
 	if cause == nil {
 		cause = budget.ErrCanceled
 	}
 	m := sweepMetrics.Get()
-	for _, u := range units {
-		for _, j := range u {
-			out[j] = PointResult{
-				Index: j,
-				Name:  points[j].Name,
-				Err:   fmt.Errorf("sweep: point %q not started: %w", points[j].Name, cause),
-			}
-			m.pointsSkipped.Inc()
-			m.queueDepth.Add(-1)
-			done(out[j])
+	for j := from; j < len(points); j++ {
+		out[j] = PointResult{
+			Index: j,
+			Name:  points[j].Name,
+			Err:   fmt.Errorf("sweep: point %q not started: %w", points[j].Name, cause),
 		}
+		m.pointsSkipped.Inc()
+		m.queueDepth.Add(-1)
+		done(out[j])
 	}
 }
 
@@ -564,6 +538,19 @@ func runPointCached(index int, p Point, c *Config, attempt func(int, string, Att
 	return r
 }
 
+// commitCache encodes a freshly computed successful result once (see
+// encodeResult) and stores it under the point's content key with its
+// scalars noted, best effort. runPointCached stores through Cache.Do; this
+// is its path over a stale entry, which Do served instead of computing.
+func commitCache(c *Config, p Point, r *PointResult, sp *obs.Span) {
+	if c.Cache == nil || p.Key == "" || !r.OK() || encodeResult(r, sp) != nil {
+		return
+	}
+	if c.Cache.Put(p.Key, r.payload) == nil {
+		c.Cache.Note(p.Key, r.payload, r.scalars)
+	}
+}
+
 // fromCache completes a cache hit res from the payload and its note. A
 // payload noted with scalars passed core.Result.Check in this process: under
 // DiscardResults the hit carries the bytes and scalars and is never decoded.
@@ -628,12 +615,6 @@ func decodeCached(payload []byte, psp *obs.Span) (*core.Result, bool) {
 	return &cr, true
 }
 
-// runLadder walks one point up the ladder until an attempt succeeds or the
-// failure is not retryable, under the point's wall-clock budget.
-func runLadder(index int, p Point, c *Config, attempt func(int, string, Attempt), psp *obs.Span) PointResult {
-	return continueLadder(index, p, c, attempt, psp, PointResult{Index: index, Name: p.Name}, 0, nil, nil)
-}
-
 // reusablePSS decides whether the previous attempt's converged solution can
 // replace the next rung's shooting stage: the shooting knobs must be
 // unchanged (the solve would reproduce the same PSS at full cost) and the
@@ -653,20 +634,22 @@ func reusablePSS(prev, next *core.Options, pss *shooting.PSS) bool {
 	return pss.Residual < ne.Tol
 }
 
-// continueLadder walks the ladder from rung `from`, seeded with the state a
-// prior attempt accumulated (the batched base rung, when the point came out
-// of a lockstep group). prevOpts/prevPSS describe the most recent failed
-// attempt, for the shooting-reuse decision; prevPSS is non-nil exactly when
-// that attempt converged its shooting stage and failed downstream.
-func continueLadder(index int, p Point, c *Config, attempt func(int, string, Attempt), psp *obs.Span, res PointResult, from int, prevOpts *core.Options, prevPSS *shooting.PSS) PointResult {
+// runLadder walks one point up the ladder until an attempt succeeds or the
+// failure is not retryable, under the point's wall-clock budget. prevOpts/
+// prevPSS describe the most recent failed attempt, for the shooting-reuse
+// decision; prevPSS is non-nil exactly when that attempt converged its
+// shooting stage and failed downstream.
+func runLadder(index int, p Point, c *Config, attempt func(int, string, Attempt), psp *obs.Span) PointResult {
 	start := time.Now()
 	m := sweepMetrics.Get()
 	ptTok := c.Budget
 	if c.PointTimeout > 0 {
 		ptTok = budget.WithTimeout(ptTok, c.PointTimeout)
 	}
-	for ri := from; ri < len(c.Ladder); ri++ {
-		rung := c.Ladder[ri]
+	res := PointResult{Index: index, Name: p.Name}
+	var prevOpts *core.Options
+	var prevPSS *shooting.PSS
+	for ri, rung := range c.Ladder {
 		opts := applyRung(p.Opts, rung)
 		if reusablePSS(prevOpts, opts, prevPSS) {
 			opts.ReusePSS = prevPSS
@@ -691,7 +674,7 @@ func continueLadder(index int, p Point, c *Config, attempt func(int, string, Att
 		}
 		prevOpts, prevPSS = opts, pss
 	}
-	res.Wall += time.Since(start)
+	res.Wall = time.Since(start)
 	return res
 }
 

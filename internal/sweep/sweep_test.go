@@ -13,6 +13,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/floquet"
+	"repro/internal/obs"
 	"repro/internal/ode"
 	"repro/internal/osc"
 	"repro/internal/shooting"
@@ -566,4 +567,54 @@ func TestDegradedPointKeepsConvergedPSS(t *testing.T) {
 	if r.PSS.Residual > 1e-8 {
 		t.Fatalf("partial PSS residual %g not converged", r.PSS.Residual)
 	}
+}
+
+// TestPSSReuseSkipsShooting is the retry-ladder fast-path regression test:
+// when a rung fails downstream of shooting and the next rung changes only
+// downstream knobs, the converged periodic steady state is reused instead of
+// re-run — pn_shooting_finds_total must count one Find per point, not one
+// per attempt.
+func TestPSSReuseSkipsShooting(t *testing.T) {
+	// Steps=30 leaves an adjoint closure error ≈7e-6 on this Hopf point —
+	// far above the 1e-7 drift bound — while the second rung's 10× steps
+	// land near 1e-9, far below it. Shooting knobs never change.
+	ladder := []Rung{{Name: "base"}, {Name: "adj", AdjointFactor: 10}}
+	popts := &core.Options{Floquet: &floquet.Options{Steps: 30, MaxPeriodDrift: 1e-7}}
+	mk := func(omega float64) Point {
+		h := &osc.Hopf{Lambda: 1, Omega: omega, Sigma: 0.02}
+		return Point{Name: "h", System: h, X0: []float64{1, 0.1}, TGuess: h.Period() * 1.05, Opts: popts}
+	}
+
+	check := func(t *testing.T, cfg *Config, pts []Point) {
+		reg := obs.NewRegistry()
+		obs.SetGlobal(reg)
+		defer obs.SetGlobal(nil)
+		results := Run(pts, cfg)
+		for i, r := range results {
+			if !r.OK() {
+				t.Fatalf("point %d failed: %v", i, r.Err)
+			}
+			if len(r.Attempts) != 2 {
+				t.Fatalf("point %d: %d attempts, want 2", i, len(r.Attempts))
+			}
+			if !errors.Is(r.Attempts[0].Err, floquet.ErrAdjointClosure) {
+				t.Fatalf("point %d base attempt: %v, want ErrAdjointClosure", i, r.Attempts[0].Err)
+			}
+			// The reused attempt still produced a full result with the same PSS.
+			if r.Result.PSS == nil || r.PSS.T != r.Result.PSS.T {
+				t.Fatalf("point %d: reused attempt lost the PSS", i)
+			}
+		}
+		s := reg.Snapshot()
+		if got, want := s.Counter("pn_shooting_finds_total", ""), int64(len(pts)); got != want {
+			t.Fatalf("pn_shooting_finds_total = %d, want %d (shooting must run once per point, not per attempt)", got, want)
+		}
+		if got, want := s.Counter("pn_sweep_pss_reuse_total", ""), int64(len(pts)); got != want {
+			t.Fatalf("pn_sweep_pss_reuse_total = %d, want %d", got, want)
+		}
+	}
+
+	t.Run("scalar", func(t *testing.T) {
+		check(t, &Config{Workers: 1, Ladder: ladder}, []Point{mk(5)})
+	})
 }

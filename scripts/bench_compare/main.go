@@ -6,18 +6,16 @@
 //   - the whole suite slowing beyond what host-speed calibration explains
 //     (a global ns/op regression that uniform drift would otherwise hide), or
 //   - allocs/op above the baseline beyond 0.1% (allocation regressions get
-//     essentially no slack: the batched hot paths are engineered to be
+//     essentially no slack: the integrator hot paths are engineered to be
 //     allocation-free and a new alloc per op is a code change, not machine
-//     noise; the 0.1% absorbs go test's ±1 rounding of the per-op average), or
-//   - the batched sweep running at less than the required speedup over the
-//     scalar sweep (the headline acceptance criterion for the SoA batch core).
+//     noise; the 0.1% absorbs go test's ±1 rounding of the per-op average).
 //
 // Shared CI runners and laptops do not have stable single-core throughput:
 // the same commit can measure ±20% apart minutes later, and that swing hits
 // the allocation- and memory-heavy pipeline benchmarks harder than any fixed
 // synthetic workload, so no calibration loop can fully correct absolute
 // ns/op. What a host swing cannot do is slow one benchmark and not the other
-// six — so the primary gate is relative: each benchmark's drift ratio
+// five — so the primary gate is relative: each benchmark's drift ratio
 // (current / baseline) is divided by the suite's median drift, cancelling
 // host-wide swings while leaving single-benchmark regressions exposed. A
 // uniform regression (all benchmarks slower together, e.g. a pessimised
@@ -55,22 +53,19 @@ import (
 // load-bearing AND that its run-to-run spread on a quiet host is well under
 // the 10% gate (BenchmarkShootingHopf, for instance, is excluded: at ~2ms/op
 // it swings ~20% with GC phase, and the shooting path is covered end-to-end
-// by both sweep benchmarks anyway). Sweep benchmarks cover the whole
-// pipeline (shooting → Floquet → quadrature) through both the scalar and
-// batched schedulers; the ode entries isolate the SoA kernels from the
-// orchestration above them.
+// by the sweep benchmark anyway). The sweep benchmark covers the whole
+// pipeline (shooting → Floquet → quadrature) through the sweep engine; the
+// ode entry isolates the RK4 kernel from the orchestration above it.
 var gated = []struct {
 	pkg     string
 	benches []string
 }{
 	{".", []string{
 		"BenchmarkSweepSerial8",
-		"BenchmarkSweepBatched8",
 		"BenchmarkFloquetAnalyze",
 		"BenchmarkCharacteriseBandpass",
 	}},
 	{"./internal/ode", []string{
-		"BenchmarkBatchRK4Lanes8",
 		"BenchmarkScalarRK4x8",
 	}},
 	// The composition engine is served per-request (thousands of compose jobs
@@ -88,19 +83,11 @@ var gated = []struct {
 	}},
 }
 
-// speedupNum / speedupDen name the benchmark pair whose ns/op ratio must
-// stay at or above Baseline.MinBatchSpeedup.
 const (
-	speedupNum = "BenchmarkSweepSerial8"
-	speedupDen = "BenchmarkSweepBatched8"
-)
-
-const (
-	relSlack          = 1.10 // per-benchmark drift vs the suite median drift
-	globalSlack       = 1.30 // suite median drift vs the calibrated host scale
-	allocSlackPerMil  = 1    // allocs/op slack in 0.1% units (go test rounding)
-	defaultMinSpeedup = 1.5  // required SweepSerial8 / SweepBatched8 ratio
-	baselineFile      = "BENCH_baseline.json"
+	relSlack         = 1.10 // per-benchmark drift vs the suite median drift
+	globalSlack      = 1.30 // suite median drift vs the calibrated host scale
+	allocSlackPerMil = 1    // allocs/op slack in 0.1% units (go test rounding)
+	baselineFile     = "BENCH_baseline.json"
 )
 
 // Entry is one benchmark's recorded performance.
@@ -113,9 +100,8 @@ type Entry struct {
 type Baseline struct {
 	// CalibrationNs is the duration of the fixed calibration workload on
 	// the machine that recorded the baseline; used to scale ns thresholds.
-	CalibrationNs   float64          `json:"calibration_ns"`
-	MinBatchSpeedup float64          `json:"min_batch_speedup"`
-	Benchmarks      map[string]Entry `json:"benchmarks"`
+	CalibrationNs float64          `json:"calibration_ns"`
+	Benchmarks    map[string]Entry `json:"benchmarks"`
 }
 
 func main() {
@@ -147,9 +133,8 @@ func main() {
 
 	if *update {
 		b := Baseline{
-			CalibrationNs:   calib,
-			MinBatchSpeedup: defaultMinSpeedup,
-			Benchmarks:      got,
+			CalibrationNs: calib,
+			Benchmarks:    got,
 		}
 		buf, err := json.MarshalIndent(&b, "", "  ")
 		if err != nil {
@@ -171,7 +156,6 @@ func main() {
 	fmt.Printf("bench_compare: machine speed scale vs baseline: %.2fx\n", scale)
 
 	failures := compare(base, got, scale)
-	failures = append(failures, checkSpeedup(base, got)...)
 
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -257,25 +241,6 @@ func compare(base Baseline, got map[string]Entry, scale float64) []string {
 		}
 	}
 	return failures
-}
-
-func checkSpeedup(base Baseline, got map[string]Entry) []string {
-	want := base.MinBatchSpeedup
-	if want <= 0 {
-		want = defaultMinSpeedup
-	}
-	num, okN := got[speedupNum]
-	den, okD := got[speedupDen]
-	if !okN || !okD || den.NsPerOp <= 0 {
-		return []string{fmt.Sprintf("speedup check: %s or %s did not run", speedupNum, speedupDen)}
-	}
-	ratio := num.NsPerOp / den.NsPerOp
-	fmt.Printf("  batched speedup %s/%s: %.2fx (required >= %.2fx)\n", speedupNum, speedupDen, ratio, want)
-	if ratio < want {
-		return []string{fmt.Sprintf("batched sweep speedup %.2fx below required %.2fx (%s %.0f ns/op vs %s %.0f ns/op)",
-			ratio, want, speedupNum, num.NsPerOp, speedupDen, den.NsPerOp)}
-	}
-	return nil
 }
 
 // runBenchmarks executes the gated set `count` times with the packages
