@@ -110,11 +110,35 @@ func FromContext(ctx context.Context) *Token {
 // Err reports whether the token (or any ancestor) has tripped: ErrCanceled
 // for cancellation, ErrBudgetExceeded for an expired deadline, nil otherwise.
 // This is the per-step check: one non-blocking select per cancelable link and
-// at most one time.Now() per call.
+// at most one time.Now() per call until the token trips.
 func (t *Token) Err() error {
 	// Deadlines across the whole chain take precedence over cancellation:
 	// when a supervisor enforces an expired deadline by cancelling a child
 	// link, the informative answer is still ErrBudgetExceeded.
+	if t.expired() {
+		return ErrBudgetExceeded
+	}
+	for tk := t; tk != nil; tk = tk.parent {
+		if tk.done != nil {
+			select {
+			case <-tk.done:
+				// The supervisor's timer may have fired and cancelled after
+				// the clock reading above: read it again before calling the
+				// trip a cancellation.
+				if t.expired() {
+					return ErrBudgetExceeded
+				}
+				return ErrCanceled
+			default:
+			}
+		}
+	}
+	return nil
+}
+
+// expired reports whether any deadline in the chain has passed, reading the
+// clock at most once.
+func (t *Token) expired() bool {
 	var now time.Time
 	for tk := t; tk != nil; tk = tk.parent {
 		if !tk.deadline.IsZero() {
@@ -122,20 +146,11 @@ func (t *Token) Err() error {
 				now = time.Now()
 			}
 			if !now.Before(tk.deadline) {
-				return ErrBudgetExceeded
+				return true
 			}
 		}
 	}
-	for tk := t; tk != nil; tk = tk.parent {
-		if tk.done != nil {
-			select {
-			case <-tk.done:
-				return ErrCanceled
-			default:
-			}
-		}
-	}
-	return nil
+	return false
 }
 
 // Deadline returns the earliest wall-clock deadline armed anywhere in the

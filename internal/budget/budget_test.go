@@ -169,3 +169,30 @@ func TestIsHelper(t *testing.T) {
 		t.Fatal("Is misses its own sentinels")
 	}
 }
+
+// TestDeadlineEnforcedByCancelIsBudgetExceeded: a supervisor that enforces
+// a deadline by cancelling a link (as the sweep engine's attempt timer does)
+// can cancel between Err's deadline check and its done-channel check. The
+// trip must still read as ErrBudgetExceeded, never ErrCanceled.
+func TestDeadlineEnforcedByCancelIsBudgetExceeded(t *testing.T) {
+	const trials = 3000
+	for i := 0; i < trials; i++ {
+		link, cancel := WithCancel(nil)
+		tok := WithTimeout(link, 200*time.Microsecond)
+		dl, _ := tok.Deadline()
+		go func() {
+			time.Sleep(time.Until(dl))
+			for time.Now().Before(dl) {
+			}
+			cancel()
+		}()
+		var err error
+		for err == nil {
+			err = tok.Err()
+		}
+		if !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("trial %d: got %v, want ErrBudgetExceeded", i, err)
+		}
+		<-link.Done()
+	}
+}

@@ -774,7 +774,7 @@ func (r *jobRun) fallbackLease(l *lease, lsp *obs.Span) {
 	pts := make([]sweep.Point, 0, len(l.specs))
 	local := make([]int, 0, len(l.specs)) // pts index -> lease-local index
 	for li, sp := range l.specs {
-		p, err := sp.Resolve(r.req.Tok)
+		p, err := sp.Resolve(nil)
 		if err != nil {
 			r.completePoint(l.indices[li], sweep.PointResult{Name: specName(sp), Err: err})
 			continue

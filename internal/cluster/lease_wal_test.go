@@ -3,6 +3,7 @@ package cluster
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -54,4 +55,60 @@ func TestLeaseWALReplay(t *testing.T) {
 	nilWAL.append(walRecord{Type: walDispatch})
 	nilWAL.Close()
 	nilWAL.remove()
+}
+
+// TestLeaseWALSecondRestart: a coordinator that crashes mid-append, restarts,
+// journals more leases and restarts again replays every intact record in
+// order: the torn tail is cut at the first restart, so the later records
+// are not stranded behind it.
+func TestLeaseWALSecondRestart(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "j2.wal")
+	w, _, err := openLeaseWAL(dir, "j2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []walRecord{
+		{Type: walDispatch, Lease: 0, Attempt: 0, Worker: "http://a", WorkerJob: "wj1"},
+		{Type: walDispatch, Lease: 1, Attempt: 0, Worker: "http://b", WorkerJob: "wj2"},
+		{Type: walComplete, Lease: 0, Attempt: 0, Worker: "http://a", WorkerJob: "wj1"},
+	}
+	for _, rec := range want {
+		w.append(rec)
+	}
+	w.append(walRecord{Type: walDispatch, Lease: 2, Attempt: 0, Worker: "http://a", WorkerJob: "wj3"})
+	w.Close()
+	// The crash tore the last record: its frame lost its final bytes.
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+
+	w, recs, err := openLeaseWAL(dir, "j2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatalf("first restart replayed %+v, want %+v", recs, want)
+	}
+	more := []walRecord{
+		{Type: walDispatch, Lease: 2, Attempt: 1, Worker: "http://b", WorkerJob: "wj4"},
+		{Type: walFallback, Lease: 1, Attempt: 1},
+	}
+	for _, rec := range more {
+		w.append(rec)
+	}
+	w.Close()
+
+	w, recs, err = openLeaseWAL(dir, "j2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if want = append(want, more...); !reflect.DeepEqual(recs, want) {
+		t.Fatalf("second restart replayed %+v, want %+v", recs, want)
+	}
 }

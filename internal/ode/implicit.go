@@ -286,8 +286,9 @@ func AdjointBackward(jac JacFunc, xs *Trajectory, t0, t1 float64, yT []float64, 
 	n := len(yT)
 	jm := make([]float64, n*n)
 	xbuf := make([]float64, n)
+	loc := NewLocator(xs)
 	rhs := func(t float64, y, dst []float64) {
-		xs.At(t, xbuf)
+		loc.At(t, xbuf)
 		jac(t, xbuf, jm)
 		// dst = −Aᵀ y
 		for i := 0; i < n; i++ {
@@ -306,16 +307,16 @@ func AdjointBackward(jac JacFunc, xs *Trajectory, t0, t1 float64, yT []float64, 
 	k3 := make([]float64, n)
 	k4 := make([]float64, n)
 	tmp := make([]float64, n)
-	dy := make([]float64, n)
-	// Collect samples in reverse, then emit a forward-ordered trajectory.
-	ts := make([]float64, nsteps+1)
-	ys := make([][]float64, nsteps+1)
-	dys := make([][]float64, nsteps+1)
+	// The knots are filled last to first, straight into the forward-ordered
+	// trajectory: each knot's state and slope are written once, into one
+	// backing array shared by all knots.
+	pts := make([]SamplePoint, nsteps+1)
+	vals := make([]float64, 2*n*(nsteps+1))
 	store := func(idx int, t float64) {
-		rhs(t, y, dy)
-		ts[idx] = t
-		ys[idx] = append([]float64(nil), y...)
-		dys[idx] = append([]float64(nil), dy...)
+		v := vals[2*n*idx : 2*n*(idx+1) : 2*n*(idx+1)]
+		copy(v[:n], y)
+		rhs(t, y, v[n:])
+		pts[idx] = SamplePoint{T: t, X: v[:n:n], DX: v[n:]}
 	}
 	store(nsteps, t1)
 	m := odeMetrics.Get()
@@ -334,11 +335,12 @@ func AdjointBackward(jac JacFunc, xs *Trajectory, t0, t1 float64, yT []float64, 
 		store(nsteps-1-s, t-h)
 	}
 	m.adjSteps.Add(int64(nsteps))
-	out := &Trajectory{}
-	for i := 0; i <= nsteps; i++ {
-		out.Append(ts[i], ys[i], dys[i])
+	for i := 1; i <= nsteps; i++ {
+		if pts[i].T <= pts[i-1].T {
+			panic(fmt.Sprintf("ode: non-increasing trajectory knot %g after %g", pts[i].T, pts[i-1].T))
+		}
 	}
-	return out, nsteps, nil
+	return &Trajectory{Points: pts}, nsteps, nil
 }
 
 // AdjointForward integrates ẏ = −Aᵀ(t)y forwards from t0 to t1 along the

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/linalg"
+	"repro/internal/osc"
 )
 
 // Exponential decay: ẋ = −x, x(0)=1 → x(t) = e^{-t}.
@@ -589,6 +590,96 @@ func TestKnotLocatorMatchesAt(t *testing.T) {
 	nu.Append(3, []float64{2, 2}, []float64{0, 0})
 	if NewLocator(nu).uniform {
 		t.Fatal("non-uniform trajectory classified as uniform")
+	}
+}
+
+// adjointBackwardReference is AdjointBackward as first written: xs(t) found
+// by binary search (Trajectory.At) at every stage, knots gathered in reverse
+// and copied into a Trajectory by Append. TestAdjointBackwardMatchesReference
+// holds the Locator-based version to it bit for bit.
+func adjointBackwardReference(jac JacFunc, xs *Trajectory, t0, t1 float64, yT []float64, nsteps int) *Trajectory {
+	n := len(yT)
+	jm := make([]float64, n*n)
+	xbuf := make([]float64, n)
+	rhs := func(t float64, y, dst []float64) {
+		xs.At(t, xbuf)
+		jac(t, xbuf, jm)
+		for i := 0; i < n; i++ {
+			s := 0.0
+			for k := 0; k < n; k++ {
+				s += jm[k*n+i] * y[k]
+			}
+			dst[i] = -s
+		}
+	}
+	h := (t1 - t0) / float64(nsteps)
+	y := append([]float64(nil), yT...)
+	k1, k2, k3, k4, tmp := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	dy := make([]float64, n)
+	ts := make([]float64, nsteps+1)
+	ys := make([][]float64, nsteps+1)
+	dys := make([][]float64, nsteps+1)
+	store := func(idx int, t float64) {
+		rhs(t, y, dy)
+		ts[idx] = t
+		ys[idx] = append([]float64(nil), y...)
+		dys[idx] = append([]float64(nil), dy...)
+	}
+	store(nsteps, t1)
+	for s := 0; s < nsteps; s++ {
+		t := t1 - float64(s)*h
+		rk4Step(rhs, t, y, -h, y, k1, k2, k3, k4, tmp)
+		store(nsteps-1-s, t-h)
+	}
+	out := &Trajectory{}
+	for i := 0; i <= nsteps; i++ {
+		out.Append(ts[i], ys[i], dys[i])
+	}
+	return out
+}
+
+// TestAdjointBackwardMatchesReference: on a registry model's orbit, the
+// adjoint trajectory is bit for bit the binary-search construction's — every
+// knot time, state and slope.
+func TestAdjointBackwardMatchesReference(t *testing.T) {
+	m, err := osc.Build("ring", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, n := m.Sys, m.Sys.Dim()
+	f := func(_ float64, x, dst []float64) { sys.Eval(x, dst) }
+	jac := func(_ float64, x, dst []float64) { sys.Jacobian(x, dst) }
+	orbit := &Trajectory{}
+	vari(f, jac, 0, m.TGuess, m.X0, 4000, orbit)
+	yT := make([]float64, n)
+	for i := range yT {
+		yT[i] = 1 / float64(i+1)
+	}
+	const steps = 6007 // off the orbit's grid: every stage interpolates
+	got := adjBack(jac, orbit, 0, m.TGuess, yT, steps)
+	want := adjointBackwardReference(jac, orbit, 0, m.TGuess, yT, steps)
+	if len(got.Points) != len(want.Points) {
+		t.Fatalf("%d knots, want %d", len(got.Points), len(want.Points))
+	}
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i, w := range want.Points {
+		g := got.Points[i]
+		if math.Float64bits(g.T) != math.Float64bits(w.T) || !same(g.X, w.X) || !same(g.DX, w.DX) {
+			t.Fatalf("knot %d: got t=%v x=%v dx=%v, want t=%v x=%v dx=%v", i, g.T, g.X, g.DX, w.T, w.X, w.DX)
+		}
+	}
+	if !finite(got.Points[0].X) {
+		t.Fatalf("adjoint blew up: %v", got.Points[0].X)
 	}
 }
 

@@ -42,23 +42,19 @@ func (req *SweepRequest) validate(maxPoints int) error {
 	return nil
 }
 
-// RoutingKey returns the point's content-addressed cache key without running
-// period estimation — the same "pnfp1" fingerprint Resolve stamps on the
-// sweep point, cheap enough to compute for every point of a large sweep. The
-// cluster coordinator hashes it onto the worker ring so identical points
-// always land on (and cache-hit at) the same node. Invalid specs fall back to
-// a name-derived key: routing stays total, and the worker rejects the spec
-// with a real error when the lease arrives.
+// RoutingKey returns the point's content-addressed cache key, the same
+// "pnfp1" fingerprint Resolve stamps on the sweep point (Resolve builds the
+// model and runs no integration, so this is cheap for every point of a large
+// sweep). The cluster coordinator hashes it onto the worker ring so identical
+// points always land on (and cache-hit at) the same node. Invalid specs fall
+// back to a name-derived key: routing stays total, and the worker rejects
+// the spec with a real error when the lease arrives.
 func (p PointSpec) RoutingKey() string {
-	m, err := osc.Build(p.Model, p.Params)
+	pt, err := p.Resolve(nil)
 	if err != nil {
 		return "pnfp1:invalid:" + p.Model + ":" + p.Name
 	}
-	var opts *core.Options
-	if m.ShootingSteps > 0 {
-		opts = &core.Options{Shooting: &shooting.Options{StepsPerPeriod: m.ShootingSteps}}
-	}
-	return cache.CharacterisationKey(p.Model, m.Params, m.X0, m.TGuess, opts.FingerprintFields())
+	return pt.Key
 }
 
 // label is the point's name in results and events: Name, or the model name
@@ -71,18 +67,19 @@ func (p PointSpec) label() string {
 }
 
 // Resolve turns a pure-data point spec into a runnable sweep point: it builds
-// the model, estimates the period over the registry's transient horizon when
-// no closed form exists (under tok, so a canceled job never burns the
-// integration), applies the model's recommended solver options, and stamps
-// the content-addressed cache key.
+// the model, applies the model's recommended solver options, and stamps the
+// content-addressed cache key. A model whose period has no closed form
+// carries the registry's estimate horizon (sweep.Point.EstimateTMax): the
+// sweep engine estimates the period on a cache miss, so a hit never
+// integrates a transient. Resolve runs nothing a token could cut off; the
+// parameter stays for its callers.
 //
 // The key is computed from the registry recommendation (resolved params, the
-// recommended X0 and period guess, the effective solver knobs) BEFORE period
-// estimation, so a resubmit of an estimate-based model addresses the same
-// result without depending on the estimator's output. CLIs building points by
-// hand must use cache.CharacterisationKey with the same inputs to share a
-// disk cache with the server.
-func (p PointSpec) Resolve(tok *budget.Token) (sweep.Point, error) {
+// recommended X0 and period guess, the effective solver knobs), never from
+// an estimate, so a resubmit of an estimate-based model addresses the same
+// result. CLIs building points by hand must use cache.CharacterisationKey
+// with the same inputs to share a disk cache with the server.
+func (p PointSpec) Resolve(_ *budget.Token) (sweep.Point, error) {
 	m, err := osc.Build(p.Model, p.Params)
 	if err != nil {
 		return sweep.Point{}, err
@@ -91,21 +88,13 @@ func (p PointSpec) Resolve(tok *budget.Token) (sweep.Point, error) {
 	if m.ShootingSteps > 0 {
 		opts = &core.Options{Shooting: &shooting.Options{StepsPerPeriod: m.ShootingSteps}}
 	}
-	key := cache.CharacterisationKey(p.Model, m.Params, m.X0, m.TGuess, opts.FingerprintFields())
-
-	x0, tGuess := m.X0, m.TGuess
-	if tGuess == 0 {
-		tGuess, x0, err = shooting.EstimatePeriodBudget(m.Sys, m.X0, m.EstimateTMax, tok)
-		if err != nil {
-			return sweep.Point{}, fmt.Errorf("model %q: period estimation: %w", p.Model, err)
-		}
-	}
 	return sweep.Point{
-		Name:   p.label(),
-		System: m.Sys,
-		X0:     x0,
-		TGuess: tGuess,
-		Opts:   opts,
-		Key:    key,
+		Name:         p.label(),
+		System:       m.Sys,
+		X0:           m.X0,
+		TGuess:       m.TGuess,
+		EstimateTMax: m.EstimateTMax,
+		Opts:         opts,
+		Key:          cache.CharacterisationKey(p.Model, m.Params, m.X0, m.TGuess, opts.FingerprintFields()),
 	}, nil
 }

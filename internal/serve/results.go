@@ -168,17 +168,27 @@ type resultFile struct {
 	n        int     // records present
 	degraded bool    // an append failed: summary-only from here on
 	sealed   bool
+	// index holds the record's point-index prefix during an append. It lives
+	// here, not on append's stack: the log checksums the parts it is handed
+	// in place, so they escape, and a stack prefix would be moved to the heap
+	// on every append.
+	index [4]byte
 }
 
 // append spills one completed point. First writer per index wins — a resumed
 // job re-reports pre-crash points, and the cluster path can race a reassigned
 // lease against its original; the record already on disk is the one that was
-// already served. raw must be the point's loss-free codec bytes. A write
-// failure (disk full, injected fault) degrades the file: the error is
-// reported once, already-spilled records stay readable, later appends no-op.
-func (rf *resultFile) append(idx int, raw []byte) error {
+// already served. The parts concatenated must be the point's loss-free codec
+// bytes; at most three are taken (sweep.PointResult.MarshalParts), and the
+// log writes them without joining them. A write failure (disk full, injected
+// fault) degrades the file: the error is reported once, already-spilled
+// records stay readable, later appends no-op.
+func (rf *resultFile) append(idx int, parts ...[]byte) error {
 	if rf == nil {
 		return nil
+	}
+	if len(parts) > 3 {
+		return fmt.Errorf("results: record in %d parts", len(parts))
 	}
 	rf.mu.Lock()
 	defer rf.mu.Unlock()
@@ -187,11 +197,16 @@ func (rf *resultFile) append(idx int, raw []byte) error {
 	}
 	m := serveMetrics.Get()
 	err := faultinject.Fire(faultinject.ServeResultsWrite)
-	var index [4]byte
-	binary.BigEndian.PutUint32(index[:], uint32(idx))
+	binary.BigEndian.PutUint32(rf.index[:], uint32(idx))
+	rec := [4][]byte{rf.index[:]}
+	size := len(rf.index)
+	for i, p := range parts {
+		rec[1+i] = p
+		size += len(p)
+	}
 	var off int64
 	if err == nil {
-		off, err = rf.log.Append(index[:], raw)
+		off, err = rf.log.Append(rec[:1+len(parts)]...)
 	}
 	if err != nil {
 		rf.degraded = true
@@ -202,21 +217,21 @@ func (rf *resultFile) append(idx int, raw []byte) error {
 	rf.offsets[idx] = off
 	rf.n++
 	m.resultSpilled.Inc()
-	m.resultBytes.Add(int64(len(index) + len(raw)))
+	m.resultBytes.Add(int64(size))
 	return nil
 }
 
-// appendResult encodes (or, for a cached point, splices) and spills one
-// result.
+// appendResult spills one result from its encoded parts: for a cached point
+// the cache payload goes to the log as it is, neither re-encoded nor copied.
 func (rf *resultFile) appendResult(res *sweep.PointResult) error {
 	if rf == nil {
 		return nil
 	}
-	raw, err := res.MarshalJSON()
+	head, result, tail, err := res.MarshalParts()
 	if err != nil {
 		return err
 	}
-	return rf.append(res.Index, raw)
+	return rf.append(res.Index, head, result, tail)
 }
 
 // seal syncs the spilled records once the job is terminal. The log stays

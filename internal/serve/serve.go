@@ -1033,7 +1033,7 @@ func (s *Server) runUnit(j *job, unit int) {
 		s.runPoints(j, idx, pts)
 		return
 	}
-	pt, err := j.specs[unit].Resolve(j.jtok)
+	pt, err := j.specs[unit].Resolve(nil)
 	if err != nil {
 		// Only this point's spec is resolved, so its error fails the point,
 		// not the job.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/osc"
+	"repro/internal/shooting"
 )
 
 // keyedHopfPoint builds one cacheable Hopf point; identical omega ⇒
@@ -281,4 +282,49 @@ func TestCacheHitUndecodedUnderDiscardResults(t *testing.T) {
 			t.Fatalf("point %d: spliced record does not decode to the result: %v", h.Index, err)
 		}
 	}
+}
+
+// TestConcurrentMissesEstimateOnce: identical points whose period has no
+// closed form, run at once, collapse to one computation, and that one
+// estimates the period: one sweep.estimate span, one characterisation.
+func TestConcurrentMissesEstimateOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.SetGlobal(reg)
+	defer obs.SetGlobal(nil)
+	ring := obs.NewRingEmitter(1 << 12)
+	root := obs.StartSpanOn(ring, nil, "test")
+
+	store, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &osc.FitzHughNagumo{Eps: 0.08, SigmaV: 1e-3, SigmaW: 1e-3}
+	opts := &core.Options{Shooting: &shooting.Options{StepsPerPeriod: 8000}}
+	pt := Point{
+		Name:         "fhn",
+		System:       f,
+		X0:           []float64{1, 0},
+		EstimateTMax: 60,
+		Opts:         opts,
+		Key:          cache.CharacterisationKey("fhn", map[string]float64{"eps": 0.08}, []float64{1, 0}, 0, opts.FingerprintFields()),
+	}
+	pts := []Point{pt, pt, pt, pt}
+	res := Run(pts, &Config{Workers: len(pts), Cache: store, Span: root})
+	root.End()
+	for i, r := range res {
+		if !r.OK() {
+			t.Fatalf("point %d: %v", i, r.Err)
+		}
+	}
+	estimates := 0
+	for _, ev := range ring.Events() {
+		if ev.Name == "sweep.estimate" {
+			estimates++
+		}
+	}
+	s := reg.Snapshot()
+	if chars := s.Counter("pn_core_characterisations_total", "ok"); estimates != 1 || chars != 1 {
+		t.Fatalf("%d estimates and %d characterisations for %d identical points, want 1 and 1", estimates, chars, len(pts))
+	}
+	t.Logf("%d of %d points joined the computation in flight", s.Counter("pn_cache_shared_total", ""), len(pts)-1)
 }

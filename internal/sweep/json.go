@@ -132,7 +132,7 @@ func (a *Attempt) UnmarshalJSON(data []byte) error {
 // On success Result.PSS and PointResult.PSS alias the same object; the wire
 // form elides the duplicate (pss_is_result) and restores the aliasing on
 // decode. The "result" member follows "name" and precedes "wall_ns", which
-// is never omitted: MarshalJSON splices the result's bytes in there.
+// is never omitted: MarshalParts splits the record there.
 type PointResultWire struct {
 	Index       int              `json:"index"`
 	Name        string           `json:"name"`
@@ -199,41 +199,53 @@ func (w *PointResultWire) PointResult() PointResult {
 // a PointResult JSON round-trip loss-free up to error-chain identity: typed
 // budget/panic classification and every numeric field survive; wrapped error
 // values are flattened to their message (see RemoteError). Callers holding a
-// PointResult call it directly: json.Marshal would re-scan the output.
-//
-// The result member is the point's cache payload when it carries one, else
-// Result's own encoding: encoding/json writes the envelope without it, and
-// the bytes are copied in after the encoded name. Both are the output of the
-// same codec, so the record is byte for byte what encoding the whole tree in
-// one pass gives.
+// PointResult call it directly: json.Marshal would re-scan the output. It
+// is MarshalParts' three parts concatenated.
 func (r PointResult) MarshalJSON() ([]byte, error) {
-	result := r.payload
+	head, result, tail, err := r.MarshalParts()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(head)+len(result)+len(tail))
+	out = append(out, head...)
+	out = append(out, result...)
+	return append(out, tail...), nil
+}
+
+// MarshalParts returns the loss-free encoding in three parts whose
+// concatenation is MarshalJSON's output: the envelope up to and including
+// the result member's name, the result's bytes, and the rest of the
+// envelope. The result is the point's cache payload when it carries one —
+// shared, not copied — else Result's own encoding; for a point without a
+// result, head is the whole record and result and tail are empty. A writer
+// that takes the parts (the result spill's log) moves a cached payload to
+// the OS without copying it. Envelope and result are the output of the same
+// codec, so the record is byte for byte what encoding the whole tree in one
+// pass gives.
+func (r PointResult) MarshalParts() (head, result, tail []byte, err error) {
+	result = r.payload
 	if result == nil && r.Result != nil {
-		var err error
 		if result, err = r.Result.MarshalJSON(); err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 	}
 	w := r.Wire()
 	w.Result = nil
 	env, err := json.Marshal(w)
 	if err != nil || result == nil {
-		return env, err
+		return env, nil, nil, err
 	}
-	head, err := json.Marshal(struct {
+	name, err := json.Marshal(struct {
 		Index int    `json:"index"`
 		Name  string `json:"name"`
 	}{w.Index, w.Name})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	n := len(head) - 1 // env opens with head, up to head's closing brace
+	n := len(name) - 1 // env opens with name, up to its closing brace
 	const key = `,"result":`
-	out := make([]byte, 0, len(env)+len(key)+len(result))
-	out = append(out, env[:n]...)
-	out = append(out, key...)
-	out = append(out, result...)
-	return append(out, env[n:]...), nil
+	head = append(env[:n:n], key...)
+	return head, result, env[n:], nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler. Callers holding the bytes call

@@ -56,8 +56,14 @@ type Point struct {
 	Name   string        // label carried into results and progress hooks
 	System dynsys.System // oscillator model
 	X0     []float64     // initial state guess
-	TGuess float64       // period guess
-	Opts   *core.Options // base pipeline options (nil for defaults); rungs scale from these
+	TGuess float64       // period guess; 0 with EstimateTMax set: estimate it
+	// EstimateTMax, for a model whose period has no closed form (TGuess 0),
+	// is the transient horizon over which the engine estimates the period
+	// and a start on the cycle (shooting.EstimatePeriod) before the first
+	// rung. The engine does so once per computed point, and never for a
+	// point served from Config.Cache.
+	EstimateTMax float64
+	Opts         *core.Options // base pipeline options (nil for defaults); rungs scale from these
 	// Key, when non-empty and Config.Cache is set, content-addresses this
 	// point's result: a hit skips the whole retry ladder, a successful run
 	// is stored for future batches. Build keys with
@@ -647,6 +653,12 @@ func runLadder(index int, p Point, c *Config, attempt func(int, string, Attempt)
 		ptTok = budget.WithTimeout(ptTok, c.PointTimeout)
 	}
 	res := PointResult{Index: index, Name: p.Name}
+	if p.TGuess == 0 && p.EstimateTMax > 0 {
+		if res.Err = estimatePeriod(&p, ptTok, psp); res.Err != nil {
+			res.Wall = time.Since(start)
+			return res
+		}
+	}
 	var prevOpts *core.Options
 	var prevPSS *shooting.PSS
 	for ri, rung := range c.Ladder {
@@ -676,6 +688,29 @@ func runLadder(index int, p Point, c *Config, attempt func(int, string, Attempt)
 	}
 	res.Wall = time.Since(start)
 	return res
+}
+
+// estimatePeriod sets p's period guess and start from a transient of
+// p.EstimateTMax under a sweep.estimate span. Only a computed point needs
+// them — cache keys are built from the registry's recommendation, never
+// from the estimate — so runLadder calls it, inside the cache's
+// singleflight computation, and a hit never estimates. A failure, including a
+// panicking model, fails the point before any attempt.
+func estimatePeriod(p *Point, tok *budget.Token, psp *obs.Span) (err error) {
+	sp := obs.StartSpan(psp, "sweep.estimate")
+	sp.SetAttr("tmax", p.EstimateTMax)
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = &PanicError{Point: p.Name, Rung: "estimate", Value: rec, Stack: debug.Stack()}
+		}
+		sp.EndErr(err)
+	}()
+	tGuess, x0, err := shooting.EstimatePeriodBudget(p.System, p.X0, p.EstimateTMax, tok)
+	if err != nil {
+		return fmt.Errorf("sweep: point %q: period estimation: %w", p.Name, err)
+	}
+	p.TGuess, p.X0 = tGuess, x0
+	return nil
 }
 
 // attemptOutcome is what one attempt goroutine hands back to its supervisor.

@@ -242,6 +242,138 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 }
 
+// multipart is a record in parts shaped like a spill record (index,
+// envelope head, payload, envelope tail): Append gathers the small parts
+// with the frame header and writes the payload straight from its slice.
+func multipart() [][]byte {
+	return [][]byte{
+		{0, 0, 0, 7},
+		[]byte(`{"index":7,"name":"p","result":`),
+		bytes.Repeat([]byte("L"), coalesce),
+		[]byte(`,"wall_ns":1}`),
+	}
+}
+
+// TestAppendPartsMatchesConcatenation: a record appended in parts, below and
+// above the coalescing size, leaves the file byte for byte as the same
+// record appended whole, and reads back whole.
+func TestAppendPartsMatchesConcatenation(t *testing.T) {
+	dir := t.TempDir()
+	records := [][][]byte{
+		{[]byte("a"), []byte("bc")},
+		multipart(),
+		{[]byte("ab"), bytes.Repeat([]byte("L"), coalesce+5), bytes.Repeat([]byte("s"), coalesce-1), bytes.Repeat([]byte("M"), 3*coalesce)},
+		{nil, []byte("after empty parts"), {}},
+		{[]byte("tail")},
+	}
+	parts, whole := filepath.Join(dir, "parts.wal"), filepath.Join(dir, "whole.wal")
+	lp, _, err := Open(parts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw, _, err := Open(whole, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range records {
+		offP, err := lp.Append(r...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offW, err := lw.Append(bytes.Join(r, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if offP != offW {
+			t.Fatalf("record %d: offset %d in parts, %d whole", i, offP, offW)
+		}
+		if rec, err := lp.ReadAt(offP); err != nil || !bytes.Equal(rec, bytes.Join(r, nil)) {
+			t.Fatalf("record %d: ReadAt = %d bytes, %v", i, len(rec), err)
+		}
+	}
+	lp.Close()
+	lw.Close()
+	a, _ := os.ReadFile(parts)
+	b, _ := os.ReadFile(whole)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("file of parts (%d bytes) differs from file of whole records (%d bytes)", len(a), len(b))
+	}
+}
+
+// TestCrashPointsMultipart: a frame Append writes in several writes is torn
+// at every byte, and also with each of its writes missing while the later
+// ones landed (a hole the filesystem left zero-filled). Open cuts the frame
+// each time, keeps the frame before it, and the next append lands right
+// after that frame and reads back.
+func TestCrashPointsMultipart(t *testing.T) {
+	dir := t.TempDir()
+	first := []byte("the intact frame before")
+	parts := multipart()
+	rec := bytes.Join(parts, nil)
+	p := filepath.Join(dir, "m.wal")
+	l, _, err := Open(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(first); err != nil {
+		t.Fatal(err)
+	}
+	start, err := l.Append(parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	full, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(full)) != start+frameHeader+int64(len(rec)) {
+		t.Fatalf("log of %d bytes, want the second frame to end it at %d", len(full), start+frameHeader+int64(len(rec)))
+	}
+	// The writes Append makes for this frame: header with the small parts
+	// before the first large one, each large part, the small parts between
+	// and after.
+	var writes [][2]int64 // [from, to) in the file
+	pos, from := start+frameHeader, start
+	for _, part := range parts {
+		if len(part) >= coalesce {
+			writes = append(writes, [2]int64{from, pos}, [2]int64{pos, pos + int64(len(part))})
+			from = pos + int64(len(part))
+		}
+		pos += int64(len(part))
+	}
+	writes = append(writes, [2]int64{from, pos})
+	check := func(name string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, got, cut := openAll(t, p)
+		if !sameRecords(got, [][]byte{first}) || cut != int64(len(data))-start {
+			l.Close()
+			t.Fatalf("%s: Open returned %d records and cut %d of %d bytes, want 1 record and all bytes from %d", name, len(got), cut, len(data), start)
+		}
+		off, err := l.Append([]byte("next"))
+		if err != nil || off != start {
+			t.Fatalf("%s: append after Open at %d (%v), want %d", name, off, err, start)
+		}
+		l.Close()
+		l, got, _ = openAll(t, p)
+		l.Close()
+		if !sameRecords(got, [][]byte{first, []byte("next")}) {
+			t.Fatalf("%s: reopen after append returned %d records", name, len(got))
+		}
+	}
+	for k := start; k < int64(len(full)); k++ {
+		check(fmt.Sprintf("cut at %d", k), full[:k])
+	}
+	for i, w := range writes {
+		torn := append([]byte(nil), full...)
+		clear(torn[w[0]:w[1]])
+		check(fmt.Sprintf("write %d of %d missing", i+1, len(writes)), torn)
+	}
+}
+
 // FuzzOpen: whatever the file holds, Open succeeds and leaves exactly the
 // magic plus the frames of the records it returned, and the log accepts an
 // append that reads back after a reopen.

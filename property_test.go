@@ -108,12 +108,20 @@ func TestQuickTimeRescaling(t *testing.T) {
 
 // registryPoint resolves a registry model at its defaults exactly as the job
 // server does: the recommended start, a period estimate where the model has
-// no closed form, and the recommended solver options.
+// no closed form, and the recommended solver options. The server's engine
+// estimates on a cache miss; these tests call the pipeline directly, so the
+// estimate is made here, from the same inputs.
 func registryPoint(t *testing.T, name string) sweep.Point {
 	t.Helper()
 	pt, err := serve.PointSpec{Model: name}.Resolve(nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pt.TGuess == 0 {
+		pt.TGuess, pt.X0, err = shooting.EstimatePeriodBudget(pt.System, pt.X0, pt.EstimateTMax, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	return pt
 }
