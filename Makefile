@@ -27,8 +27,8 @@ race:
 
 # Fuzzing: each native fuzz target for 15 s (the decoders of crash-torn or
 # foreign bytes: the log scanner, journal replay, the non-finite float codec,
-# the loss-free result codecs, the cache's disk envelope and the sweep and
-# compose request bodies). Their seed
+# the loss-free result codecs, the cache's disk envelope, the cache's JSON
+# check against json.Valid and the sweep and compose request bodies). Their seed
 # inputs also run as plain tests under `make test`. Minimization is capped so
 # a new input does not eat the whole budget. CI runs the same target (fuzz
 # job).
@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPointResultJSON$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz '^FuzzResultJSON$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDiskGet$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz '^FuzzValid$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzComposeRequest$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/serve/
 

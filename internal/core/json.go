@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"sync"
 
 	"repro/internal/floquet"
 	"repro/internal/shooting"
+	"repro/internal/wfloat"
 )
 
 // ResultWire is the wire form of a Result; the unexported noise-source
@@ -58,12 +60,104 @@ func (w *ResultWire) Result() *Result {
 	}
 }
 
+// AppendJSON appends w's JSON encoding to b: byte for byte what
+// encoding/json writes for a *ResultWire (null when w is nil), field order,
+// omitempty and string escaping included. It fails, as encoding/json does,
+// on a non-finite plain float.
+func (w *ResultWire) AppendJSON(b []byte) ([]byte, error) {
+	if w == nil {
+		return append(b, "null"...), nil
+	}
+	var err error
+	b = append(b, '{')
+	if w.PSS != nil {
+		if b, err = w.PSS.AppendJSON(append(b, `"pss":`...)); err != nil {
+			return b, err
+		}
+		b = append(b, ',')
+	}
+	if w.Floquet != nil {
+		if b, err = w.Floquet.AppendJSON(append(b, `"floquet":`...)); err != nil {
+			return b, err
+		}
+		b = append(b, ',')
+	}
+	if b, err = wfloat.AppendFloat(append(b, `"c":`...), w.C); err != nil {
+		return b, err
+	}
+	if len(w.PerSource) > 0 {
+		b = append(b, `,"per_source":[`...)
+		for i, s := range w.PerSource {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(append(b, `{"label":`...), s.Label)
+			if b, err = wfloat.AppendFloat(append(b, `,"c":`...), s.C); err != nil {
+				return b, err
+			}
+			if b, err = wfloat.AppendFloat(append(b, `,"fraction":`...), s.Fraction); err != nil {
+				return b, err
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if len(w.Sensitivity) > 0 {
+		if b, err = wfloat.AppendFloats(append(b, `,"sensitivity":`...), w.Sensitivity); err != nil {
+			return b, err
+		}
+	}
+	if len(w.Labels) > 0 {
+		b = append(b, `,"labels":[`...)
+		for i, l := range w.Labels {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, l)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendString appends s as encoding/json writes a string. A string of
+// printable ASCII that needs no escape (the labels of every registry model)
+// is copied between quotes; any other goes through encoding/json, which
+// escapes <, > and &, control bytes, U+2028 and U+2029 and replaces invalid
+// UTF-8.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// encodeBuf holds scratch buffers for MarshalJSON, so a result's bytes are
+// appended into grown memory and copied out once at their exact length.
+var encodeBuf = sync.Pool{New: func() any { return new([]byte) }}
+
 // MarshalJSON implements json.Marshaler. Together with UnmarshalJSON it makes
 // a Result JSON round-trip loss-free (including the unexported source
 // labels), which the disk result cache and the service API rely on. Callers
 // holding a Result call it directly: json.Marshal would re-scan the output.
+// The bytes are json.Marshal(r.Wire())'s, written by the append encoders
+// without reflection; the returned slice's capacity equals its length.
 func (r *Result) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.Wire())
+	bp := encodeBuf.Get().(*[]byte)
+	b, err := r.Wire().AppendJSON((*bp)[:0])
+	var out []byte
+	if err == nil {
+		out = make([]byte, len(b))
+		copy(out, b)
+	}
+	*bp = b[:0]
+	encodeBuf.Put(bp)
+	return out, err
 }
 
 // UnmarshalJSON implements json.Unmarshaler. Callers holding the bytes call

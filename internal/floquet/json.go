@@ -86,6 +86,69 @@ func (w *DecompositionWire) Decomposition() *Decomposition {
 	}
 }
 
+// AppendJSON appends w's JSON encoding to b: byte for byte what
+// encoding/json writes for a *DecompositionWire (null when w is nil), field
+// order and omitempty included. It fails, as encoding/json does, on a
+// non-finite plain float (T, U10, V10, the V1 knots).
+func (w *DecompositionWire) AppendJSON(b []byte) ([]byte, error) {
+	if w == nil {
+		return append(b, "null"...), nil
+	}
+	var err error
+	b = append(b, `{"t":`...)
+	if b, err = wfloat.AppendFloat(b, w.T); err != nil {
+		return b, err
+	}
+	b = append(b, `,"multipliers":`...)
+	b = appendPairs(b, w.Multipliers)
+	b = append(b, `,"exponents":`...)
+	b = appendPairs(b, w.Exponents)
+	for _, f := range []struct {
+		key string
+		v   []float64
+	}{{`,"u10":`, w.U10}, {`,"v10":`, w.V10}} {
+		if len(f.v) > 0 {
+			b = append(b, f.key...)
+			if b, err = wfloat.AppendFloats(b, f.v); err != nil {
+				return b, err
+			}
+		}
+	}
+	if w.V1 != nil {
+		b = append(b, `,"v1":`...)
+		if b, err = w.V1.AppendJSON(b); err != nil {
+			return b, err
+		}
+	}
+	for _, f := range []struct {
+		key string
+		v   wfloat.Float
+	}{{`,"unit_err":`, w.UnitErr}, {`,"closure_err":`, w.ClosureErr}, {`,"biortho_drift":`, w.BiorthoDrift}} {
+		if f.v != 0 {
+			b = f.v.AppendJSON(append(b, f.key...))
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// appendPairs appends [re, im] pairs as encoding/json writes a
+// [][2]wfloat.Float: null for a nil slice.
+func appendPairs(b []byte, ps [][2]wfloat.Float) []byte {
+	if ps == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, p := range ps {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = p[0].AppendJSON(append(b, '['))
+		b = p[1].AppendJSON(append(b, ','))
+		b = append(b, ']')
+	}
+	return append(b, ']')
+}
+
 // MarshalJSON implements json.Marshaler, encoding complex slices as
 // [re, im] pairs so the decomposition survives a JSON round trip loss-free.
 func (d *Decomposition) MarshalJSON() ([]byte, error) {

@@ -204,10 +204,14 @@ func Trapezoidal(f Func, jac JacFunc, t0, t1 float64, x0 []float64, nsteps int, 
 
 // Variational integrates the joint system ẋ = f(t,x), Ẏ = A(t,x)Y with
 // Y(t0) = I using fixed-step RK4, returning the final state and the
-// state-transition matrix Φ(t1, t0). When rec is non-nil the state part of
-// the solution is appended to it as a dense trajectory. The integration is
-// cut off with a wrapped budget error when tok trips (nil tok never trips)
-// and with ErrNonFinite as soon as the joint state turns NaN/Inf.
+// state-transition matrix Φ(t1, t0). When rec is non-nil its knots are
+// replaced by the state part of the solution, nsteps+1 knots whose states
+// and slopes f(t, x) share one backing array; knots of an earlier recording
+// of the same shape are overwritten in place, so a caller that integrates
+// repeatedly (Newton shooting) records into one array. On failure rec holds
+// the knots recorded so far. The integration is cut off with a wrapped
+// budget error when tok trips (nil tok never trips) and with ErrNonFinite as
+// soon as the joint state turns NaN/Inf.
 func Variational(f Func, jac JacFunc, t0, t1 float64, x0 []float64, nsteps int, rec *Trajectory, tok *budget.Token) ([]float64, *linalg.Matrix, error) {
 	n := len(x0)
 	aug := make([]float64, n+n*n)
@@ -233,11 +237,16 @@ func Variational(f Func, jac JacFunc, t0, t1 float64, x0 []float64, nsteps int, 
 			}
 		}
 	}
-	var dz []float64
+	var pts []SamplePoint
+	store := func(idx int, t float64) {
+		p := &pts[idx]
+		p.T = t
+		copy(p.X, aug[:n])
+		f(t, p.X, p.DX)
+	}
 	if rec != nil {
-		dz = make([]float64, n+n*n)
-		rhs(t0, aug, dz)
-		rec.Append(t0, aug[:n], dz[:n])
+		pts = rec.knots(nsteps+1, n)
+		store(0, t0)
 	}
 	h := (t1 - t0) / float64(nsteps)
 	k1 := make([]float64, len(aug))
@@ -250,24 +259,59 @@ func Variational(f Func, jac JacFunc, t0, t1 float64, x0 []float64, nsteps int, 
 		t := t0 + float64(s)*h
 		if err := tok.Err(); err != nil {
 			m.varSteps.Add(int64(s))
+			if rec != nil {
+				rec.Points = pts[: s+1 : s+1]
+			}
 			return nil, nil, fmt.Errorf("ode: variational integration at t=%g (step %d/%d): %w", t, s+1, nsteps, err)
 		}
 		rk4Step(rhs, t, aug, h, aug, k1, k2, k3, k4, tmp)
 		if !finite(aug) {
 			m.varSteps.Add(int64(s + 1))
 			m.nonFinite.Inc()
+			if rec != nil {
+				rec.Points = pts[: s+1 : s+1]
+			}
 			return nil, nil, fmt.Errorf("%w in variational integration at t=%g (step %d/%d)", ErrNonFinite, t, s+1, nsteps)
 		}
 		if rec != nil {
-			rhs(t+h, aug, dz)
-			rec.Append(t+h, aug[:n], dz[:n])
+			store(s+1, t+h)
 		}
 	}
 	m.varSteps.Add(int64(nsteps))
+	if rec != nil {
+		checkIncreasing(pts)
+	}
 	phi := linalg.NewMatrixFrom(n, n, aug[n:])
 	xf := make([]float64, n)
 	copy(xf, aug[:n])
 	return xf, phi, nil
+}
+
+// knots sets tr to k knots of dimension n, each knot's state and slope
+// slices cut from one backing array, and returns them for filling. A
+// trajectory already holding k such knots keeps its storage.
+func (tr *Trajectory) knots(k, n int) []SamplePoint {
+	if pts := tr.Points; k > 0 && len(pts) == k && cap(pts) == k && len(pts[0].X) == n && len(pts[0].DX) == n {
+		return pts
+	}
+	pts := make([]SamplePoint, k)
+	vals := make([]float64, 2*n*k)
+	for i := range pts {
+		v := vals[2*n*i : 2*n*(i+1) : 2*n*(i+1)]
+		pts[i] = SamplePoint{X: v[:n:n], DX: v[n:]}
+	}
+	tr.Points = pts
+	return pts
+}
+
+// checkIncreasing panics, as Trajectory.Append does, unless the knot times
+// strictly increase.
+func checkIncreasing(pts []SamplePoint) {
+	for i := 1; i < len(pts); i++ {
+		if pts[i].T <= pts[i-1].T {
+			panic(fmt.Sprintf("ode: non-increasing trajectory knot %g after %g", pts[i].T, pts[i-1].T))
+		}
+	}
 }
 
 // AdjointBackward integrates the adjoint system ẏ = −Aᵀ(t)y backwards in
@@ -310,13 +354,13 @@ func AdjointBackward(jac JacFunc, xs *Trajectory, t0, t1 float64, yT []float64, 
 	// The knots are filled last to first, straight into the forward-ordered
 	// trajectory: each knot's state and slope are written once, into one
 	// backing array shared by all knots.
-	pts := make([]SamplePoint, nsteps+1)
-	vals := make([]float64, 2*n*(nsteps+1))
+	out := &Trajectory{}
+	pts := out.knots(nsteps+1, n)
 	store := func(idx int, t float64) {
-		v := vals[2*n*idx : 2*n*(idx+1) : 2*n*(idx+1)]
-		copy(v[:n], y)
-		rhs(t, y, v[n:])
-		pts[idx] = SamplePoint{T: t, X: v[:n:n], DX: v[n:]}
+		p := &pts[idx]
+		p.T = t
+		copy(p.X, y)
+		rhs(t, y, p.DX)
 	}
 	store(nsteps, t1)
 	m := odeMetrics.Get()
@@ -335,12 +379,8 @@ func AdjointBackward(jac JacFunc, xs *Trajectory, t0, t1 float64, yT []float64, 
 		store(nsteps-1-s, t-h)
 	}
 	m.adjSteps.Add(int64(nsteps))
-	for i := 1; i <= nsteps; i++ {
-		if pts[i].T <= pts[i-1].T {
-			panic(fmt.Sprintf("ode: non-increasing trajectory knot %g after %g", pts[i].T, pts[i-1].T))
-		}
-	}
-	return &Trajectory{Points: pts}, nsteps, nil
+	checkIncreasing(pts)
+	return out, nsteps, nil
 }
 
 // AdjointForward integrates ẏ = −Aᵀ(t)y forwards from t0 to t1 along the

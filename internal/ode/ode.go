@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/budget"
+	"repro/internal/wfloat"
 )
 
 // Func is the right-hand side of an autonomous-friendly ODE ẋ = f(t, x).
@@ -162,6 +163,40 @@ func (tr *Trajectory) Append(t float64, x, dx []float64) {
 	dc := make([]float64, len(dx))
 	copy(dc, dx)
 	tr.Points = append(tr.Points, SamplePoint{T: t, X: xc, DX: dc})
+}
+
+// AppendJSON appends tr's JSON encoding to b: byte for byte what
+// encoding/json writes for a *Trajectory (null when tr is nil). It fails,
+// as encoding/json does, on a non-finite knot value.
+func (tr *Trajectory) AppendJSON(b []byte) ([]byte, error) {
+	switch {
+	case tr == nil:
+		return append(b, "null"...), nil
+	case tr.Points == nil:
+		return append(b, `{"Points":null}`...), nil
+	}
+	b = append(b, `{"Points":[`...)
+	var err error
+	for i := range tr.Points {
+		p := &tr.Points[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"T":`...)
+		if b, err = wfloat.AppendFloat(b, p.T); err != nil {
+			return b, err
+		}
+		b = append(b, `,"X":`...)
+		if b, err = wfloat.AppendFloats(b, p.X); err != nil {
+			return b, err
+		}
+		b = append(b, `,"DX":`...)
+		if b, err = wfloat.AppendFloats(b, p.DX); err != nil {
+			return b, err
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}"...), nil
 }
 
 // Span returns the time interval covered by the trajectory.

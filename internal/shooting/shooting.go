@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/dynsys"
 	"repro/internal/linalg"
 	"repro/internal/ode"
+	"repro/internal/wfloat"
 )
 
 // ErrNoConvergence is returned when Newton shooting fails to close the orbit.
@@ -135,6 +137,49 @@ func (p *PSS) MonodromyEigen() ([]complex128, error) {
 	return append([]complex128(nil), p.eig.vals...), nil
 }
 
+// AppendJSON appends p's JSON encoding to b: byte for byte what
+// encoding/json writes for a *PSS (null when p is nil), the orbit and the
+// monodromy included. It fails, as encoding/json does, on a non-finite value.
+func (p *PSS) AppendJSON(b []byte) ([]byte, error) {
+	if p == nil {
+		return append(b, "null"...), nil
+	}
+	var err error
+	b = append(b, `{"X0":`...)
+	if b, err = wfloat.AppendFloats(b, p.X0); err != nil {
+		return b, err
+	}
+	b = append(b, `,"T":`...)
+	if b, err = wfloat.AppendFloat(b, p.T); err != nil {
+		return b, err
+	}
+	b = append(b, `,"Orbit":`...)
+	if b, err = p.Orbit.AppendJSON(b); err != nil {
+		return b, err
+	}
+	b = append(b, `,"Monodromy":`...)
+	if m := p.Monodromy; m == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, `{"Rows":`...)
+		b = strconv.AppendInt(b, int64(m.Rows), 10)
+		b = append(b, `,"Cols":`...)
+		b = strconv.AppendInt(b, int64(m.Cols), 10)
+		b = append(b, `,"Data":`...)
+		if b, err = wfloat.AppendFloats(b, m.Data); err != nil {
+			return b, err
+		}
+		b = append(b, '}')
+	}
+	b = append(b, `,"Residual":`...)
+	if b, err = wfloat.AppendFloat(b, p.Residual); err != nil {
+		return b, err
+	}
+	b = append(b, `,"Iters":`...)
+	b = strconv.AppendInt(b, int64(p.Iters), 10)
+	return append(b, '}'), nil
+}
+
 // F0 returns the oscillation frequency 1/T.
 func (p *PSS) F0() float64 { return 1 / p.T }
 
@@ -208,6 +253,9 @@ func Find(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*PSS,
 	var lastRes float64
 	bs := linalg.NewMatrix(n+1, n+1)
 	rhs := make([]float64, n+1)
+	// Every iteration records its orbit into the same knots; the converged
+	// iteration's recording and Φ are the PSS.
+	orbit := &ode.Trajectory{}
 	for iter := 1; iter <= o.MaxIter; iter++ {
 		if err := o.Budget.Err(); err != nil {
 			return nil, fmt.Errorf("shooting: Newton iteration %d: %w", iter, err)
@@ -218,7 +266,7 @@ func Find(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*PSS,
 		if tr != nil {
 			tr.Iters = iter
 		}
-		xT, phi, verr := ode.Variational(f, jac, 0, T, x, o.StepsPerPeriod, nil, o.Budget)
+		xT, phi, verr := ode.Variational(f, jac, 0, T, x, o.StepsPerPeriod, orbit, o.Budget)
 		if verr != nil {
 			return nil, wrapIntegration(fmt.Sprintf("monodromy integration (iteration %d)", iter), verr)
 		}
@@ -243,11 +291,16 @@ func Find(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*PSS,
 			if linalg.NormInfVec(fx0) < 1e-3*fRef {
 				return nil, errors.New("shooting: converged to an equilibrium, not a limit cycle")
 			}
-			pss, err := finish(sys, x, T, o, iter, res)
-			if err == nil {
-				sm.converged.Inc()
-			}
-			return pss, err
+			sm.converged.Inc()
+			return &PSS{
+				X0:        append([]float64(nil), x...),
+				T:         T,
+				Orbit:     orbit,
+				Monodromy: phi,
+				Residual:  res,
+				Iters:     iter,
+				eig:       &pssEigCache{},
+			}, nil
 		}
 
 		// Bordered Newton system.
@@ -447,25 +500,6 @@ func settle(f ode.Func, x0 []float64, tGuess float64, o Options, tr *Trace) ([]f
 		}
 	}
 	return x, T, nil
-}
-
-// finish records the dense orbit and monodromy at the converged solution.
-func finish(sys dynsys.System, x0 []float64, T float64, o Options, iters int, res float64) (*PSS, error) {
-	f, jac := sysFunc(sys)
-	rec := &ode.Trajectory{}
-	_, phi, err := ode.Variational(f, jac, 0, T, x0, o.StepsPerPeriod, rec, o.Budget)
-	if err != nil {
-		return nil, wrapIntegration("orbit recording", err)
-	}
-	return &PSS{
-		X0:        append([]float64(nil), x0...),
-		T:         T,
-		Orbit:     rec,
-		Monodromy: phi,
-		Residual:  res,
-		Iters:     iters,
-		eig:       &pssEigCache{},
-	}, nil
 }
 
 // EstimatePeriod integrates the system for tMax and estimates the oscillation

@@ -7,6 +7,10 @@ import (
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/dynsys"
+	"repro/internal/linalg"
+	"repro/internal/obs"
+	"repro/internal/ode"
 	"repro/internal/osc"
 )
 
@@ -330,5 +334,136 @@ func TestMonodromyEigenMemoized(t *testing.T) {
 		if vals[i] != second[i] {
 			t.Fatalf("cacheless eigenvalues differ at %d: %v vs %v", i, vals[i], second[i])
 		}
+	}
+}
+
+// registryStart is a registry model at its defaults with the start the
+// service uses: the recommended state and period guess (estimated where the
+// model has no closed form) and the recommended shooting steps.
+func registryStart(t *testing.T, name string) (dynsys.System, []float64, float64, *Options) {
+	t.Helper()
+	m, err := osc.Build(name, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0, tGuess := m.X0, m.TGuess
+	if tGuess == 0 {
+		if tGuess, x0, err = EstimatePeriodBudget(m.Sys, x0, m.EstimateTMax, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m.Sys, x0, tGuess, &Options{StepsPerPeriod: m.ShootingSteps}
+}
+
+// recordOrbit integrates the variational system from x0 over [0, T] and
+// records the orbit as the solver did before Find kept the converged
+// iteration's recording: a second RK4 integration of the joint state and
+// monodromy, each knot appended with the first n entries of the whole
+// variational right-hand side. It returns the knots, Φ(T, 0) and x(T).
+func recordOrbit(sys dynsys.System, x0 []float64, T float64, nsteps int) (*ode.Trajectory, *linalg.Matrix, []float64) {
+	n := len(x0)
+	jm := make([]float64, n*n)
+	rhs := func(_ float64, z, dst []float64) {
+		sys.Eval(z[:n], dst[:n])
+		sys.Jacobian(z[:n], jm)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				s := 0.0
+				for k := 0; k < n; k++ {
+					s += jm[i*n+k] * z[n+k*n+j]
+				}
+				dst[n+i*n+j] = s
+			}
+		}
+	}
+	aug := make([]float64, n+n*n)
+	copy(aug, x0)
+	for i := 0; i < n; i++ {
+		aug[n+i*n+i] = 1
+	}
+	dz := make([]float64, len(aug))
+	rec := &ode.Trajectory{}
+	rhs(0, aug, dz)
+	rec.Append(0, aug[:n], dz[:n])
+	st := ode.NewStepper(len(aug))
+	h := T / float64(nsteps)
+	for s := 0; s < nsteps; s++ {
+		t := float64(s) * h
+		st.Step(rhs, t, aug, h, aug)
+		rhs(t+h, aug, dz)
+		rec.Append(t+h, aug[:n], dz[:n])
+	}
+	return rec, linalg.NewMatrixFrom(n, n, aug[n:]), append([]float64(nil), aug[:n]...)
+}
+
+// TestFindRecordsConvergedOrbit: the PSS Find builds from its converged
+// Newton iteration — X0, T, every orbit knot's T, X and DX, the monodromy,
+// the residual and the iteration count — is bit for bit what integrating the
+// converged x0 and T once more with the old recording gives.
+func TestFindRecordsConvergedOrbit(t *testing.T) {
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, name := range []string{"hopf", "ring", "fhn"} {
+		t.Run(name, func(t *testing.T) {
+			sys, x0, tGuess, opts := registryStart(t, name)
+			tr := &Trace{}
+			opts.Trace = tr
+			pss, err := Find(sys, x0, tGuess, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := opts.Effective().StepsPerPeriod
+			orbit, phi, xT := recordOrbit(sys, pss.X0, pss.T, steps)
+			if len(pss.Orbit.Points) != len(orbit.Points) {
+				t.Fatalf("%d orbit knots, reference %d", len(pss.Orbit.Points), len(orbit.Points))
+			}
+			for k, p := range pss.Orbit.Points {
+				q := orbit.Points[k]
+				if !same([]float64{p.T}, []float64{q.T}) || !same(p.X, q.X) || !same(p.DX, q.DX) {
+					t.Fatalf("orbit knot %d: %v %v %v, reference %v %v %v", k, p.T, p.X, p.DX, q.T, q.X, q.DX)
+				}
+			}
+			if pss.Monodromy.Rows != phi.Rows || pss.Monodromy.Cols != phi.Cols || !same(pss.Monodromy.Data, phi.Data) {
+				t.Fatalf("monodromy %v, reference %v", pss.Monodromy.Data, phi.Data)
+			}
+			res := 0.0
+			for i := range xT {
+				res = math.Max(res, math.Abs(xT[i]-pss.X0[i]))
+			}
+			res /= 1 + linalg.NormInfVec(pss.X0)
+			if !same([]float64{pss.Residual}, []float64{res}) || pss.Residual != tr.Residual {
+				t.Fatalf("residual %g, reference %g, trace %g", pss.Residual, res, tr.Residual)
+			}
+			if pss.Iters != tr.Iters || pss.Iters != len(tr.Residuals) {
+				t.Fatalf("%d iterations, trace %d with %d residuals", pss.Iters, tr.Iters, len(tr.Residuals))
+			}
+		})
+	}
+}
+
+// TestFindIntegratesEachIterationOnce: a converged Find makes one
+// variational integration per Newton iteration and none after.
+func TestFindIntegratesEachIterationOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.SetGlobal(reg)
+	t.Cleanup(func() { obs.SetGlobal(nil) })
+	h := &osc.Hopf{Lambda: 1, Omega: 2}
+	opts := &Options{StepsPerPeriod: 1500}
+	pss, err := Find(h, []float64{1, 0.1}, h.Period()*1.05, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := reg.Snapshot().Counter("pn_ode_steps_total", "variational")
+	if want := int64(pss.Iters * opts.StepsPerPeriod); got != want {
+		t.Fatalf("%d variational steps for %d iterations of %d steps, want %d", got, pss.Iters, opts.StepsPerPeriod, want)
 	}
 }

@@ -148,13 +148,70 @@ func budgetError(res *Result) error {
 	return nil
 }
 
+// sensitivityAgreement holds the per-source budget (Eqs. 30–31) against the
+// per-node sensitivities (Eq. 32): a noise column j that is the same at
+// every orbit knot and has one non-zero entry b, at state i, gives
+// c_j = b²·Sensitivity[i] to a relative 1e-12, since the quadrature sums
+// (v1_i·b)² for the one and v1_i² for the other on the same grid. It returns
+// how many columns it checked; columns that vary with the state are skipped.
+func sensitivityAgreement(sys System, res *Result) (int, error) {
+	n, p := sys.Dim(), sys.NumNoise()
+	labels := res.SourceLabels()
+	cOf := make(map[string]float64, len(res.PerSource))
+	for _, s := range res.PerSource {
+		cOf[s.Label] = s.C
+	}
+	if len(labels) != p || len(cOf) != p {
+		return 0, fmt.Errorf("%d noise columns, %d labels, %d distinct per-source labels", p, len(labels), len(cOf))
+	}
+	pts := res.PSS.Orbit.Points
+	first, b := make([]float64, n*p), make([]float64, n*p)
+	sys.Noise(pts[0].X, first)
+	constant := make([]bool, p)
+	for j := range constant {
+		constant[j] = true
+	}
+	for _, pt := range pts[1:] {
+		sys.Noise(pt.X, b)
+		for k := range b {
+			if b[k] != first[k] {
+				constant[k%p] = false
+			}
+		}
+	}
+	checked := 0
+	for j := 0; j < p; j++ {
+		state, entries := -1, 0
+		for i := 0; i < n; i++ {
+			if first[i*p+j] != 0 {
+				state, entries = i, entries+1
+			}
+		}
+		if !constant[j] || entries != 1 {
+			continue
+		}
+		bij := first[state*p+j]
+		want := bij * bij * res.Sensitivity[state]
+		if got := cOf[labels[j]]; math.Abs(got-want) > 1e-12*math.Abs(got) {
+			return checked, fmt.Errorf("source %q: c_j = %g, b²·sensitivity[%d] = %g (relative error %.2g)", labels[j], got, state, want, math.Abs(got-want)/math.Abs(got))
+		}
+		checked++
+	}
+	return checked, nil
+}
+
 // Property: the per-source decomposition sums to c, and every c_i and every
 // sensitivity is non-negative, on every registry model at its defaults; the
-// ring row draws random Rc and IEE designs.
+// ring row draws random Rc and IEE designs. Every constant single-entry
+// noise column agrees with the per-node sensitivity of its state (see
+// sensitivityAgreement), and at least five models have such a column.
 func TestQuickRingBudgetClosure(t *testing.T) {
+	ran, withChecked := 0, 0
 	for _, name := range osc.Models() {
 		t.Run(name, func(t *testing.T) {
+			ran++
 			if name == "ring" {
+				ringChecked := false
 				f := func(seed int64) bool {
 					rng := rand.New(rand.NewSource(seed))
 					r := osc.NewECLRingPaper()
@@ -172,10 +229,19 @@ func TestQuickRingBudgetClosure(t *testing.T) {
 						t.Logf("Rc=%g IEE=%g: %v", r.Rc, r.IEE, err)
 						return false
 					}
+					checked, err := sensitivityAgreement(r, res)
+					if err != nil {
+						t.Logf("Rc=%g IEE=%g: %v", r.Rc, r.IEE, err)
+						return false
+					}
+					ringChecked = checked > 0
 					return true
 				}
 				if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
 					t.Fatal(err)
+				}
+				if ringChecked {
+					withChecked++
 				}
 				return
 			}
@@ -187,7 +253,18 @@ func TestQuickRingBudgetClosure(t *testing.T) {
 			if err := budgetError(res); err != nil {
 				t.Fatal(err)
 			}
+			checked, err := sensitivityAgreement(pt.System, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d noise columns checked against the sensitivities", checked)
+			if checked > 0 {
+				withChecked++
+			}
 		})
+	}
+	if ran == len(osc.Models()) && withChecked < 5 {
+		t.Fatalf("%d models have a constant single-entry noise column checked against the sensitivities, want at least 5", withChecked)
 	}
 }
 
