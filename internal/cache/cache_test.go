@@ -222,6 +222,45 @@ func TestDiskPersistsAcrossStores(t *testing.T) {
 	}
 }
 
+// TestDiskEnvelopeBytes: put writes the envelope around the payload without
+// marshalling it. For a real registry payload the file holds exactly
+// json.Marshal's envelope; a payload with insignificant whitespace inside
+// it, which json.Marshal would compact, comes back from get exactly as it
+// was put.
+func TestDiskEnvelopeBytes(t *testing.T) {
+	d, err := newDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "pnfp1-0123abcd"
+	path, _ := d.path(key)
+	real, err := registryResult(t, "hopf").MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.put(key, real)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(diskEnvelope{V: diskSchemaVersion, Key: key, Payload: real})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, want) {
+		t.Fatalf("envelope of a %d-byte hopf payload differs from json.Marshal's (%d bytes against %d)", len(real), len(file), len(want))
+	}
+	if got, ok := d.get(key); !ok || !bytes.Equal(got, real) {
+		t.Fatalf("hopf payload not served back: ok=%v, %d bytes", ok, len(got))
+	}
+
+	spaced := []byte("{ \"c\" : 1e-9 ,\n\t\"x\": [ 1, 2 ] }")
+	d.put(key, spaced)
+	if got, ok := d.get(key); !ok || !bytes.Equal(got, spaced) {
+		t.Fatalf("get = %q, %v; want %q as it was put", got, ok, spaced)
+	}
+}
+
 func TestDiskCorruptionToleratedAsMiss(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Options{Dir: dir})

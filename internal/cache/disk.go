@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"repro/internal/faultinject"
 )
@@ -89,15 +90,14 @@ func (d *diskStore) get(key string) ([]byte, bool) {
 // as silent recomputation, or worse, serve as garbage.
 //
 // The payload must be valid JSON (the store's envelope embeds it verbatim);
-// Store.Put validates that upstream.
+// Store.Put validates that upstream. The envelope is written around it, not
+// marshalled: encoding/json would compact the whole payload again only to
+// copy it. A key that path admits needs no escaping, so for a compact
+// payload the file holds json.Marshal's bytes, and any payload comes back
+// from get exactly as it was put.
 func (d *diskStore) put(key string, payload []byte) {
 	p, ok := d.path(key)
 	if !ok {
-		return
-	}
-	data, err := json.Marshal(diskEnvelope{V: diskSchemaVersion, Key: key, Payload: payload})
-	if err != nil {
-		cacheMetrics.Get().diskErrors.Inc()
 		return
 	}
 	if faultinject.Fire(faultinject.CacheDiskWrite) != nil {
@@ -110,7 +110,13 @@ func (d *diskStore) put(key string, payload []byte) {
 		return
 	}
 	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
+	head := `{"v":` + strconv.Itoa(diskSchemaVersion) + `,"key":"` + key + `","payload":`
+	var werr error
+	for _, part := range [][]byte{[]byte(head), payload, []byte("}")} {
+		if werr == nil {
+			_, werr = tmp.Write(part)
+		}
+	}
 	serr := tmp.Sync()
 	cerr := tmp.Close()
 	if werr != nil || serr != nil || cerr != nil {

@@ -19,9 +19,9 @@ func BenchmarkResultSpill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// File creation fsyncs a header once per job; that one-off (and the
-		// cleanup) would drown the per-frame cost in disk-latency noise, so
-		// only the frame traffic is on the clock.
+		// File creation and cleanup, once per job, would drown the
+		// per-frame cost in file-system latency noise, so only the frame
+		// traffic is on the clock.
 		b.StopTimer()
 		id := fmt.Sprintf("bench%d", i)
 		rf := rs.open(id, frames)

@@ -32,11 +32,13 @@ import (
 // retrieval is byte-identical to what the in-memory path used to serve. For
 // a point that went through the result cache that output is the point
 // envelope with the cache payload spliced in: the result is not encoded
-// again, and a memory-tier hit is spilled without ever being decoded. The
-// sync discipline matches the journal: a new spill is synced at create,
-// records are plain appends (a crash loses at most the records the OS had
+// again, and a memory-tier hit is spilled without ever being decoded.
+// Records are plain appends (a crash loses at most the records the OS had
 // not written; every earlier point survives), and seal — called when the job
-// goes terminal — syncs the tail.
+// goes terminal — syncs them, and on a new file its directory entry too. A
+// new spill is not synced at create: before seal its records are not
+// durable anyway, and a job that crashes unsealed is re-run or served from
+// what survived.
 //
 // Failure containment mirrors the journal too: a failed append (disk full,
 // injected fault) flips the file to degraded — the job keeps running and
@@ -88,16 +90,15 @@ func (rs *resultStore) path(id string) string {
 }
 
 // open creates (or reopens, for journal recovery and resumed jobs) the spill
-// file for a job of n points, indexing every intact record; a new file is
-// synced. Returns nil when the store is unavailable or the file cannot be
-// opened — the job then runs summary-only.
+// file for a job of n points, indexing every intact record; nothing is
+// synced until seal. Returns nil when the store is unavailable or the file
+// cannot be opened — the job then runs summary-only.
 func (rs *resultStore) open(id string, n int) *resultFile {
 	p := rs.path(id)
 	if p == "" || n <= 0 {
 		return nil
 	}
 	m := serveMetrics.Get()
-	_, statErr := os.Stat(p)
 	rf := &resultFile{offsets: make([]int64, n)}
 	for i := range rf.offsets {
 		rf.offsets[i] = -1
@@ -112,11 +113,6 @@ func (rs *resultStore) open(id string, n int) *resultFile {
 			rf.n++
 		}
 	})
-	if err == nil && os.IsNotExist(statErr) {
-		if err = log.Sync(); err != nil {
-			_ = log.Close()
-		}
-	}
 	if err != nil {
 		m.resultErrors.Inc()
 		m.resultDegraded.Inc()
@@ -234,8 +230,9 @@ func (rf *resultFile) appendResult(res *sweep.PointResult) error {
 	return rf.append(res.Index, head, result, tail)
 }
 
-// seal syncs the spilled records once the job is terminal. The log stays
-// open: retrieval keeps reading from it until eviction.
+// seal syncs the spilled records once the job is terminal, and a new
+// file's directory with them (wal.Log.Sync). The log stays open: retrieval
+// keeps reading from it until eviction.
 func (rf *resultFile) seal() {
 	if rf == nil {
 		return

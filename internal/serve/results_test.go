@@ -437,3 +437,38 @@ func TestResultSpillScanTolerance(t *testing.T) {
 		}
 	}
 }
+
+// TestResultSpillSealedReopens: a new spill file, appended and sealed with
+// no sync at create, reopens with every record byte for byte, through open
+// (resumed jobs) and openExisting (terminal-job recovery) alike.
+func TestResultSpillSealedReopens(t *testing.T) {
+	rs := &resultStore{dir: t.TempDir()}
+	const n = 4
+	record := func(i int) []byte { return []byte(fmt.Sprintf(`{"index":%d,"c":1.5e-%d}`, i, 10+i)) }
+	rf := rs.open("js", n)
+	if rf == nil {
+		t.Fatal("open failed")
+	}
+	for i := 0; i < n; i++ {
+		if err := rf.append(i, record(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rf.seal()
+	rf.closeFile()
+	for name, reopen := range map[string]func(string, int) *resultFile{"open": rs.open, "openExisting": rs.openExisting} {
+		rf := reopen("js", n)
+		if rf == nil {
+			t.Fatalf("%s: reopen failed", name)
+		}
+		if got, total, degraded := rf.snapshot(); got != n || total != n || degraded {
+			t.Fatalf("%s: n=%d total=%d degraded=%v, want all %d records", name, got, total, degraded, n)
+		}
+		for i := 0; i < n; i++ {
+			if raw, err := rf.frame(i); err != nil || !bytes.Equal(raw, record(i)) {
+				t.Fatalf("%s: frame %d = %q, %v; want %q", name, i, raw, err, record(i))
+			}
+		}
+		rf.closeFile()
+	}
+}

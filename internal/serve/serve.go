@@ -640,10 +640,10 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, hdr jrecord) {
 	// (id, the queued event) is in place before the job becomes visible.
 	j.jl = s.journal.create(hdr)
 	j.trace = openJobTrace(j.traceCtx.Trace, s.journal.tracePath(j.id))
-	// The spill file is opened (and synced) while the job is still
-	// invisible: every reader that can find the job sees the same rf pointer
-	// for its whole life. A nil rf (store unavailable, disk trouble)
-	// degrades this job to summary-only service.
+	// The spill file is opened while the job is still invisible: every
+	// reader that can find the job sees the same rf pointer for its whole
+	// life. A nil rf (store unavailable, disk trouble) degrades this job to
+	// summary-only service. Its records become durable at seal.
 	j.rf = s.results.open(j.id, len(j.specs))
 	j.emit(Event{Type: "state", State: StateQueued}, false)
 	// The gauge rises before the enqueue so the slot's decrement (not under

@@ -44,24 +44,88 @@ func (f Float) AppendJSON(b []byte) []byte {
 // form that round-trips, switching to 'e' below 1e-6 and at 1e21 and above,
 // with a negative exponent's leading zero dropped (1e-7, not 1e-07). NaN and
 // ±Inf have no JSON form: like encoding/json, AppendFloat fails on them with
-// a *json.UnsupportedValueError, and returns b unchanged.
+// a *json.UnsupportedValueError, and returns b unchanged. The digits come
+// from shortest, not strconv; json.Marshal is the tests' oracle. It
+// allocates only when b must grow.
 func AppendFloat(b []byte, v float64) ([]byte, error) {
 	if v-v != 0 { // NaN or ±Inf
 		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(v), Str: strconv.FormatFloat(v, 'g', -1, 64)}
 	}
-	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	u := math.Float64bits(v)
+	if u>>63 != 0 {
+		b = append(b, '-')
+		u &^= 1 << 63
 	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+	if u == 0 {
+		return append(b, '0'), nil
+	}
+	// Write in place: at most 24 bytes follow the sign.
+	n := len(b)
+	if cap(b)-n < 24 {
+		b = append(b, make([]byte, 24)...)[:n]
+	}
+	o := (*[24]byte)(b[n : n+24])
+	f, e := shortest(u)
+	length := decimalLen(f)
+	f *= pow10u[17-length] // 17 digits d₁…d₁₇, and v = 0.d₁…d₁₇ × 10^dp
+	dp := e + length
+	abs := math.Float64frombits(u)
+	expForm := abs < 1e-6 || abs >= 1e21
+	switch {
+	case !expForm && dp >= 17: // |v| < 1e21, so dp ≤ 21
+		put17((*[17]byte)(o[:17]), f)
+		copy(o[17:dp], zeros)
+		return b[:n+dp], nil
+	case !expForm && dp <= 0: // 1e-6 ≤ |v| < 1, so 0 ≤ -dp ≤ 5
+		p := 2 - dp
+		copy(o[:p], zeros)
+		o[1] = '.'
+		put17((*[17]byte)(o[p:p+17]), f)
+		end := p + 17
+		for o[end-1] == '0' {
+			end--
 		}
+		return b[:n+end], nil
 	}
-	return b, nil
+	// d₁.d₂…d₁₇ or d₁…d_dp.d_dp+1…d₁₇: write the digits one place to the
+	// right, move the first dp (1 in the 'e' form) left, put the point after
+	// them, then drop trailing zeros and a bare point.
+	put17((*[17]byte)(o[1:18]), f)
+	point := 1
+	if !expForm {
+		point = dp
+	}
+	copy(o[:point], o[1:point+1])
+	o[point] = '.'
+	end := 18
+	for o[end-1] == '0' {
+		end--
+	}
+	if o[end-1] == '.' {
+		end--
+	}
+	if !expForm {
+		return b[:n+end], nil
+	}
+	x, sign := dp-1, byte('+')
+	if x < 0 {
+		x, sign = -x, '-'
+	}
+	o[end], o[end+1] = 'e', sign
+	end += 2
+	if x >= 100 {
+		o[end], x = byte('0'+x/100), x%100
+		end++
+	} else if x < 10 {
+		o[end] = byte('0' + x)
+		return b[:n+end+1], nil
+	}
+	o[end], o[end+1] = pairs[2*x], pairs[2*x+1]
+	return b[:n+end+2], nil
 }
+
+// zeros pads AppendFloat's 'f' form.
+const zeros = "000000000000000000000"
 
 // AppendFloats appends xs as encoding/json writes a []float64: a JSON array
 // of AppendFloat's numbers, or null for a nil slice.
