@@ -27,7 +27,8 @@ race:
 
 # Fuzzing: each native fuzz target for 15 s (the decoders of crash-torn or
 # foreign bytes: the log scanner, journal replay, the non-finite float codec,
-# the loss-free result codecs, the cache's disk envelope, the cache's JSON
+# the loss-free result codecs, the record index splitter the coordinator
+# re-indexes worker lines with, the cache's disk envelope, the cache's JSON
 # check against json.Valid and the sweep and compose request bodies). Their seed
 # inputs also run as plain tests under `make test`. Minimization is capped so
 # a new input does not eat the whole budget. CI runs the same target (fuzz
@@ -37,6 +38,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWfloat$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/wfloat/
 	$(GO) test -run '^$$' -fuzz '^FuzzPointResultJSON$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/sweep/
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitIndex$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz '^FuzzResultJSON$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDiskGet$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz '^FuzzValid$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/cache/

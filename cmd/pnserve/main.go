@@ -18,7 +18,7 @@
 //
 //	POST /v1/characterise          {"model":"hopf","params":{...}}       → job
 //	POST /v1/sweep                 {"points":[...],"timeout_ms":60000}   → job
-//	GET  /v1/jobs/{id}             job status (+?full=1 for full results)
+//	GET  /v1/jobs/{id}             job status (+?full=1 for a compose job's compose_result)
 //	GET  /v1/jobs/{id}/results     loss-free results, paginated (?offset=&limit=)
 //	GET  /v1/jobs/{id}/results.jsonl  loss-free results as a JSONL stream
 //	GET  /v1/jobs/{id}/events      live progress as Server-Sent Events

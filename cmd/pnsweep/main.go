@@ -24,7 +24,9 @@
 // Server-Sent Events with automatic reconnection — a pnserve restart
 // mid-sweep is survived transparently when the server journals its jobs —
 // and the same summary table and -json output render from the job's
-// loss-free results. SIGINT cancels the remote job through the API. The
+// loss-free results, downloaded as its results.jsonl stream (-stream-out
+// copies that stream into a file instead, undecoded). SIGINT cancels the
+// remote job through the API. The
 // server's own execution slots run the points (-workers is local only), and
 // the server's cache (not -cache-dir) serves repeated points. Every remote
 // submission mints a distributed trace ID and sends it as a Traceparent
@@ -137,7 +139,7 @@ func run() int {
 	server := flag.String("server", "", "run the sweep remotely on this pnserve base URL (e.g. http://127.0.0.1:8080) instead of in process")
 	statusOnly := flag.Bool("status", false, "with -server: print the server's live cluster status (workers, breakers, leases) and exit")
 	tenant := flag.String("tenant", "", "with -server: tenant identity sent as the "+serve.TenantHeader+" header; 429s are retried after the server's Retry-After (empty = the server's default tenant)")
-	streamOut := flag.String("stream-out", "", "with -server: download the loss-free results as a JSONL stream from /results.jsonl into this file, instead of one ?full=1 response body")
+	streamOut := flag.String("stream-out", "", "with -server: copy the job's loss-free results.jsonl into this file as it arrives, undecoded (the table then shows the point summaries and -json is not written)")
 	obsFlags := cliobs.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -419,10 +421,7 @@ func runRemote(base string, specs []serve.PointSpec, param []float64, timeout ti
 		}
 	}
 
-	// With -stream-out the loss-free payload arrives over /results.jsonl
-	// below; asking Wait for it too would pull the whole result set into one
-	// ?full=1 response body for nothing.
-	final, err := c.Wait(ctx, st.ID, streamOut == "", onEvent)
+	final, err := c.Wait(ctx, st.ID, false, onEvent)
 	prog.finish()
 	if err != nil {
 		log.Print(err)
@@ -431,25 +430,26 @@ func runRemote(base string, specs []serve.PointSpec, param []float64, timeout ti
 	wall := time.Since(start)
 
 	if streamOut != "" {
-		n, err := streamResultsToFile(ctx, c, st.ID, streamOut, len(specs))
+		n, err := streamResultsToFile(ctx, c, st.ID, streamOut)
 		if err != nil {
 			log.Printf("streaming results: %v", err)
 			return 1
 		}
 		printRemoteSummary(final, wall)
 		fmt.Printf("streamed %d loss-free results to %s\n", n, streamOut)
-	} else if len(final.Full) == len(param) {
-		printSummary(final.Full, param, wall, "— job "+final.ID+" on "+base)
+	} else if results := fetchResults(ctx, c, st.ID, len(specs)); results != nil {
+		printSummary(results, param, wall, "— job "+final.ID+" on "+base)
 		if jsonPath != "" {
-			if err := writeJSON(jsonPath, final.Full, param); err != nil {
+			if err := writeJSON(jsonPath, results, param); err != nil {
 				log.Print(err)
 				return 1
 			}
 			fmt.Printf("full results written to %s\n", jsonPath)
 		}
 	} else {
-		// No loss-free payload (e.g. the job predates this process and was
-		// recovered as terminal-only): render the compact summaries.
+		// Not every point has a loss-free result (a degraded spill, a job
+		// cut short, a recovered job whose spill did not survive): render
+		// the compact summaries.
 		printRemoteSummary(final, wall)
 	}
 	if final.State != serve.StateDone || final.FailedPoints > 0 {
@@ -461,43 +461,59 @@ func runRemote(base string, specs []serve.PointSpec, param []float64, timeout ti
 	return 0
 }
 
-// streamResultsToFile drains the terminal job's /results.jsonl into path, one
-// loss-free codec line per point. The stream is at-least-once across the
-// client's reconnects, so lines are deduplicated by point index; memory stays
-// bounded by one result at a time, which is the reason to prefer this over
-// ?full=1 for large sweeps.
-func streamResultsToFile(ctx context.Context, c *pnclient.Client, id, path string, n int) (int, error) {
+// download streams the terminal job's results.jsonl to fn, once per point:
+// the stream is at-least-once across the client's reconnects, so lines are
+// deduplicated by their index (sweep.SplitIndex, which also rejects a line
+// that is not a record). It returns how many points fn took.
+func download(ctx context.Context, c *pnclient.Client, id string, fn func(i int, line []byte) error) (int, error) {
+	seen := map[int]bool{}
+	err := c.StreamResults(ctx, id, func(line []byte) error {
+		i, _, err := sweep.SplitIndex(line)
+		if err == nil && !seen[i] {
+			if err = fn(i, line); err == nil {
+				seen[i] = true
+			}
+		}
+		return err
+	})
+	return len(seen), err
+}
+
+// fetchResults decodes the terminal job's results; nil unless each of its
+// n points has one.
+func fetchResults(ctx context.Context, c *pnclient.Client, id string, n int) []sweep.PointResult {
+	out := make([]sweep.PointResult, n)
+	got, err := download(ctx, c, id, func(i int, line []byte) error {
+		if i < 0 || i >= n {
+			return fmt.Errorf("result for point %d of %d", i, n)
+		}
+		return out[i].UnmarshalJSON(line)
+	})
+	if err != nil {
+		log.Printf("downloading results: %v", err)
+	}
+	if err != nil || got != n {
+		return nil
+	}
+	return out
+}
+
+// streamResultsToFile copies the terminal job's results.jsonl into path as
+// it arrives, neither decoded nor encoded; memory stays bounded by one line
+// at a time, which is the reason to prefer it for large sweeps.
+func streamResultsToFile(ctx context.Context, c *pnclient.Client, id, path string) (int, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	seen := make(map[int]bool, n)
-	var werr error
-	serr := c.StreamResults(ctx, id, func(r sweep.PointResult) {
-		if werr != nil || seen[r.Index] {
-			return
+	n, err := download(ctx, c, id, func(_ int, line []byte) error {
+		if _, err := bw.Write(line); err != nil {
+			return err
 		}
-		raw, err := r.MarshalJSON()
-		if err != nil {
-			werr = err
-			return
-		}
-		seen[r.Index] = true
-		if _, err := bw.Write(append(raw, '\n')); err != nil {
-			werr = err
-		}
+		return bw.WriteByte('\n')
 	})
-	if serr == nil {
-		serr = werr
-	}
-	if err := bw.Flush(); serr == nil {
-		serr = err
-	}
-	if err := f.Close(); serr == nil {
-		serr = err
-	}
-	return len(seen), serr
+	return n, errors.Join(err, bw.Flush(), f.Close())
 }
 
 // runStatus renders a server's live fleet view from GET /v1/cluster/status:

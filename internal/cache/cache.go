@@ -173,7 +173,7 @@ func (s *Store) put(key string, payload []byte, note any) error {
 	if s == nil || key == "" {
 		return nil
 	}
-	if !valid(payload) {
+	if !Valid(payload) {
 		return errors.New("cache: payload is not valid JSON")
 	}
 	s.insertMem(key, payload, note)

@@ -1,7 +1,7 @@
 package cache
 
 import (
-	"encoding/json"
+	"bytes"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -14,13 +14,13 @@ import (
 // invalidates stale files instead of decoding them wrongly.
 const diskSchemaVersion = 1
 
-// diskEnvelope wraps a payload on disk with enough context to validate it:
-// the schema version and the key the payload was stored under (guards
-// against files copied or renamed across keys).
-type diskEnvelope struct {
-	V       int             `json:"v"`
-	Key     string          `json:"key"`
-	Payload json.RawMessage `json:"payload"`
+// diskHead is the envelope a payload is stored in, up to the payload: the
+// schema version and the key the payload was stored under (guards against
+// files copied or renamed across keys). A file is the head, the payload and
+// a closing brace. A key that path admits needs no escaping, so for a
+// compact payload the file is byte for byte json.Marshal's envelope.
+func diskHead(key string) []byte {
+	return []byte(`{"v":` + strconv.Itoa(diskSchemaVersion) + `,"key":"` + key + `","payload":`)
 }
 
 // diskStore is the persistent tier: one JSON file per key under dir.
@@ -55,8 +55,11 @@ func (d *diskStore) path(key string) (string, bool) {
 	return filepath.Join(d.dir, key+".json"), true
 }
 
-// get loads a payload; any failure is a miss. Corrupt files are removed so
-// they cannot shadow a future healthy write.
+// get loads a payload; any failure is a miss. A file is served only when it
+// is exactly what put writes — diskHead(key), a payload that passes Valid,
+// and "}" — and the payload is cut out of it, not decoded: it comes back
+// exactly as it was put. Anything else (torn, foreign, another schema or
+// key) is removed so it cannot shadow a future healthy write.
 func (d *diskStore) get(key string) ([]byte, bool) {
 	p, ok := d.path(key)
 	if !ok {
@@ -73,13 +76,16 @@ func (d *diskStore) get(key string) ([]byte, bool) {
 		}
 		return nil, false
 	}
-	var env diskEnvelope
-	if err := json.Unmarshal(data, &env); err != nil || env.V != diskSchemaVersion || env.Key != key || len(env.Payload) == 0 {
+	payload, ok := bytes.CutPrefix(data, diskHead(key))
+	if ok {
+		payload, ok = bytes.CutSuffix(payload, []byte("}"))
+	}
+	if !ok || !Valid(payload) {
 		cacheMetrics.Get().diskErrors.Inc()
 		_ = os.Remove(p)
 		return nil, false
 	}
-	return env.Payload, true
+	return payload, true
 }
 
 // put stores a payload atomically and durably: write to a temp file, fsync it
@@ -92,9 +98,7 @@ func (d *diskStore) get(key string) ([]byte, bool) {
 // The payload must be valid JSON (the store's envelope embeds it verbatim);
 // Store.Put validates that upstream. The envelope is written around it, not
 // marshalled: encoding/json would compact the whole payload again only to
-// copy it. A key that path admits needs no escaping, so for a compact
-// payload the file holds json.Marshal's bytes, and any payload comes back
-// from get exactly as it was put.
+// copy it.
 func (d *diskStore) put(key string, payload []byte) {
 	p, ok := d.path(key)
 	if !ok {
@@ -110,9 +114,8 @@ func (d *diskStore) put(key string, payload []byte) {
 		return
 	}
 	tmpName := tmp.Name()
-	head := `{"v":` + strconv.Itoa(diskSchemaVersion) + `,"key":"` + key + `","payload":`
 	var werr error
-	for _, part := range [][]byte{[]byte(head), payload, []byte("}")} {
+	for _, part := range [][]byte{diskHead(key), payload, []byte("}")} {
 		if werr == nil {
 			_, werr = tmp.Write(part)
 		}

@@ -40,14 +40,14 @@ func init() {
 	}
 }
 
-// valid reports whether data is one JSON value, accepting exactly what
+// Valid reports whether data is one JSON value, accepting exactly what
 // json.Valid accepts (its fuzz test holds it to that): the four whitespace
 // bytes around tokens, RFC 8259 numbers, strings with the escapes \" \\ \/
 // \b \f \n \r \t and \uXXXX and any other byte from 0x20 up, true, false and
 // null, and nesting up to maxDepth. It is one forward pass with no
 // allocation below 64 levels: a byte-class table picks each token, and
 // digits are consumed eight at a time.
-func valid(data []byte) bool {
+func Valid(data []byte) bool {
 	var stackBuf [64]byte
 	stack := stackBuf[:0] // '{' or '[' per open container
 	i := skipSpace(data, 0)

@@ -58,8 +58,8 @@ func FuzzValid(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if got, want := valid(data), json.Valid(data); got != want {
-			t.Fatalf("valid(%q) = %v, json.Valid = %v", data, got, want)
+		if got, want := Valid(data), json.Valid(data); got != want {
+			t.Fatalf("Valid(%q) = %v, json.Valid = %v", data, got, want)
 		}
 	})
 }
@@ -90,8 +90,8 @@ func TestValidNestingLimit(t *testing.T) {
 		for _, levels := range []int{maxDepth, maxDepth + 1} {
 			data := nest(levels, c.object)
 			want := levels <= maxDepth
-			if got, oracle := valid(data), json.Valid(data); got != want || oracle != want {
-				t.Errorf("%s at %d levels: valid = %v, json.Valid = %v, want %v", c.name, levels, got, oracle, want)
+			if got, oracle := Valid(data), json.Valid(data); got != want || oracle != want {
+				t.Errorf("%s at %d levels: Valid = %v, json.Valid = %v, want %v", c.name, levels, got, oracle, want)
 			}
 		}
 	}
@@ -140,7 +140,7 @@ func BenchmarkValid(b *testing.B) {
 	for _, c := range []struct {
 		name  string
 		check func([]byte) bool
-	}{{"valid", valid}, {"json.Valid", json.Valid}} {
+	}{{"valid", Valid}, {"json.Valid", json.Valid}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()

@@ -26,7 +26,7 @@ func TestChaosClusterLeaseDispatch(t *testing.T) {
 	f := startFabric(t, 2, nil)
 	const n = 8
 	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 100)})
-	assertAllOK(t, st, n)
+	assertAllOK(t, f.frontTS.URL, st, n)
 
 	snap := reg.Snapshot()
 	if got := snap.Counter("pn_cluster_leases_total", "requeued"); got < 3 {
@@ -63,7 +63,7 @@ func TestChaosClusterWorkerKill(t *testing.T) {
 	})
 	const n = 4
 	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: ringPoints(n, 200)})
-	assertAllOK(t, st, n)
+	assertAllOK(t, f.frontTS.URL, st, n)
 
 	snap := reg.Snapshot()
 	if got := snap.Counter("pn_cluster_leases_total", "requeued"); got < 1 {
@@ -89,10 +89,9 @@ func TestChaosClusterHeartbeatDrop(t *testing.T) {
 
 	// One one-slot worker, one lease, sequential points: the four dropped
 	// renewals span the whole 400ms TTL while the lease is still mid-sweep.
-	// Under -race two ring points are enough to outlast the TTL many times
-	// over: each costs ~25s on a 2-core VM, most of it encoding and decoding
-	// its 5.8 MB payload on worker, coordinator and the final ?full=1 fetch,
-	// and eight would pass the client deadline.
+	// Under -race two ring points already outlast the 400ms TTL many times
+	// over (the whole test takes about 5s on a 2-core VM); eight would only
+	// slow the race run down.
 	f := startFabricSlots(t, 1, 1, func(c *Config) {
 		c.LeasePoints = 16
 		c.LeaseTTL = 400 * time.Millisecond
@@ -103,7 +102,7 @@ func TestChaosClusterHeartbeatDrop(t *testing.T) {
 		n = 2
 	}
 	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: ringPoints(n, 300)})
-	assertAllOK(t, st, n)
+	assertAllOK(t, f.frontTS.URL, st, n)
 
 	snap := reg.Snapshot()
 	if got := snap.Counter("pn_cluster_heartbeats_total", "dropped"); got < 1 {
@@ -136,7 +135,7 @@ func TestChaosTraceIngest(t *testing.T) {
 	f := startFabric(t, 2, nil)
 	const n = 6
 	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 500)})
-	assertAllOK(t, st, n)
+	assertAllOK(t, f.frontTS.URL, st, n)
 
 	snap := reg.Snapshot()
 	if got := snap.Counter("pn_cluster_trace_pulls_total", "failed"); got < 1 {
@@ -170,7 +169,7 @@ func TestClusterTraceTimeline(t *testing.T) {
 	f := startFabric(t, 2, nil)
 	const n = 8
 	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 600)})
-	assertAllOK(t, st, n)
+	assertAllOK(t, f.frontTS.URL, st, n)
 
 	jt := fetchTrace(t, f.frontTS.URL, st.ID)
 	if jt.TraceID == "" {
@@ -251,7 +250,7 @@ func TestChaosClusterFlakyTransport(t *testing.T) {
 	f := startFabric(t, 2, nil)
 	const n = 8
 	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 400)})
-	assertAllOK(t, st, n)
+	assertAllOK(t, f.frontTS.URL, st, n)
 
 	if stats := faultinject.Stats()[faultinject.PnclientHTTP]; stats.Fired == 0 {
 		t.Fatal("transport fault never fired; the test exercised nothing")

@@ -284,14 +284,14 @@ type jobRun struct {
 	wal   *leaseWAL
 
 	mu       sync.Mutex
-	stored   []bool // final result delivered to OnResult for this global index
+	stored   []bool // final record delivered to OnResult for this global index
 	reported []bool // summary forwarded to OnSummary for this global index
 }
 
 // RunSweep implements serve.SweepRunner: lease out the points, supervise the
-// leases, merge the worker streams, and stream each point's final result
+// leases, merge the worker streams, and stream each point's final record
 // through req.OnResult/OnSummary as its lease settles. The coordinator holds
-// per-point booleans, never the payloads — the serving layer spills them.
+// per-point booleans, never the records — the serving layer spills them.
 func (c *Coordinator) RunSweep(req serve.RunnerRequest) error {
 	n := len(req.Specs)
 	run := &jobRun{
@@ -650,8 +650,8 @@ func (r *jobRun) superviseLease(ctx context.Context, l *lease, w, workerJob stri
 			// the stream is provisional — a lease dying of TTL expiry
 			// reports its unstarted points as canceled, and those will be
 			// re-run by the reassigned lease. Genuine failures surface when
-			// the lease settles done and completePoint folds the final
-			// results.
+			// the lease settles done: their summaries come from the worker's
+			// final status as their records are stored.
 			if !ev.Point.OK {
 				return
 			}
@@ -680,15 +680,23 @@ func (r *jobRun) superviseLease(ctx context.Context, l *lease, w, workerJob stri
 	}
 	switch st.State {
 	case serve.StateDone:
-		// Pull the loss-free results as a stream off the worker's spill file
-		// (results.jsonl) instead of one giant ?full=1 body: neither side
-		// ever materialises the lease's whole result set.
-		serr := c.clients[w].StreamResults(ctx, workerJob, func(res sweep.PointResult) {
-			li := res.Index
-			if li < 0 || li >= len(l.indices) {
-				return
+		// Stream the worker's records (results.jsonl) into the spill, each
+		// line re-indexed but never decoded or encoded, with summaries from
+		// the final status, which has the failures the event stream skips.
+		// A line that is not a record fails the stream: the lease requeues.
+		sums := make(map[int]serve.PointSummary, len(st.Results))
+		for _, s := range st.Results {
+			sums[s.Index] = s
+		}
+		serr := c.clients[w].StreamResults(ctx, workerJob, func(line []byte) error {
+			li, rest, err := sweep.SplitIndex(line)
+			sum, ok := sums[li]
+			if err == nil && ok && li >= 0 && li < len(l.indices) {
+				r.store(l.indices[li], sum, sweep.AppendIndex(nil, l.indices[li]), rest)
+			} else if err == nil {
+				err = fmt.Errorf("cluster: worker %s job %s has no point %d", w, workerJob, li)
 			}
-			r.completePoint(l.indices[li], res)
+			return err
 		})
 		if serr != nil {
 			if ctx.Err() == nil {
@@ -818,28 +826,39 @@ func (r *jobRun) abandonLease(l *lease) {
 	}
 }
 
-// completePoint streams the final result for a global point index (first
-// writer wins — a reassigned lease's duplicate completions are discarded)
-// through OnResult, and forwards its summary if the event stream did not
-// already. The payload goes straight to the hook; the coordinator keeps only
-// the stored[] boolean.
-func (r *jobRun) completePoint(global int, res sweep.PointResult) {
+// store streams the final record for a global point index through OnResult
+// (first writer wins — a reassigned lease's duplicate completions are
+// discarded) and forwards its summary if the event stream did not already.
+// The coordinator keeps only the stored[] boolean. A nil head (parts[0])
+// sends the summary without a record.
+func (r *jobRun) store(global int, sum serve.PointSummary, parts ...[]byte) {
 	if global < 0 || global >= len(r.stored) {
 		return
 	}
-	res.Index = global
 	r.mu.Lock()
-	if r.stored[global] {
-		r.mu.Unlock()
+	dup := r.stored[global]
+	r.stored[global] = true
+	r.mu.Unlock()
+	if dup {
 		clusterMetrics.Get().dupPoints.Inc()
 		return
 	}
-	r.stored[global] = true
-	r.mu.Unlock()
-	if r.req.OnResult != nil {
-		r.req.OnResult(res)
+	if r.req.OnResult != nil && parts[0] != nil {
+		r.req.OnResult(global, parts...)
 	}
-	r.forwardSummary(global, serve.Summarize(&res))
+	r.forwardSummary(global, sum)
+}
+
+// completePoint stores a result the coordinator made itself (fallback,
+// abandoned or gap-filled): the only records it encodes. One that fails to
+// encode is lost, as a failed spill append loses it; its summary still goes.
+func (r *jobRun) completePoint(global int, res sweep.PointResult) {
+	res.Index = global
+	head, result, tail, err := res.MarshalParts() // head is nil on error
+	if err != nil {
+		r.coord.cfg.Logf("cluster: encoding point %d of job %s: %v", global, r.req.JobID, err)
+	}
+	r.store(global, serve.Summarize(&res), head, result, tail)
 }
 
 // forwardSummary delivers one per-point summary to the job's OnSummary hook

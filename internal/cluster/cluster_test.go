@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cache"
 	"repro/internal/obs"
+	"repro/internal/pll"
 	"repro/internal/pnclient"
 	"repro/internal/serve"
 	"repro/internal/sweep"
@@ -27,7 +30,7 @@ var fastRetry = pnclient.Retry{Attempts: 5, Base: time.Millisecond, Max: 20 * ti
 // slots over httptest, with its own cache store on the shared disk directory
 // — the same sharing model as separate worker processes pointed at one cache
 // volume.
-func startWorker(t *testing.T, cacheDir string, slots int) (*httptest.Server, *serve.Server) {
+func startWorker(t testing.TB, cacheDir string, slots int) (*httptest.Server, *serve.Server) {
 	t.Helper()
 	store, err := cache.New(cache.Options{Dir: cacheDir})
 	if err != nil {
@@ -51,19 +54,26 @@ type fabric struct {
 	cacheDir string
 }
 
-func startFabric(t *testing.T, nWorkers int, mutate func(*Config)) *fabric {
+func startFabric(t testing.TB, nWorkers int, mutate func(*Config)) *fabric {
 	t.Helper()
 	return startFabricSlots(t, nWorkers, 2, mutate)
 }
 
 // startFabricSlots is startFabric with workers of the given slot count.
-func startFabricSlots(t *testing.T, nWorkers, slots int, mutate func(*Config)) *fabric {
+func startFabricSlots(t testing.TB, nWorkers, slots int, mutate func(*Config)) *fabric {
 	t.Helper()
 	f := &fabric{cacheDir: t.TempDir()}
 	for i := 0; i < nWorkers; i++ {
 		ts, _ := startWorker(t, f.cacheDir, slots)
 		f.workers = append(f.workers, ts.URL)
 	}
+	f.startFront(t, mutate)
+	return f
+}
+
+// startFront starts the coordinator over f.workers and its front server.
+func (f *fabric) startFront(t testing.TB, mutate func(*Config)) {
+	t.Helper()
 	coordStore, err := cache.New(cache.Options{Dir: f.cacheDir})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +100,6 @@ func startFabricSlots(t *testing.T, nWorkers, slots int, mutate func(*Config)) *
 		f.frontTS.Close()
 		f.front.Shutdown(context.Background())
 	})
-	return f
 }
 
 // hopfPoints are fast, fresh points with distinct fingerprints.
@@ -129,14 +138,33 @@ func submitAndWait(t *testing.T, base string, req serve.SweepRequest) serve.JobS
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err = cl.Wait(ctx, st.ID, true, nil)
+	st, err = cl.Wait(ctx, st.ID, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-func assertAllOK(t *testing.T, st serve.JobStatus, n int) {
+// jobLines downloads a job's results.jsonl lines.
+func jobLines(t *testing.T, base, id string) [][]byte {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	var lines [][]byte
+	err := pnclient.New(base, nil, fastRetry).StreamResults(ctx, id, func(line []byte) error {
+		lines = append(lines, bytes.Clone(line))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
+// assertAllOK checks a terminal job's status and its results.jsonl: one
+// line per point, in index order, each OK and exactly MarshalJSON of the
+// result it decodes to.
+func assertAllOK(t *testing.T, base string, st serve.JobStatus, n int) {
 	t.Helper()
 	if st.State != serve.StateDone {
 		t.Fatalf("job state %q, want done (error: %v)", st.State, st.Error)
@@ -144,15 +172,23 @@ func assertAllOK(t *testing.T, st serve.JobStatus, n int) {
 	if st.DonePoints != n || st.FailedPoints != 0 {
 		t.Fatalf("done=%d failed=%d, want %d/0 (%+v)", st.DonePoints, st.FailedPoints, n, st.Results)
 	}
-	if len(st.Full) != n {
-		t.Fatalf("full results: %d, want %d", len(st.Full), n)
+	lines := jobLines(t, base, st.ID)
+	if len(lines) != n {
+		t.Fatalf("loss-free results: %d, want %d", len(lines), n)
 	}
-	for i, r := range st.Full {
+	for i, line := range lines {
+		var r sweep.PointResult
+		if err := r.UnmarshalJSON(line); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
 		if !r.OK() {
 			t.Fatalf("point %d (%s) failed: %v", i, r.Name, r.Err)
 		}
 		if r.Index != i {
 			t.Fatalf("point %d carries index %d", i, r.Index)
+		}
+		if enc, err := r.MarshalJSON(); err != nil || !bytes.Equal(enc, line) {
+			t.Fatalf("point %d: the line is not MarshalJSON of the result it decodes to (%v)", i, err)
 		}
 	}
 }
@@ -168,7 +204,8 @@ func TestClusterEndToEnd(t *testing.T) {
 	f := startFabric(t, 2, nil)
 	const n = 10
 	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 0)})
-	assertAllOK(t, st, n)
+	assertAllOK(t, f.frontTS.URL, st, n)
+	assertLinesCopied(t, f, st.ID)
 
 	snap := reg.Snapshot()
 	// Exactly-once: every point characterised once fleet-wide, none duplicated.
@@ -197,12 +234,176 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// Identical resubmission: all cache hits, zero new characterisations.
 	st2 := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 0)})
-	assertAllOK(t, st2, n)
+	assertAllOK(t, f.frontTS.URL, st2, n)
 	if st2.CachedPoints != n {
 		t.Fatalf("resubmit cached %d of %d points", st2.CachedPoints, n)
 	}
 	if got := reg.Snapshot().Counter("pn_core_characterisations_total", "ok"); got != n {
 		t.Fatalf("resubmit recomputed: characterisations = %d, want %d", got, n)
+	}
+}
+
+// assertLinesCopied checks that every line of the coordinator job's
+// results.jsonl is a line a worker served for the same point, with the index
+// replaced and nothing else changed. Worker jobs are found by their IDs,
+// j1, j2, … on each worker; points by their distinct names.
+func assertLinesCopied(t *testing.T, f *fabric, id string) {
+	t.Helper()
+	served := map[string][][]byte{} // point name -> worker lines
+	for _, w := range f.workers {
+		for k := 1; ; k++ {
+			resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/j%d", w, k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusNotFound {
+				break
+			}
+			for _, line := range jobLines(t, w, fmt.Sprintf("j%d", k)) {
+				var r sweep.PointResult
+				if err := r.UnmarshalJSON(line); err != nil {
+					t.Fatalf("%s job j%d: %v", w, k, err)
+				}
+				served[r.Name] = append(served[r.Name], line)
+			}
+		}
+	}
+	for g, line := range jobLines(t, f.frontTS.URL, id) {
+		var r sweep.PointResult
+		if err := r.UnmarshalJSON(line); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, wl := range served[r.Name] {
+			var wr sweep.PointResult
+			if err := wr.UnmarshalJSON(wl); err != nil {
+				t.Fatal(err)
+			}
+			head := fmt.Sprintf(`{"index":%d,`, wr.Index)
+			want := append([]byte(fmt.Sprintf(`{"index":%d,`, g)), wl[len(head):]...)
+			found = found || bytes.HasPrefix(wl, []byte(head)) && bytes.Equal(line, want)
+		}
+		if !found {
+			t.Fatalf("point %d (%s): the coordinator's line is none of the %d worker lines with its index replaced", g, r.Name, len(served[r.Name]))
+		}
+	}
+}
+
+// TestClusterBadWorkerLines: a worker line that is not valid JSON, or does
+// not open with its index, fails the results stream, and the lease is
+// requeued. The requeued lease lands every point intact: lines stored before
+// the bad one are kept, and the second attempt's copies of them are dropped
+// as duplicates.
+func TestClusterBadWorkerLines(t *testing.T) {
+	for name, spoil := range map[string]func([]byte) []byte{
+		"not JSON":        func(line []byte) []byte { return line[:len(line)/2] },
+		"no index prefix": func(line []byte) []byte { return append([]byte("{ "), line[1:]...) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			obs.SetGlobal(reg)
+			defer obs.SetGlobal(nil)
+
+			// The worker spoils the last line of the first job's stream, on
+			// every fetch of it.
+			f := &fabric{cacheDir: t.TempDir()}
+			_, w := startWorker(t, f.cacheDir, 2)
+			var mu sync.Mutex
+			var spoilt string
+			ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+				id, ok := strings.CutSuffix(strings.TrimPrefix(req.URL.Path, "/v1/jobs/"), "/results.jsonl")
+				mu.Lock()
+				if ok && spoilt == "" {
+					spoilt = id
+				}
+				ok = ok && id == spoilt
+				mu.Unlock()
+				if !ok {
+					w.ServeHTTP(rw, req)
+					return
+				}
+				rec := httptest.NewRecorder()
+				w.ServeHTTP(rec, req)
+				lines := bytes.SplitAfter(bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n")), []byte("\n"))
+				lines[len(lines)-1] = append(spoil(lines[len(lines)-1]), '\n')
+				rw.WriteHeader(rec.Code)
+				rw.Write(bytes.Join(lines, nil))
+			}))
+			defer ts.Close()
+			f.workers = []string{ts.URL}
+			f.startFront(t, nil)
+
+			const n = 3
+			st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 900)})
+			assertAllOK(t, f.frontTS.URL, st, n)
+			if got := reg.Snapshot().Counter("pn_cluster_leases_total", "requeued"); got < 1 {
+				t.Fatalf("requeued leases = %d, want >= 1 (the spoilt stream must fail the lease)", got)
+			}
+		})
+	}
+}
+
+// TestClusterCompose: a compose job's spec legs run through the coordinator
+// like a sweep's points, and their records are the one runner record the
+// server decodes, for the per-source c_i a Sources selection needs. The
+// composition and its summary equal what a plain server returns for the
+// same request.
+func TestClusterCompose(t *testing.T) {
+	f := startFabric(t, 1, nil)
+	plain := serve.New(serve.Config{Workers: 1})
+	plainTS := httptest.NewServer(plain)
+	defer func() {
+		plainTS.Close()
+		plain.Shutdown(context.Background())
+	}()
+
+	vco := serve.PointSpec{Name: "vco", Model: "hopf", Params: map[string]float64{"lambda": 1, "omega": 2 * math.Pi, "sigma": 0.02}}
+	req := serve.ComposeRequest{
+		Stages: []serve.ComposeStage{{
+			Ref:             &serve.ComposeLeg{Leg: pll.Leg{Name: "xo", F0Hz: 0.1, C: 1e-24}},
+			VCO:             serve.ComposeLeg{Spec: &vco, Leg: pll.Leg{Sources: []string{"x-equation"}}},
+			LoopBandwidthHz: 0.05,
+		}},
+		Grid:         pll.Grid{StartHz: 1e-3, StopHz: 100},
+		JitterBandHz: [2]float64{0.01, 10},
+	}
+	compose := func(base string) (summary, result json.RawMessage) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		defer cancel()
+		cl := pnclient.New(base, nil, fastRetry)
+		st, err := cl.Compose(ctx, req, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = cl.Wait(ctx, st.ID, false, nil); err != nil || st.State != serve.StateDone {
+			t.Fatalf("compose on %s: %+v, %v", base, st, err)
+		}
+		resp, err := http.Get(base + "/v1/jobs/" + st.ID + "?full=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var raw struct {
+			Compose       json.RawMessage `json:"compose"`
+			ComposeResult json.RawMessage `json:"compose_result"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+			t.Fatal(err)
+		}
+		if len(raw.Compose) == 0 || len(raw.ComposeResult) == 0 {
+			t.Fatalf("compose on %s carried no composition", base)
+		}
+		return raw.Compose, raw.ComposeResult
+	}
+	wantSum, wantRes := compose(plainTS.URL)
+	gotSum, gotRes := compose(f.frontTS.URL)
+	if !bytes.Equal(gotSum, wantSum) {
+		t.Fatalf("compose through the coordinator:\n%s\nplain server:\n%s", gotSum, wantSum)
+	}
+	if !bytes.Equal(gotRes, wantRes) {
+		t.Fatalf("compose_result through the coordinator differs from the plain server's (%d against %d bytes)", len(gotRes), len(wantRes))
 	}
 }
 
@@ -251,7 +452,7 @@ func TestClusterDegradedNoWorkers(t *testing.T) {
 	f := startFabric(t, 0, func(c *Config) { c.Logf = logf })
 	const n = 4
 	st := submitAndWait(t, f.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 50)})
-	assertAllOK(t, st, n)
+	assertAllOK(t, f.frontTS.URL, st, n)
 	logMu.Lock()
 	gotWarning := warned
 	logMu.Unlock()
@@ -270,7 +471,7 @@ func TestClusterDegradedNoWorkers(t *testing.T) {
 		c.Logf = logf
 	})
 	st2 := submitAndWait(t, f2.frontTS.URL, serve.SweepRequest{Points: hopfPoints(n, 80)})
-	assertAllOK(t, st2, n)
+	assertAllOK(t, f2.frontTS.URL, st2, n)
 }
 
 // TestClusterResumeAfterCoordinatorRestart drives RunSweep directly: a first
@@ -341,11 +542,15 @@ func TestClusterResumeAfterCoordinatorRestart(t *testing.T) {
 	stored := make([]bool, n)
 	err := coord2.RunSweep(serve.RunnerRequest{
 		JobID: "restart-job", Kind: "sweep", Specs: specs, Tok: tok2,
-		OnResult: func(r sweep.PointResult) {
+		OnResult: func(idx int, parts ...[]byte) {
+			var r sweep.PointResult
+			if err := r.UnmarshalJSON(bytes.Join(parts, nil)); err != nil || r.Index != idx {
+				t.Errorf("record %d: index %d, %v", idx, r.Index, err)
+			}
 			mu.Lock()
-			if r.Index >= 0 && r.Index < n {
-				results[r.Index] = r
-				stored[r.Index] = true
+			if idx >= 0 && idx < n {
+				results[idx] = r
+				stored[idx] = true
 			}
 			mu.Unlock()
 		},

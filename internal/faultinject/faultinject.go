@@ -94,8 +94,8 @@ const (
 	// readable, and the job itself still settles normally.
 	ServeResultsWrite = "serve.results.write"
 	// ServeResultsRead fails a frame read from the result store: the
-	// affected retrieval (a results page, a JSONL stream, a ?full=1
-	// payload) reports the gap, the store itself stays healthy.
+	// affected retrieval (a results page, a JSONL stream) reports the gap,
+	// the store itself stays healthy.
 	ServeResultsRead = "serve.results.read"
 	// ServeQuotaCheck fires inside tenant admission before any quota state
 	// changes: ModeError rejects the submission with 429 as if the tenant

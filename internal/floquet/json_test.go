@@ -11,7 +11,7 @@ import (
 // multiplier to 0, making its exponent log(0)/T = -Inf. JSON has no number
 // form for Inf/NaN, so a naive codec rejects the whole decomposition — which
 // made an otherwise ok point unserialisable through the result cache, the
-// ?full=1 payload, and the cluster coordinator's worker result fetch.
+// result spill and every retrieval that copies its records.
 // Non-finite values must round-trip loss-free (as strings on the wire).
 func TestDecompositionJSONNonFinite(t *testing.T) {
 	d := &Decomposition{

@@ -37,7 +37,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/sweep"
 )
 
 // APIError is a non-2xx response from the server, with the decoded error
@@ -176,7 +175,9 @@ func sleep(ctx context.Context, d time.Duration) error {
 }
 
 // do runs one HTTP exchange with retries and decodes the JSON response into
-// out (which may be nil). body is re-marshalled once and re-sent per attempt.
+// out (which may be nil), or hands a JSONL response to out line by line when
+// it is a func(line []byte) error. body is re-marshalled once and re-sent per
+// attempt.
 // headers are applied to every attempt.
 func (c *Client) do(ctx context.Context, method, path string, body any, headers map[string]string, out any) (*http.Response, error) {
 	var payload []byte
@@ -279,6 +280,18 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		}
 		return nil, apiErr
 	}
+	if fn, ok := out.(func(line []byte) error); ok {
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 0, 64*1024), 1<<28)
+		for sc.Scan() {
+			if line := sc.Bytes(); len(line) > 0 {
+				if err := fn(line); err != nil {
+					return nil, fmt.Errorf("pnclient: result line: %w", err)
+				}
+			}
+		}
+		return resp, sc.Err()
+	}
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return nil, fmt.Errorf("pnclient: decoding response: %w", err)
@@ -315,7 +328,9 @@ func (c *Client) submit(ctx context.Context, path string, body any, idemKey stri
 	return st, err
 }
 
-// Job fetches the job's status; full adds the loss-free per-point payload.
+// Job fetches the job's status; full adds a compose job's composition result
+// (compose_result). Loss-free per-point results come from Results and
+// StreamResults.
 func (c *Client) Job(ctx context.Context, id string, full bool) (serve.JobStatus, error) {
 	path := "/v1/jobs/" + id
 	if full {
@@ -341,75 +356,15 @@ func (c *Client) Results(ctx context.Context, id string, offset, limit int) (ser
 }
 
 // StreamResults downloads the job's loss-free results as a JSONL stream
-// (GET /v1/jobs/{id}/results.jsonl), decoding one sweep.PointResult per line
-// into fn in point-index order, without ever holding the whole result set in
-// memory. Delivery is at-least-once across retries — a connection that dies
-// mid-stream is re-fetched from the top — so consumers must dedup by
-// PointResult.Index (the server's spill files and the cluster merge layer
-// both already do).
-func (c *Client) StreamResults(ctx context.Context, id string, fn func(sweep.PointResult)) error {
-	var lastErr error
-	for attempt := 0; attempt < c.retry.Attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if attempt > 0 {
-			if err := sleep(ctx, c.backoff(attempt-1, lastRetryAfter(lastErr))); err != nil {
-				return err
-			}
-		}
-		err := c.streamResultsOnce(ctx, id, fn)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if ctx.Err() != nil || !retryable(err) {
-			return err
-		}
-	}
-	return fmt.Errorf("pnclient: streaming results of %s failed after %d attempts: %w", id, c.retry.Attempts, lastErr)
-}
-
-func (c *Client) streamResultsOnce(ctx context.Context, id string, fn func(sweep.PointResult)) error {
-	if err := faultinject.Fire(faultinject.PnclientHTTP); err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/results.jsonl", nil)
-	if err != nil {
-		return err
-	}
-	if c.tenant != "" {
-		req.Header.Set(serve.TenantHeader, c.tenant)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var eb struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb)
-		return &APIError{Status: resp.StatusCode, Msg: eb.Error}
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<28)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var res sweep.PointResult
-		if err := res.UnmarshalJSON(line); err != nil {
-			return fmt.Errorf("pnclient: bad result line: %w", err)
-		}
-		fn(res)
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return nil
+// (GET /v1/jobs/{id}/results.jsonl), handing each line's bytes (one record,
+// valid until fn returns) to fn in point-index order, never holding the
+// whole result set. An error from fn ends the attempt like a transport
+// failure, so a line cut short by a dying connection is fetched again.
+// Delivery is at-least-once across retries, which re-fetch from the top, so
+// consumers dedup by the record's index (sweep.SplitIndex).
+func (c *Client) StreamResults(ctx context.Context, id string, fn func(line []byte) error) error {
+	_, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/results.jsonl", nil, nil, fn)
+	return err
 }
 
 // Cancel trips the job's budget token; the job settles to "canceled"
@@ -541,7 +496,7 @@ func (c *Client) streamOnce(ctx context.Context, id string, after int64, fn func
 }
 
 // Wait watches the job to completion (fn may be nil) and returns its final
-// status; full requests the loss-free per-point payload.
+// status; full adds a compose job's composition result, as in Job.
 func (c *Client) Wait(ctx context.Context, id string, full bool, fn func(serve.Event)) (serve.JobStatus, error) {
 	if fn == nil {
 		fn = func(serve.Event) {}

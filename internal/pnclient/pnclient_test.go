@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/sweep"
 )
 
 // fastRetry keeps test backoffs tiny and deterministic.
@@ -155,7 +156,7 @@ func TestWatchDropsAtLeastOnceDuplicates(t *testing.T) {
 
 // TestClientAgainstRealServer drives the full loop against an in-process
 // serve.Server: idempotent submit, duplicate deduplication, streaming wait,
-// and cancel.
+// the loss-free results stream, and cancel.
 func TestClientAgainstRealServer(t *testing.T) {
 	s := serve.New(serve.Config{Workers: 1})
 	defer s.Shutdown(context.Background())
@@ -181,7 +182,7 @@ func TestClientAgainstRealServer(t *testing.T) {
 	}
 
 	var points int
-	final, err := c.Wait(ctx, st.ID, true, func(ev serve.Event) {
+	final, err := c.Wait(ctx, st.ID, false, func(ev serve.Event) {
 		if ev.Type == "point" {
 			points++
 		}
@@ -192,8 +193,24 @@ func TestClientAgainstRealServer(t *testing.T) {
 	if final.State != serve.StateDone || final.DonePoints != 2 || points != 2 {
 		t.Fatalf("final %+v after %d point events", final, points)
 	}
-	if len(final.Full) != 2 || !final.Full[0].OK() {
-		t.Fatalf("full payload: %+v", final.Full)
+	var results []sweep.PointResult
+	if err := c.StreamResults(ctx, st.ID, func(line []byte) error {
+		var r sweep.PointResult
+		if err := r.UnmarshalJSON(line); err != nil {
+			return err
+		}
+		results = append(results, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("streamed %d results, want 2", len(results))
+	}
+	for i, r := range results {
+		if r.Index != i || !r.OK() {
+			t.Fatalf("result %d: index %d ok=%v (%v)", i, r.Index, r.OK(), r.Err)
+		}
 	}
 
 	// Cancel is accepted for a terminal job too (no-op) and returns status.

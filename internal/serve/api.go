@@ -67,7 +67,8 @@ type SweepRequest struct {
 // PointSummary is the compact per-point outcome carried in job status and SSE
 // events: the headline numbers without the orbit-sized payload. The full
 // loss-free sweep.PointResult (trajectories, Floquet decomposition, retry
-// history) is available from GET /v1/jobs/{id}?full=1.
+// history) is available from GET /v1/jobs/{id}/results and
+// /v1/jobs/{id}/results.jsonl.
 type PointSummary struct {
 	Index    int     `json:"index"`
 	Name     string  `json:"name"`
@@ -86,15 +87,11 @@ type PointSummary struct {
 	Error *sweep.RemoteError `json:"error,omitempty"`
 }
 
-// Summarize compacts one point result into the wire summary exactly as the
-// server does for its own status payloads and events. Runners (the cluster
-// coordinator's in-process fallback) use it so a locally computed point is
-// indistinguishable from a served one in the SSE stream.
-func Summarize(r *sweep.PointResult) PointSummary { return summarize(r) }
-
-// summarize compacts one point result for status payloads and events. It
+// Summarize compacts one point result for status payloads and events. It
 // reads only the result's scalars, so a cache hit is summarised undecoded.
-func summarize(r *sweep.PointResult) PointSummary {
+// Runners use it for the results they make themselves (the cluster
+// coordinator's fallback), which then read like served ones.
+func Summarize(r *sweep.PointResult) PointSummary {
 	s := PointSummary{
 		Index:    r.Index,
 		Name:     r.Name,
@@ -134,9 +131,6 @@ type JobStatus struct {
 	// Results holds the per-point summaries completed so far (terminal jobs:
 	// all of them, in input order).
 	Results []PointSummary `json:"results,omitempty"`
-	// Full holds the loss-free per-point results, only with ?full=1 on a
-	// terminal job; round-trips through sweep.PointResult's JSON codec.
-	Full []sweep.PointResult `json:"full_results,omitempty"`
 	// Compose is the composition summary of a "compose" job once the chain
 	// composed; ComposeResult the full mask/breakdown/realization, only with
 	// ?full=1.
@@ -148,8 +142,8 @@ type JobStatus struct {
 // job's loss-free per-point results, served straight from the spill file so a
 // client can page through a 10⁵-point sweep without the server (or the
 // response) ever materialising the whole result set. Each element of Results
-// is the exact JSON encoding of one sweep.PointResult, byte-identical to the
-// ?full=1 codec.
+// is the exact JSON encoding of one sweep.PointResult, byte-identical to its
+// line in results.jsonl.
 type ResultsPage struct {
 	JobID string `json:"job_id"`
 	State string `json:"state"`

@@ -57,8 +57,8 @@ type ComposeContributor struct {
 
 // ComposeSummary is the compact composition outcome carried in job status
 // and SSE events — the headline numbers without the grid-sized masks. The
-// full pll.Result (masks, per-contributor spectra, realization) is available
-// from GET /v1/jobs/{id}?full=1 on a terminal job.
+// full pll.Result (masks, per-contributor spectra, realization) is
+// compose_result in GET /v1/jobs/{id}?full=1 on a terminal job.
 type ComposeSummary struct {
 	CarrierHz    float64              `json:"carrier_hz"`
 	GridPoints   int                  `json:"grid_points"`

@@ -96,10 +96,11 @@ func TestComposeFanInE2E(t *testing.T) {
 	// The composite of job 0 (bw 0.02 Hz) converges to the bare VCO Lorentzian
 	// built from the job's own characterised leg at offsets ≫ loop bandwidth.
 	full := getStatus(t, ts.URL, ids[0], true)
-	if full.ComposeResult == nil || len(full.Full) != 1 || !full.Full[0].OK() {
-		t.Fatalf("full compose payload: result=%v legs=%d", full.ComposeResult != nil, len(full.Full))
+	legRes := getResults(t, ts.URL, ids[0])
+	if full.ComposeResult == nil || len(legRes) != 1 || legRes[0].Index != 0 || !legRes[0].OK() {
+		t.Fatalf("full compose payload: result=%v legs=%d", full.ComposeResult != nil, len(legRes))
 	}
-	f0, c := full.Full[0].Result.F0(), full.Full[0].Result.C
+	f0, c := legRes[0].Result.F0(), legRes[0].Result.C
 	res := full.ComposeResult
 	checked := 0
 	for i, fm := range res.FHz {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -208,8 +209,8 @@ func TestReadyzDuringDrain(t *testing.T) {
 	}
 }
 
-// stubRunner records the request and returns canned results through both the
-// OnSummary stream and the return value.
+// stubRunner records the request and returns canned results through the
+// OnResult and OnSummary streams and the return value.
 type stubRunner struct {
 	got  RunnerRequest
 	fail error
@@ -221,21 +222,29 @@ func (r *stubRunner) RunSweep(req RunnerRequest) error {
 		return r.fail
 	}
 	for i, sp := range req.Specs {
-		res := sweep.PointResult{Index: i, Name: sp.Name, Cached: i%2 == 1, Wall: time.Millisecond}
+		res := stubResult(i, sp.Name)
 		if req.OnResult != nil {
-			req.OnResult(res)
+			head, result, tail, err := res.MarshalParts()
+			if err != nil {
+				return err
+			}
+			req.OnResult(i, head, result, tail)
 		}
 		if req.OnSummary != nil {
-			req.OnSummary(summarize(&res))
+			req.OnSummary(Summarize(&res))
 		}
 	}
 	if req.OnSummary != nil {
 		req.OnSummary(PointSummary{Index: len(req.Specs) + 7, Name: "out-of-range"}) // must be dropped, not panic
 	}
 	if req.OnResult != nil {
-		req.OnResult(sweep.PointResult{Index: len(req.Specs) + 7, Name: "out-of-range"}) // likewise
+		req.OnResult(len(req.Specs)+7, []byte(`{"index":10,"name":"out-of-range","wall_ns":0}`)) // likewise
 	}
 	return nil
+}
+
+func stubResult(i int, name string) sweep.PointResult {
+	return sweep.PointResult{Index: i, Name: name, Cached: i%2 == 1, Wall: time.Millisecond}
 }
 
 // TestRunnerDelegation installs a Config.Runner and checks the server hands
@@ -276,6 +285,17 @@ func TestRunnerDelegation(t *testing.T) {
 	}
 	if points != 3 {
 		t.Fatalf("SSE point events = %d, want 3", points)
+	}
+	// The runner's records were spilled as the bytes it handed over.
+	lines, code := getJSONL(t, ts.URL, st.ID)
+	if code != http.StatusOK || len(lines) != 3 {
+		t.Fatalf("jsonl: status %d, %d lines, want 3", code, len(lines))
+	}
+	for i, line := range lines {
+		res := stubResult(i, req.Points[i].Name)
+		if want, _ := res.MarshalJSON(); !bytes.Equal(line, want) {
+			t.Fatalf("line %d = %s, want the runner's record %s", i, line, want)
+		}
 	}
 
 	// A runner job-level error fails the job.

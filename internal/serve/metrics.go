@@ -56,7 +56,7 @@ var serveMetrics = obs.NewView(func(r *obs.Registry) *serveInstruments {
 		resultBytes:    r.Counter("pn_serve_results_bytes_total", "Result-record bytes appended to spill files (point index + codec bytes)."),
 		resultErrors:   r.Counter("pn_serve_results_errors_total", "Result-store I/O failures (real or injected), reads and writes."),
 		resultDegraded: r.Counter("pn_serve_results_degraded_total", "Jobs degraded to summary-only service because their spill file failed."),
-		resultReads:    r.CounterVec("pn_serve_results_reads_total", "Result retrievals served from spill files, by kind (page, jsonl, full).", "kind"),
+		resultReads:    r.CounterVec("pn_serve_results_reads_total", "Result retrievals served from spill files, by kind (page, jsonl).", "kind"),
 		tenantJobs:     r.CounterVec("pn_serve_tenant_jobs_total", "Jobs accepted, by tenant.", "tenant"),
 		tenantRejected: r.CounterVec("pn_serve_tenant_rejected_total", "Submissions rejected by tenant admission (rate or in-flight quota), by tenant.", "tenant"),
 		tenantGrants:   r.CounterVec("pn_serve_tenant_grants_total", "Scheduler grants, by tenant: one per point of an in-process job, one per runner-delegated job.", "tenant"),

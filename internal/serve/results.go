@@ -21,10 +21,10 @@ import (
 // of OnPoint into an append-only log (internal/wal), <dir>/results/<id>.wal,
 // the moment it completes, so the server never retains a per-job O(points)
 // result slice — a 10⁵-point sweep holds open one file descriptor and an
-// 8-byte in-memory index entry per point, nothing else. Retrieval (status
-// ?full=1, paginated /results, streaming /results.jsonl) reads records
-// straight back off disk, checksum-checked, including for journal-recovered
-// jobs: the spill survives a SIGKILL alongside the journal, and reopening it
+// 8-byte in-memory index entry per point, nothing else. Retrieval (paginated
+// /results, streaming /results.jsonl) copies records straight back off disk,
+// checksum-checked and never decoded, including for journal-recovered jobs:
+// the spill survives a SIGKILL alongside the journal, and reopening it
 // reads it once end to end to rebuild the index and cut a torn tail.
 //
 // A record is a 4-byte big-endian point index followed by exactly
@@ -323,8 +323,8 @@ func (rf *resultFile) page(offset, limit int) ([]json.RawMessage, error) {
 }
 
 // writeJSONL streams every spilled frame to w, one codec line per point in
-// index order — the loss-free download path that replaces shipping the whole
-// result set in one ?full=1 body. Returns the first write or read error.
+// index order — the loss-free bulk download. Returns the first write or read
+// error.
 func (rf *resultFile) writeJSONL(w io.Writer) error {
 	if rf == nil {
 		return errors.New("results: no spill file for this job")
@@ -350,29 +350,3 @@ func (rf *resultFile) writeJSONL(w io.Writer) error {
 }
 
 var newline = []byte{'\n'}
-
-// decodeAll rebuilds the loss-free []sweep.PointResult from the spill file —
-// the ?full=1 payload, now served from disk for live and journal-recovered
-// jobs alike. Only complete sets are returned: a degraded or partially
-// spilled job answers nil (summary-only), matching the old in-memory
-// contract where Full was all-or-nothing.
-func (rf *resultFile) decodeAll() []sweep.PointResult {
-	if rf == nil {
-		return nil
-	}
-	n, total, _ := rf.snapshot()
-	if n != total {
-		return nil
-	}
-	out := make([]sweep.PointResult, total)
-	for i := 0; i < total; i++ {
-		raw, err := rf.frame(i)
-		if err != nil || raw == nil {
-			return nil
-		}
-		if out[i].UnmarshalJSON(raw) != nil {
-			return nil
-		}
-	}
-	return out
-}

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -61,10 +62,26 @@ func getJSONL(t *testing.T, base, id string) ([][]byte, int) {
 	return lines, resp.StatusCode
 }
 
+// getResults downloads /results.jsonl and decodes every line.
+func getResults(t *testing.T, base, id string) []sweep.PointResult {
+	t.Helper()
+	lines, code := getJSONL(t, base, id)
+	if code != http.StatusOK {
+		t.Fatalf("results.jsonl of %s: status %d", id, code)
+	}
+	out := make([]sweep.PointResult, len(lines))
+	for i, line := range lines {
+		if err := out[i].UnmarshalJSON(line); err != nil {
+			t.Fatalf("results.jsonl of %s, line %d: %v", id, i, err)
+		}
+	}
+	return out
+}
+
 // TestResultsPaginationAndJSONL: the paginated endpoint and the JSONL stream
 // both serve the loss-free codec bytes off the spill file — walking the pages
-// reassembles exactly the JSONL download, and both decode to the same
-// payload ?full=1 ships, point for point.
+// reassembles exactly the JSONL download, and every line is the codec
+// encoding of the point it decodes to, point for point.
 func TestResultsPaginationAndJSONL(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Shutdown(context.Background())
@@ -116,35 +133,32 @@ func TestResultsPaginationAndJSONL(t *testing.T) {
 		}
 	}
 
-	// Both decode to the ?full=1 payload: same codec, same values, including
-	// the PSS aliasing the loss-free codec restores.
-	full := getStatus(t, ts.URL, st.ID, true)
-	if len(full.Full) != n {
-		t.Fatalf("full payload: %d results, want %d", len(full.Full), n)
-	}
+	// Each line decodes to its own point, and re-encoding the decoded
+	// result gives the line back: same codec, same values, including the
+	// PSS aliasing the loss-free codec restores.
 	for i, raw := range lines {
 		var res sweep.PointResult
 		if err := json.Unmarshal(raw, &res); err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}
-		if res.Index != i || res.Name != full.Full[i].Name {
-			t.Fatalf("line %d decodes to index %d name %q, full has %q", i, res.Index, res.Name, full.Full[i].Name)
+		if res.Index != i || res.Name != specs[i].Name || !res.OK() || res.PSS != res.Result.PSS {
+			t.Fatalf("line %d decodes to index %d name %q ok=%v, want point %d %q ok", i, res.Index, res.Name, res.OK(), i, specs[i].Name)
 		}
-		want, err := json.Marshal(&full.Full[i])
+		want, err := json.Marshal(&res)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(raw, want) {
-			t.Fatalf("point %d: spilled bytes are not the codec encoding of the ?full=1 result", i)
+			t.Fatalf("point %d: spilled bytes are not the codec encoding of the result they decode to", i)
 		}
 	}
 }
 
 // TestResultsAfterJournalRecovery: a terminal job recovered from the journal
-// serves its loss-free results again — ?full=1, pages and the JSONL stream
-// all come back from the spill file that survived next to the WAL. Before
-// the result store this was the documented gap: replayed jobs were
-// summary-only forever.
+// serves its loss-free results again — pages and the JSONL stream both come
+// back from the spill file that survived next to the WAL. Before the result
+// store this was the documented gap: replayed jobs were summary-only
+// forever.
 func TestResultsAfterJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
 	const n = 5
@@ -173,16 +187,12 @@ func TestResultsAfterJournalRecovery(t *testing.T) {
 	defer ts2.Close()
 	waitReady(t, ts2.URL)
 
-	full := getStatus(t, ts2.URL, st.ID, true)
-	if full.State != StateDone {
-		t.Fatalf("recovered job state %q", full.State)
-	}
-	if len(full.Full) != n {
-		t.Fatalf("recovered ?full=1: %d results, want %d — the replay gap is back", len(full.Full), n)
+	if rec := getStatus(t, ts2.URL, st.ID, false); rec.State != StateDone {
+		t.Fatalf("recovered job state %q", rec.State)
 	}
 	gotLines, code := getJSONL(t, ts2.URL, st.ID)
 	if code != http.StatusOK || len(gotLines) != n {
-		t.Fatalf("post-restart jsonl: status %d, %d lines", code, len(gotLines))
+		t.Fatalf("post-restart jsonl: status %d, %d lines, want %d — the replay gap is back", code, len(gotLines), n)
 	}
 	for i := range wantLines {
 		if !bytes.Equal(wantLines[i], gotLines[i]) {
@@ -223,10 +233,6 @@ func TestChaosResultsWriteFault(t *testing.T) {
 	if len(done.Results) != 2 {
 		t.Fatalf("summaries under spill faults: %d, want 2", len(done.Results))
 	}
-	full := getStatus(t, ts.URL, st.ID, true)
-	if len(full.Full) != 0 {
-		t.Fatalf("?full=1 served %d results from a degraded spill", len(full.Full))
-	}
 	pg, code := getResultsPage(t, ts.URL, st.ID, 0, 10)
 	if code != http.StatusOK {
 		t.Fatalf("page on degraded job: status %d", code)
@@ -235,7 +241,7 @@ func TestChaosResultsWriteFault(t *testing.T) {
 		t.Fatalf("degraded page: %+v", pg)
 	}
 	if lines, code := getJSONL(t, ts.URL, st.ID); code != http.StatusOK || len(lines) != 0 {
-		t.Fatalf("degraded jsonl: status %d, %d lines", code, len(lines))
+		t.Fatalf("degraded jsonl served %d results (status %d), want none", len(lines), code)
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counter("pn_serve_results_errors_total", ""); got < 1 {
@@ -266,9 +272,8 @@ func TestChaosResultsReadFault(t *testing.T) {
 	if _, code := getResultsPage(t, ts.URL, st.ID, 0, 10); code != http.StatusInternalServerError {
 		t.Fatalf("page under read fault: status %d, want 500", code)
 	}
-	full := getStatus(t, ts.URL, st.ID, true)
-	if len(full.Full) != 0 {
-		t.Fatalf("?full=1 under read fault returned %d results", len(full.Full))
+	if lines, _ := getJSONL(t, ts.URL, st.ID); len(lines) != 0 {
+		t.Fatalf("jsonl under read fault returned %d results", len(lines))
 	}
 	disable()
 
@@ -276,9 +281,63 @@ func TestChaosResultsReadFault(t *testing.T) {
 	if code != http.StatusOK || len(pg.Results) != 1 {
 		t.Fatalf("page after fault cleared: status %d, %d results", code, len(pg.Results))
 	}
-	if full := getStatus(t, ts.URL, st.ID, true); len(full.Full) != 1 {
-		t.Fatalf("?full=1 after fault cleared: %d results", len(full.Full))
+	if res := getResults(t, ts.URL, st.ID); len(res) != 1 || res[0].Index != 0 || !res[0].OK() {
+		t.Fatalf("jsonl after fault cleared: %d results", len(res))
 	}
+}
+
+// TestResultsPageIsMarshalledPage: a page is written around its frames, not
+// marshalled with them, and the body is still exactly json.Marshal of the
+// page, for a real hopf job's full page, a sparse page (a slot never
+// spilled) and a page with next_offset.
+func TestResultsPageIsMarshalledPage(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	specs := []PointSpec{hopfSpec("mp0", 5e3), hopfSpec("mp1", 5e3+1), hopfSpec("mp2", 5e3+2)}
+	_, st := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: specs})
+	if waitState(t, ts.URL, st.ID, terminal).State != StateDone {
+		t.Fatal("job failed")
+	}
+	check := func(what string, offset, limit, frames int) {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/results?offset=%d&limit=%d", ts.URL, st.ID, offset, limit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: status %d, %q, %v", what, resp.StatusCode, resp.Header.Get("Content-Type"), err)
+		}
+		var pg ResultsPage
+		if err := json.Unmarshal(body, &pg); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(pg.Results) != frames {
+			t.Fatalf("%s: %d results, want %d", what, len(pg.Results), frames)
+		}
+		want, err := json.Marshal(pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, append(want, '\n')) {
+			t.Fatalf("%s: body of %d bytes differs from json.Marshal of its page (%d bytes)", what, len(body), len(want)+1)
+		}
+	}
+	check("full page", 0, 3, 3)
+	check("page with next_offset", 1, 1, 1)
+
+	s.mu.Lock()
+	rf := s.jobs[st.ID].rf
+	s.mu.Unlock()
+	rf.mu.Lock()
+	rf.offsets[1] = -1 // as if point 1 had never been spilled
+	rf.mu.Unlock()
+	check("sparse page", 0, 3, 2)
+	check("empty page", 1, 1, 0)
 }
 
 // TestChaosQuotaCheckFault: the quota-check fault point rejects submissions

@@ -3,7 +3,6 @@ package serve
 import (
 	"repro/internal/budget"
 	"repro/internal/obs"
-	"repro/internal/sweep"
 )
 
 // SweepRunner replaces the in-process sweep engine for job execution. The
@@ -30,7 +29,7 @@ type RunnerRequest struct {
 	// journal preserves the ID space), so runners can key their own durable
 	// state (e.g. lease journals) on it.
 	JobID string
-	// Kind is "characterise" or "sweep".
+	// Kind is "characterise", "sweep" or "compose" (Specs: the spec legs).
 	Kind string
 	// Specs are the job's points as pure data, in input order.
 	Specs []PointSpec
@@ -44,10 +43,11 @@ type RunnerRequest struct {
 	// call per point index; calls may arrive concurrently from multiple
 	// worker streams — the server's handler is safe for concurrent use.
 	OnSummary func(PointSummary)
-	// OnResult, when non-nil, streams the loss-free per-point payloads. Same
-	// delivery contract as OnSummary; the server spills each one to the
-	// job's result file the moment it arrives.
-	OnResult func(sweep.PointResult)
+	// OnResult, when non-nil, streams the loss-free records as bytes: the
+	// parts (at most three) concatenated are point index's MarshalJSON
+	// bytes. Same delivery contract as OnSummary; the server spills each
+	// record on arrival and keeps no part after the call.
+	OnResult func(index int, parts ...[]byte)
 	// Span is the job's root span. Runners parent their own spans (lease
 	// dispatch, attempts) under it and propagate Span.Context() over every
 	// HTTP hop so worker-side spans join the same trace.

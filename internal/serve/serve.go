@@ -13,7 +13,8 @@
 //
 //	POST /v1/characterise   — submit a one-point job        → JobStatus (202)
 //	POST /v1/sweep          — submit a multi-point job      → JobStatus (202)
-//	GET  /v1/jobs/{id}      — job status (+?full=1 payload) → JobStatus
+//	GET  /v1/jobs/{id}      — job status (+?full=1 compose_result) → JobStatus
+//	GET  /v1/jobs/{id}/results[.jsonl] — loss-free results: a page, or a line each
 //	GET  /v1/jobs/{id}/events — progress stream (SSE, replayable by Last-Event-ID)
 //	GET  /v1/jobs/{id}/trace  — merged distributed timeline (+ ?format=jsonl raw)
 //	POST /v1/jobs/{id}/cancel — trip the job's budget token → JobStatus
@@ -29,6 +30,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -233,12 +235,12 @@ func (j *job) setState(state string) {
 	j.emit(Event{Type: "state", State: state}, false)
 }
 
-// status snapshots the job for the API. The ?full=1 payload decodes off the
-// spill file — the server no longer retains a per-job result slice — so it
-// is present whenever the job is terminal and every point was spilled,
-// including after a journal recovery.
+// status snapshots the job for the API; full (?full=1) adds a compose job's
+// composition result. Loss-free point results are read as bytes off the
+// spill file, from /results and /results.jsonl.
 func (j *job) status(full bool) JobStatus {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	st := JobStatus{
 		ID:           j.id,
 		Kind:         j.kind,
@@ -258,14 +260,6 @@ func (j *job) status(full bool) JobStatus {
 	st.Compose = j.composeSum
 	if full {
 		st.ComposeResult = j.composite
-	}
-	terminal := j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
-	j.mu.Unlock()
-	if full && terminal {
-		if res := j.rf.decodeAll(); res != nil {
-			serveMetrics.Get().resultReads.With("full").Inc()
-			st.Full = res
-		}
 	}
 	return st
 }
@@ -416,7 +410,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	// A journal-less store lives in a temp dir; release it with the slots
-	// gone (terminal jobs lose their ?full payloads, as they always did
+	// gone (terminal jobs lose their loss-free results, as they always did
 	// without a journal — the process is exiting anyway).
 	s.results.close()
 	return err
@@ -737,8 +731,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // width (default 256, capped at 4096). Pages work on running jobs (frames
 // appear as points complete; never-spilled indices are skipped) and on
 // journal-recovered ones — each returned element is the point's exact codec
-// bytes, so a paginating client reassembles the same payload ?full=1 used
-// to ship in one body.
+// bytes, so a paginating client reassembles the results.jsonl download.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
@@ -777,28 +770,51 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		Spilled:  spilled,
 		Offset:   offset,
 		Degraded: degraded,
-		Results:  []json.RawMessage{},
 	}
+	// Every frame is read before the status line goes out, so a read
+	// failure still answers 500.
 	frames, err := j.rf.page(offset, limit)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "reading results: %v", err)
 		return
 	}
-	if frames != nil {
-		page.Results = frames
-	}
 	if end := offset + limit; end < len(j.specs) {
 		page.NextOffset = &end
 	}
 	serveMetrics.Get().resultReads.With("page").Inc()
-	writeJSON(w, http.StatusOK, page)
+	writePage(w, page, frames)
 }
 
+// writePage answers 200 with page and frames as its results. encoding/json
+// would compact each frame again, as it does every Marshaler's output, and
+// a hopf frame is over a megabyte. The frames are the codec's compact
+// bytes, so the page is marshalled with no results and the frames are
+// written between its "results":[ and ]}: the same body, unscanned.
+func writePage(w http.ResponseWriter, page ResultsPage, frames []json.RawMessage) {
+	page.Results = []json.RawMessage{}
+	head, err := json.Marshal(page)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(head[:len(head)-len("]}")])
+	for i, f := range frames {
+		if i > 0 {
+			w.Write(comma)
+		}
+		w.Write(f)
+	}
+	w.Write([]byte("]}\n"))
+}
+
+var comma = []byte{','}
+
 // handleResultsJSONL streams every spilled result as one codec line per
-// point, in index order — the loss-free bulk download that replaces pulling
-// a giant ?full=1 body, and the first loss-free retrieval path that works on
-// journal-recovered jobs. The stream is a snapshot: a running job yields the
-// points spilled so far.
+// point, in index order — the loss-free bulk download, for live and
+// journal-recovered jobs alike. The stream is a snapshot: a running job
+// yields the points spilled so far.
 func (s *Server) handleResultsJSONL(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
@@ -1098,25 +1114,39 @@ func (s *Server) runPoints(j *job, idx []int, pts []sweep.Point) {
 // count is taken after the point event is emitted, so the terminal event is
 // always the last in the stream.
 func (s *Server) report(j *job, r sweep.PointResult) {
-	j.keep(&r)
-	j.progress(summarize(&r))
+	j.keep(r.Index, &r, nil)
+	j.progress(Summarize(&r))
 	if j.left.Add(-1) == 0 {
 		s.settle(j, nil)
 	}
 }
 
-// keep spills one loss-free result and, for a compose job, holds it as a leg
-// for the composition step. Append failures degrade the file, never the job.
-// The serve.spill_append span lands in the job trace.
-func (j *job) keep(r *sweep.PointResult) {
+// keep spills point idx's loss-free result — r from the in-process engine,
+// or a runner's record as bytes (parts), which go to the spill as they are —
+// and, for a compose job, holds it as a leg for the composition step. A
+// runner's leg is the one record decoded: its per-source c_i are stored
+// nowhere else. Append failures degrade the file, never the job. The
+// serve.spill_append span lands in the job trace.
+func (j *job) keep(idx int, r *sweep.PointResult, parts [][]byte) {
 	sp := obs.StartSpan(j.span, "serve.spill_append")
-	sp.SetAttr("index", r.Index)
-	sp.EndErr(j.rf.appendResult(r))
-	if j.legs != nil {
-		j.mu.Lock()
-		j.legs[r.Index] = *r
-		j.mu.Unlock()
+	sp.SetAttr("index", idx)
+	if r != nil {
+		sp.EndErr(j.rf.appendResult(r))
+	} else {
+		sp.EndErr(j.rf.append(idx, parts...))
 	}
+	if j.legs == nil {
+		return
+	}
+	if r == nil {
+		r = new(sweep.PointResult)
+		if err := r.UnmarshalJSON(bytes.Join(parts, nil)); err != nil {
+			*r = sweep.PointResult{Index: idx, Err: fmt.Errorf("decoding compose leg %d: %w", idx, err)}
+		}
+	}
+	j.mu.Lock()
+	j.legs[idx] = *r
+	j.mu.Unlock()
 }
 
 // progress folds one point summary into the job's counters and emits its
@@ -1140,9 +1170,9 @@ func (j *job) progress(sum PointSummary) {
 // cluster coordinator, in practice). Per-point progress arrives through
 // OnSummary — possibly concurrently from several worker streams — and is
 // folded into the job's counters and SSE stream exactly like the in-process
-// path; the loss-free payloads arrive through OnResult and go straight to
-// the spill file. Both are trusted to arrive at most once per index, but an
-// out-of-range index is dropped rather than corrupting state.
+// path; the loss-free records arrive through OnResult as bytes and go
+// straight to the spill file. Both are trusted to arrive at most once per
+// index, but an out-of-range index is dropped rather than corrupting state.
 func (s *Server) runViaRunner(j *job) error {
 	return s.cfg.Runner.RunSweep(RunnerRequest{
 		JobID:       j.id,
@@ -1152,9 +1182,9 @@ func (s *Server) runViaRunner(j *job) error {
 		NoCache:     j.noCache,
 		Span:        j.span,
 		IngestTrace: j.trace.ingest,
-		OnResult: func(r sweep.PointResult) {
-			if r.Index >= 0 && r.Index < len(j.specs) {
-				j.keep(&r)
+		OnResult: func(idx int, parts ...[]byte) {
+			if idx >= 0 && idx < len(j.specs) {
+				j.keep(idx, nil, parts)
 			}
 		},
 		OnSummary: func(sum PointSummary) {
@@ -1249,9 +1279,9 @@ func (s *Server) recoverJobs() {
 
 // restoreTerminal registers a finished job from its journal: queryable status
 // and replayable (closed) event stream. When the job's spill file survived
-// alongside the journal, the loss-free results come back with it — ?full=1,
-// /results pages and /results.jsonl all work across the restart; only a job
-// with no spill (pre-store journals, degraded runs) is summary-only.
+// alongside the journal, the loss-free results come back with it — /results
+// pages and /results.jsonl both work across the restart; only a job with no
+// spill (pre-store journals, degraded runs) is summary-only.
 func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
 	j := s.newJob(rj.hdr, nil)
 	j.cancel()    // nothing will run; release the token immediately

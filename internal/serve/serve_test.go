@@ -197,14 +197,14 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("cached c=%g differs from computed c=%g", cachedDone.Results[0].C, done.Results[0].C)
 	}
 
-	// The full payload round-trips through the loss-free codec.
-	fullSt := getStatus(t, ts.URL, st2.ID, true)
-	if len(fullSt.Full) != 1 {
-		t.Fatalf("full payload: %d results", len(fullSt.Full))
+	// The loss-free result round-trips through the codec.
+	full := getResults(t, ts.URL, st2.ID)
+	if len(full) != 1 {
+		t.Fatalf("loss-free results: %d, want 1", len(full))
 	}
-	fr := fullSt.Full[0]
-	if !fr.OK() || !fr.Cached || fr.Result.C != done.Results[0].C {
-		t.Fatalf("full result: ok=%v cached=%v", fr.OK(), fr.Cached)
+	fr := full[0]
+	if fr.Index != 0 || !fr.OK() || !fr.Cached || fr.Result.C != done.Results[0].C {
+		t.Fatalf("loss-free result: index=%d ok=%v cached=%v", fr.Index, fr.OK(), fr.Cached)
 	}
 	if fr.PSS == nil || fr.PSS != fr.Result.PSS {
 		t.Fatal("full result lost the PSS aliasing")
@@ -372,9 +372,12 @@ func TestServeCancelInflight(t *testing.T) {
 	}
 	// Cut-off points report the cancellation with their budget identity
 	// intact; completed points keep their results.
-	full := getStatus(t, ts.URL, st.ID, true)
+	full := getResults(t, ts.URL, st.ID)
 	var okN, canceledN int
-	for _, r := range full.Full {
+	for i, r := range full {
+		if r.Index != i {
+			t.Fatalf("line %d carries index %d", i, r.Index)
+		}
 		switch {
 		case r.OK():
 			okN++
@@ -383,7 +386,7 @@ func TestServeCancelInflight(t *testing.T) {
 		}
 	}
 	if okN == 0 || canceledN == 0 {
-		t.Fatalf("want both completed and canceled points, got ok=%d canceled=%d of %d", okN, canceledN, len(full.Full))
+		t.Fatalf("want both completed and canceled points, got ok=%d canceled=%d of %d", okN, canceledN, len(full))
 	}
 }
 

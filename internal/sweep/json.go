@@ -1,11 +1,14 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"strconv"
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/shooting"
@@ -246,6 +249,33 @@ func (r PointResult) MarshalParts() (head, result, tail []byte, err error) {
 	const key = `,"result":`
 	head = append(env[:n:n], key...)
 	return head, result, env[n:], nil
+}
+
+// indexKey opens every loss-free record: the index is its first member.
+var indexKey = []byte(`{"index":`)
+var errNotRecord = errors.New(`sweep: not a record: want one JSON value opening with {"index":N,`)
+
+// SplitIndex checks a record that a hop copies undecoded (a results.jsonl
+// line) — one JSON value by the cache's check, opening with {"index":N, as
+// MarshalJSON writes it — and returns N and the rest from the comma on:
+// AppendIndex(nil, i) plus rest is MarshalJSON's record with Index = i.
+func SplitIndex(line []byte) (int, []byte, error) {
+	rest, ok := bytes.CutPrefix(line, indexKey)
+	n := bytes.IndexByte(rest, ',')
+	if !ok || n < 0 || n > len("-9223372036854775808") || !cache.Valid(line) {
+		return 0, nil, errNotRecord
+	}
+	i, err := strconv.Atoi(string(rest[:n]))
+	if err != nil || strconv.Itoa(i) != string(rest[:n]) {
+		return 0, nil, errNotRecord
+	}
+	return i, rest[n:], nil
+}
+
+// AppendIndex appends the head of point i's loss-free record, {"index":i —
+// what SplitIndex cuts off before the comma.
+func AppendIndex(b []byte, i int) []byte {
+	return strconv.AppendInt(append(b, indexKey...), int64(i), 10)
 }
 
 // UnmarshalJSON implements json.Unmarshaler. Callers holding the bytes call

@@ -1,7 +1,7 @@
 // Package wfloat is the repo-wide JSON codec for float64 values that may be
 // non-finite. Inf and NaN have no JSON number form, so encoding/json rejects
 // them and with them the whole enclosing value — a result cache entry, a
-// ?full=1 payload, a composed phase-noise mask. Float carries them as the
+// spilled result record, a composed phase-noise mask. Float carries them as the
 // strings "Inf", "-Inf" and "NaN"; finite values stay plain numbers, so
 // payloads written before a field switched to Float decode unchanged.
 //
