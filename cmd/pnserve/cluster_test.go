@@ -49,10 +49,13 @@ func buildServer(t *testing.T, dir string) string {
 // startServer launches one pnserve with the given extra flags and returns the
 // process and its base URL (parsed from the stderr banner; the kernel picks
 // the port). The stderr pipe keeps draining in the background so the child
-// never blocks on it.
+// never blocks on it. The child's TMPDIR is a test directory: a server
+// without -journal-dir spills results into a temp directory of its own,
+// which the SIGKILL at cleanup would otherwise leave behind.
 func startServer(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 	t.Helper()
 	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	cmd.Env = append(os.Environ(), "TMPDIR="+t.TempDir())
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -8,10 +8,14 @@ import (
 	"strings"
 )
 
-// fingerprintVersion prefixes the hashed canonical form. Bump it whenever the
-// serialisation of cached payloads changes incompatibly: old disk entries
-// then become unreachable (fresh keys) instead of decoding garbage.
-const fingerprintVersion = "pnfp1"
+// FingerprintVersion names the key schema: it heads the hashed canonical
+// form and prefixes every key. Bump it whenever the bytes cached under a key
+// change — the payload's serialisation or the numerics that computed it —
+// so that entries older binaries wrote become unreachable (fresh keys)
+// instead of mixing with new ones. pnfp2: the adjoint at the orbit's
+// resolution, the shooting stop rule that sees weak contraction, and
+// c_rel_err on every result.
+const FingerprintVersion = "pnfp2"
 
 // Fingerprint accumulates the identity of one characterisation request —
 // model name, parameters, initial state, period guess, effective solver
@@ -64,9 +68,11 @@ func (f *Fingerprint) SetAll(m map[string]string) *Fingerprint {
 	return f
 }
 
-// Key condenses the fields to the content address: the hex SHA-256 of the
-// canonical serialisation (version header, then "key=value" lines sorted by
-// key, with key and value lengths encoded so no concatenation is ambiguous).
+// Key condenses the fields to the content address: FingerprintVersion, a
+// dash, and the hex SHA-256 of the canonical serialisation (version header,
+// then "key=value" lines sorted by key, with key and value lengths encoded
+// so no concatenation is ambiguous). The dash keeps keys valid file names
+// for the disk tier.
 func (f *Fingerprint) Key() string {
 	keys := make([]string, 0, len(f.fields))
 	for k := range f.fields {
@@ -74,7 +80,7 @@ func (f *Fingerprint) Key() string {
 	}
 	sort.Strings(keys)
 	h := sha256.New()
-	h.Write([]byte(fingerprintVersion))
+	h.Write([]byte(FingerprintVersion))
 	h.Write([]byte{'\n'})
 	for _, k := range keys {
 		v := f.fields[k]
@@ -88,7 +94,7 @@ func (f *Fingerprint) Key() string {
 		h.Write([]byte(v))
 		h.Write([]byte{'\n'})
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return FingerprintVersion + "-" + hex.EncodeToString(h.Sum(nil))
 }
 
 // CharacterisationKey builds the canonical cache key of one characterisation

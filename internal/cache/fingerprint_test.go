@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -69,7 +70,7 @@ func TestCharacterisationKeyStability(t *testing.T) {
 	if k1 == k3 {
 		t.Fatal("param value change did not change the key")
 	}
-	if len(k1) != 64 {
-		t.Fatalf("key is not a hex sha256: %q", k1)
+	if sum, ok := strings.CutPrefix(k1, FingerprintVersion+"-"); !ok || len(sum) != 64 {
+		t.Fatalf("key is not the schema and a hex sha256: %q", k1)
 	}
 }

@@ -8,7 +8,7 @@
 //   - Exactly-once effect comes from the content-addressed result cache, not
 //     from delivery guarantees. Leases are reassigned at-least-once; points a
 //     dead worker already finished come back as cache hits on the shared
-//     "pnfp1" fingerprints, so re-execution costs a disk read, and
+//     fingerprint keys, so re-execution costs a disk read, and
 //     pn_core_characterisations_total counts each point once fleet-wide.
 //   - Lease liveness is symmetric. The coordinator heartbeats every leased
 //     worker job (POST /v1/jobs/{id}/renew); a worker whose coordinator dies

@@ -35,13 +35,18 @@ import (
 
 // coreInstruments are the pipeline-level metrics.
 type coreInstruments struct {
-	ok     *obs.Counter // pn_core_characterisations_total{outcome="ok"}
-	failed *obs.Counter // pn_core_characterisations_total{outcome="error"}
+	ok      *obs.Counter   // pn_core_characterisations_total{outcome="ok"}
+	failed  *obs.Counter   // pn_core_characterisations_total{outcome="error"}
+	cRelErr *obs.Histogram // pn_core_c_rel_error
 }
 
 var coreMetrics = obs.NewView(func(r *obs.Registry) *coreInstruments {
 	runs := r.CounterVec("pn_core_characterisations_total", "Characterise calls, by outcome.", "outcome")
-	return &coreInstruments{ok: runs.With("ok"), failed: runs.With("error")}
+	return &coreInstruments{
+		ok:      runs.With("ok"),
+		failed:  runs.With("error"),
+		cRelErr: r.Histogram("pn_core_c_rel_error", "Estimated relative error of each characterised c.", obs.ExpBuckets(1e-14, 10, 14)),
+	}
 })
 
 // SourceContribution is one noise source's share of the phase-diffusion
@@ -58,6 +63,10 @@ type Result struct {
 	Floquet *floquet.Decomposition
 
 	C float64 // phase-diffusion constant, s²·Hz (Eq. 29)
+	// CRelErr is the estimated relative error of C: the adjoint's, the
+	// quadrature's and the orbit's shares, summed with a safety factor.
+	// Characterise sets it; FromDecomposition leaves it 0 (not estimated).
+	CRelErr float64
 
 	// PerSource decomposes C by noise source, sorted by decreasing share.
 	PerSource []SourceContribution
@@ -190,7 +199,9 @@ func Characterise(sys dynsys.System, x0 []float64, tGuess float64, opts *Options
 		m.failed.Inc()
 	} else {
 		m.ok.Inc()
+		m.cRelErr.Observe(res.CRelErr)
 		sp.SetAttr("c", res.C)
+		sp.SetAttr("c_rel_err", res.CRelErr)
 		sp.SetAttr("period", res.T())
 	}
 	sp.EndErr(err)
@@ -259,6 +270,10 @@ func characterise(sys dynsys.System, x0 []float64, tGuess float64, opts *Options
 	} else {
 		ssp := obs.StartSpan(sp, "shooting.Find")
 		pss, err = shooting.Find(sys, x0, tGuess, so)
+		if err == nil {
+			ssp.SetAttr("residual", pss.Residual)
+			ssp.SetAttr("newton_iters", pss.Iters)
+		}
 		ssp.EndErr(err)
 		if err != nil {
 			if budget.Is(err) {
@@ -272,6 +287,10 @@ func characterise(sys dynsys.System, x0 []float64, tGuess float64, opts *Options
 	}
 	fsp := obs.StartSpan(sp, "floquet.Analyze")
 	dec, err := floquet.Analyze(sys, pss, fo)
+	if err == nil {
+		fsp.SetAttr("closure_err", dec.ClosureErr)
+		fsp.SetAttr("adjoint_steps", len(dec.V1.Points)-1)
+	}
 	fsp.EndErr(err)
 	if err != nil {
 		if budget.Is(err) {
@@ -291,14 +310,23 @@ func characterise(sys dynsys.System, x0 []float64, tGuess float64, opts *Options
 	}
 	qsp := obs.StartSpan(sp, "quadrature")
 	qStart := time.Now()
-	res, err := FromDecomposition(sys, pss, dec, qp)
+	res, q := fromDecomposition(sys, pss, dec, qp)
 	qsp.SetAttr("points", qp)
-	qsp.EndErr(err)
+	qsp.End()
 	if tr != nil {
 		tr.QuadWall = time.Since(qStart)
 		tr.QuadPoints = qp
 	}
-	return res, err
+	esp := obs.StartSpan(sp, "c_error")
+	res.CRelErr, err = estimateCErr(sys, pss, dec, q, qp, fo, bud)
+	esp.EndErr(err)
+	if err != nil {
+		if budget.Is(err) {
+			budget.RecordTrip("c_error")
+		}
+		return nil, err
+	}
+	return res, nil
 }
 
 // CharacteriseAuto is Characterise without a period guess: it integrates
@@ -321,77 +349,111 @@ func CharacteriseAuto(sys dynsys.System, x0 []float64, tMax float64, opts *Optio
 // steady state and Floquet decomposition (Eqs. 29–32). quadPoints <= 0
 // selects a default grid.
 func FromDecomposition(sys dynsys.System, pss *shooting.PSS, dec *floquet.Decomposition, quadPoints int) (*Result, error) {
-	n := sys.Dim()
-	p := sys.NumNoise()
-	if quadPoints <= 0 {
-		quadPoints = len(dec.V1.Points)
-		if quadPoints < 1000 {
-			quadPoints = 1000
-		}
-	}
-	x := make([]float64, n)
-	v := make([]float64, n)
-	b := make([]float64, n*p)
-	perSource := make([]float64, p)
-	sens := make([]float64, n)
-	total := 0.0
-	// Uniform trapezoidal quadrature over one period: the integrand is
-	// T-periodic, so the trapezoid rule converges spectrally fast. Both
-	// trajectories are on uniform grids, so the O(1) locators replace a
-	// binary search per sample with identical interpolants.
-	orbitLoc := ode.NewLocator(pss.Orbit)
-	v1Loc := ode.NewLocator(dec.V1)
-	h := pss.T / float64(quadPoints)
-	for k := 0; k < quadPoints; k++ {
-		tk := float64(k) * h
-		orbitLoc.At(tk, x)
-		v1Loc.At(tk, v)
-		sys.Noise(x, b)
-		// [v1ᵀ B]_j for each source column j.
-		for j := 0; j < p; j++ {
-			s := 0.0
-			for i := 0; i < n; i++ {
-				s += v[i] * b[i*p+j]
-			}
-			perSource[j] += s * s
-			total += s * s
-		}
-		for i := 0; i < n; i++ {
-			sens[i] += v[i] * v[i]
-		}
-	}
-	inv := 1 / float64(quadPoints) // (1/T)·h = 1/quadPoints
-	total *= inv
-	for j := range perSource {
-		perSource[j] *= inv
-	}
-	for i := range sens {
-		sens[i] *= inv
-	}
+	res, _ := fromDecomposition(sys, pss, dec, quadPoints)
+	return res, nil
+}
 
+// fromDecomposition is FromDecomposition, also returning the quadrature
+// sums the error estimate reads.
+func fromDecomposition(sys dynsys.System, pss *shooting.PSS, dec *floquet.Decomposition, quadPoints int) (*Result, quadSums) {
+	if quadPoints <= 0 {
+		quadPoints = max(len(dec.V1.Points), 1000)
+	}
+	q := quadrature(sys, pss, dec.V1, quadPoints)
+	p := sys.NumNoise()
 	labels := sys.NoiseLabels()
 	contribs := make([]SourceContribution, p)
 	for j := 0; j < p; j++ {
 		frac := 0.0
-		if total > 0 {
-			frac = perSource[j] / total
+		if q.c > 0 {
+			frac = q.perSource[j] / q.c
 		}
 		lbl := fmt.Sprintf("source%d", j)
 		if j < len(labels) {
 			lbl = labels[j]
 		}
-		contribs[j] = SourceContribution{Label: lbl, C: perSource[j], Fraction: frac}
+		contribs[j] = SourceContribution{Label: lbl, C: q.perSource[j], Fraction: frac}
 	}
 	sort.SliceStable(contribs, func(i, j int) bool { return contribs[i].C > contribs[j].C })
 
 	return &Result{
 		PSS:         pss,
 		Floquet:     dec,
-		C:           total,
+		C:           q.c,
 		PerSource:   contribs,
-		Sensitivity: sens,
+		Sensitivity: q.sens,
 		labels:      labels,
-	}, nil
+	}, q
+}
+
+// quadSums are the Eqs. 29–32 quadratures of one v1 over qp samples: c, its
+// per-source split and the per-node sensitivities, plus cHalf, c from every
+// other sample, whose distance from c bounds the quadrature's own error.
+type quadSums struct {
+	c, cHalf  float64
+	perSource []float64
+	sens      []float64
+}
+
+// quadrature runs the uniform trapezoid rule over one period, sampling the
+// orbit and v1 at t_k = k·T/qp: the integrand is T-periodic, so the rule
+// converges spectrally fast. Both trajectories are on uniform grids, so the
+// O(1) locators replace a binary search per sample with identical
+// interpolants.
+func quadrature(sys dynsys.System, pss *shooting.PSS, v1 *ode.Trajectory, qp int) quadSums {
+	n := sys.Dim()
+	p := sys.NumNoise()
+	x := make([]float64, n)
+	v := make([]float64, n)
+	b := make([]float64, n*p)
+	q := quadSums{perSource: make([]float64, p), sens: make([]float64, n)}
+	var even, first, last float64 // the integrand summed over even k, at k = 0 and at k = qp−1
+	orbitLoc := ode.NewLocator(pss.Orbit)
+	v1Loc := ode.NewLocator(v1)
+	h := pss.T / float64(qp)
+	for k := 0; k < qp; k++ {
+		tk := float64(k) * h
+		orbitLoc.At(tk, x)
+		v1Loc.At(tk, v)
+		sys.Noise(x, b)
+		// [v1ᵀ B]_j for each source column j.
+		f := 0.0
+		for j := 0; j < p; j++ {
+			s := 0.0
+			for i := 0; i < n; i++ {
+				s += v[i] * b[i*p+j]
+			}
+			q.perSource[j] += s * s
+			q.c += s * s
+			f += s * s
+		}
+		if k%2 == 0 {
+			even += f
+		}
+		if k == 0 {
+			first = f
+		}
+		last = f
+		for i := 0; i < n; i++ {
+			q.sens[i] += v[i] * v[i]
+		}
+	}
+	inv := 1 / float64(qp) // (1/T)·h = 1/qp
+	q.c *= inv
+	for j := range q.perSource {
+		q.perSource[j] *= inv
+	}
+	for i := range q.sens {
+		q.sens[i] *= inv
+	}
+	// Every other sample at spacing 2h; for odd qp the last gap, from
+	// t_{qp−1} back round to T, is h, and its two ends weigh 3h/2.
+	q.cHalf = 2 * even
+	if qp%2 == 1 {
+		q.cHalf -= (first + last) / 2
+	}
+	q.cHalf *= inv
+	return q
 }
 
 // OutputSpectrum extracts the Fourier coefficients X_i (i = −nh..nh) of
@@ -466,6 +528,9 @@ func (r *Result) Report() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Oscillation period  T  = %.9e s  (f0 = %.6e Hz)\n", r.T(), r.F0())
 	fmt.Fprintf(&sb, "Phase diffusion     c  = %.6e s²·Hz\n", r.C)
+	if r.CRelErr > 0 {
+		fmt.Fprintf(&sb, "Estimated error of c   = %.1e relative\n", r.CRelErr)
+	}
 	fmt.Fprintf(&sb, "Lorentzian corner   fc = %.6e Hz (π f0² c)\n", r.CornerFreq())
 	fmt.Fprintf(&sb, "Jitter after 1 period  = %.6e s RMS\n", math.Sqrt(r.JitterVariance(1)))
 	fmt.Fprintf(&sb, "Floquet multipliers    =")

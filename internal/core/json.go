@@ -20,6 +20,7 @@ type ResultWire struct {
 	PSS         *shooting.PSS              `json:"pss,omitempty"`
 	Floquet     *floquet.DecompositionWire `json:"floquet,omitempty"`
 	C           float64                    `json:"c"`
+	CRelErr     float64                    `json:"c_rel_err,omitempty"`
 	PerSource   []SourceContribution       `json:"per_source,omitempty"`
 	Sensitivity []float64                  `json:"sensitivity,omitempty"`
 	Labels      []string                   `json:"labels,omitempty"`
@@ -39,6 +40,7 @@ func (r *Result) Wire() *ResultWire {
 		PSS:         r.PSS,
 		Floquet:     r.Floquet.Wire(),
 		C:           r.C,
+		CRelErr:     r.CRelErr,
 		PerSource:   r.PerSource,
 		Sensitivity: r.Sensitivity,
 		Labels:      r.labels,
@@ -54,6 +56,7 @@ func (w *ResultWire) Result() *Result {
 		PSS:         w.PSS,
 		Floquet:     w.Floquet.Decomposition(),
 		C:           w.C,
+		CRelErr:     w.CRelErr,
 		PerSource:   w.PerSource,
 		Sensitivity: w.Sensitivity,
 		labels:      w.Labels,
@@ -84,6 +87,11 @@ func (w *ResultWire) AppendJSON(b []byte) ([]byte, error) {
 	}
 	if b, err = wfloat.AppendFloat(append(b, `"c":`...), w.C); err != nil {
 		return b, err
+	}
+	if w.CRelErr != 0 {
+		if b, err = wfloat.AppendFloat(append(b, `,"c_rel_err":`...), w.CRelErr); err != nil {
+			return b, err
+		}
 	}
 	if len(w.PerSource) > 0 {
 		b = append(b, `,"per_source":[`...)

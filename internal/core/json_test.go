@@ -153,6 +153,9 @@ func TestResultEncoderMatchesEncodingJSON(t *testing.T) {
 		fail bool
 	}{
 		{"golden", &golden, false},
+		{"c_rel_err set", build(func(r *Result) { r.CRelErr = 3.2e-9 }), false},
+		{"c_rel_err extremes", build(func(r *Result) { r.CRelErr = 5e-324 }), false},
+		{"c_rel_err negative zero", build(func(r *Result) { r.CRelErr = math.Copysign(0, -1) }), false},
 		{"nil result", nil, false},
 		{"zero result", &Result{}, false},
 		{"nil PSS and Floquet", build(func(r *Result) { r.PSS, r.Floquet = nil, nil }), false},
@@ -181,6 +184,8 @@ func TestResultEncoderMatchesEncodingJSON(t *testing.T) {
 			r.Floquet.Multipliers = []complex128{complex(nan, -inf), complex(inf, 0)}
 		}), false},
 		{"NaN c", build(func(r *Result) { r.C = nan }), true},
+		{"NaN c_rel_err", build(func(r *Result) { r.CRelErr = nan }), true},
+		{"+Inf c_rel_err", build(func(r *Result) { r.CRelErr = inf }), true},
 		{"+Inf period", build(func(r *Result) { r.PSS.T = inf }), true},
 		{"-Inf residual", build(func(r *Result) { r.PSS.Residual = -inf }), true},
 		{"NaN in X0", build(func(r *Result) { r.PSS.X0[1] = nan }), true},
@@ -238,6 +243,7 @@ func FuzzResultJSON(f *testing.F) {
 		// The result member of the sweep package's golden ok point.
 		`{"pss":{"X0":[1,0.1],"T":3.141592653589793,"Orbit":{"Points":[{"T":0,"X":[1,0.1],"DX":[-0.2,2]},{"T":1.5707963267948966,"X":[-0.1,1],"DX":[-2,-0.2]}]},"Monodromy":{"Rows":2,"Cols":2,"Data":[1,0,0.25,0.0183]},"Residual":3.5e-13,"Iters":4},"floquet":{"t":3.141592653589793,"multipliers":[[1,0],[0.0183,-1e-300]],"exponents":[[0,0],["-Inf",3.141592653589793]],"u10":[-0.2,2],"v10":[-0.0498,0.4975],"v1":{"Points":[{"T":0,"X":[-0.0498,0.4975],"DX":[0.001,-0.025]},{"T":3.141592653589793,"X":[-0.0498,0.4975],"DX":[0.001,-0.025]}]},"unit_err":"Inf","closure_err":"NaN","biortho_drift":2.5e-16},"c":0.0001,"per_source":[{"label":"n&2","c":0.000075,"fraction":0.75},{"label":"n<1>","c":0.000025,"fraction":0.25}],"sensitivity":[0.00005,0.00015],"labels":["n<1>","n&2"]}`,
 		goldenResult,
+		`{"pss":{"T":1e-6},"floquet":{},"c":2.5e-18,"c_rel_err":1.2e-7}`,
 		`{"c":1e-9}`, // the payload that crashed pnserve's summarize
 		`{"pss":5}`,
 		`{"pss":{"T":0},"floquet":{}}`,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/budget"
@@ -99,5 +100,101 @@ func TestBudgetTripCountedByStage(t *testing.T) {
 	}
 	if got := s.Counter("pn_core_characterisations_total", "error"); got != 1 {
 		t.Fatalf("error characterisations = %d, want 1", got)
+	}
+}
+
+// Numerical health reaches /metrics and the span log: a characterisation
+// observes its c_rel_err and its adjoint closure error once each into their
+// histograms, and sets them, with the shooting residual, the Newton
+// iteration count and the adjoint step count, as span attributes.
+func TestNumericalHealthInMetricsAndSpans(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.SetGlobal(reg)
+	defer obs.SetGlobal(nil)
+	ring := obs.NewRingEmitter(64)
+	obs.SetEmitter(ring)
+	defer obs.SetEmitter(nil)
+
+	h := &osc.Hopf{Lambda: 1, Omega: 2 * math.Pi, Sigma: 0.02}
+	res, err := Characterise(h, []float64{1, 0.1}, 1.05, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(res.CRelErr > 0) {
+		t.Fatalf("c_rel_err = %g", res.CRelErr)
+	}
+	s := reg.Snapshot()
+	for _, m := range []struct {
+		name string
+		want float64
+	}{{"pn_core_c_rel_error", res.CRelErr}, {"pn_floquet_closure_error", res.Floquet.ClosureErr}} {
+		if hv, ok := s.Histogram(m.name); !ok || hv.Count != 1 || hv.Sum != m.want {
+			t.Errorf("%s: %+v, want one observation of %g", m.name, hv, m.want)
+		}
+	}
+	attrs := map[string]map[string]any{}
+	for _, ev := range ring.Events() {
+		attrs[ev.Name] = ev.Attrs
+	}
+	for _, a := range []struct {
+		span, key string
+		want      any
+	}{
+		{"core.Characterise", "c_rel_err", res.CRelErr},
+		{"shooting.Find", "residual", res.PSS.Residual},
+		{"shooting.Find", "newton_iters", res.PSS.Iters},
+		{"floquet.Analyze", "closure_err", res.Floquet.ClosureErr},
+		{"floquet.Analyze", "adjoint_steps", len(res.Floquet.V1.Points) - 1},
+	} {
+		if got := attrs[a.span][a.key]; got != a.want {
+			t.Errorf("%s %s = %v, want %v", a.span, a.key, got, a.want)
+		}
+	}
+	if _, ok := attrs["c_error"]; !ok {
+		t.Error("no c_error span")
+	}
+}
+
+// tripAfterFloquet cancels a budget token a fixed number of Jacobian calls
+// after the Floquet stage completed: only the error estimate's half-step
+// adjoint evaluates the Jacobian after that.
+type tripAfterFloquet struct {
+	dynsys.System
+	part   *Partial
+	calls  int
+	cancel func()
+}
+
+func (s *tripAfterFloquet) Jacobian(x []float64, dst []float64) {
+	if s.part.Floquet != nil {
+		if s.calls++; s.calls > 100 {
+			s.cancel()
+		}
+	}
+	s.System.Jacobian(x, dst)
+}
+
+// The error estimate polls the point's budget: a trip inside it fails the
+// characterisation with the budget error, counted under stage "c_error",
+// while the shooting and Floquet products stay in Partial.
+func TestBudgetTripInErrorEstimate(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.SetGlobal(reg)
+	defer obs.SetGlobal(nil)
+
+	h := &osc.Hopf{Lambda: 1, Omega: 2 * math.Pi, Sigma: 0.02}
+	tok, cancel := budget.WithCancel(nil)
+	defer cancel()
+	var part Partial
+	sys := &tripAfterFloquet{System: h, part: &part, cancel: cancel}
+	_, err := Characterise(sys, []float64{1, 0.1}, 1.05, &Options{Budget: tok, Partial: &part})
+	if !budget.Is(err) || !strings.Contains(err.Error(), "c error estimate") {
+		t.Fatalf("got %v, want a budget error from the c error estimate", err)
+	}
+	if part.PSS == nil || part.Floquet == nil {
+		t.Fatal("the completed stages were not kept")
+	}
+	if got := reg.Snapshot().Counter("pn_budget_trips_total", "c_error"); got != 1 {
+		t.Fatalf("c_error trips = %d, want 1", got)
 	}
 }

@@ -50,7 +50,7 @@ var ErrUnstableCycle = errors.New("floquet: limit cycle is orbitally unstable")
 
 // Options configures the analysis.
 type Options struct {
-	Steps          int     // adjoint integration steps over one period (default: 4× orbit knots, min 2000)
+	Steps          int     // adjoint integration steps over one period (default: the orbit's knot count, min 2000)
 	UnitTol        float64 // acceptance radius for the unit multiplier (default 5e-3)
 	StabilityTol   float64 // margin for instability detection (default 1e-6)
 	SkipStability  bool    // do not fail on unstable cycles (for diagnostics)
@@ -79,7 +79,7 @@ func (o *Options) Effective() Options {
 
 func (o *Options) defaults(orbitKnots int) Options {
 	out := Options{
-		Steps:          max(2000, 4*orbitKnots),
+		Steps:          max(2000, orbitKnots),
 		UnitTol:        5e-3,
 		StabilityTol:   1e-6,
 		MaxPeriodDrift: 1e-3,
@@ -274,57 +274,14 @@ func postAdjoint(sys dynsys.System, pss *shooting.PSS, o Options, tr *Trace, pre
 	v1at0 := make([]float64, n)
 	v1traj.At(0, v1at0)
 	closure := linalg.Norm2(linalg.SubVec(v1at0, v10)) / (1 + linalg.Norm2(v10))
-	fm.closureErr.Set(closure)
+	fm.closureErr.Observe(closure)
 	if tr != nil {
 		tr.ClosureErr = closure
 	}
 
-	// Biorthogonality drift |v1ᵀ(t) ẋs(t) − 1| at the knots.
-	pts := v1traj.Points
-	ips := make([]float64, len(pts))
-	drift := 0.0
-	xbuf := make([]float64, n)
-	fbuf := make([]float64, n)
-	orbitLoc := ode.NewLocator(pss.Orbit)
-	for i := range pts {
-		orbitLoc.At(pts[i].T, xbuf)
-		sys.Eval(xbuf, fbuf)
-		ips[i] = linalg.Dot(pts[i].X, fbuf)
-		if d := math.Abs(ips[i] - 1); d > drift {
-			drift = d
-		}
-	}
+	drift := biortho(sys, pss, v1traj, !o.NoRenormalize)
 	if tr != nil {
 		tr.BiorthoDrift = drift
-	}
-	if !o.NoRenormalize {
-		// The exact v1 satisfies v1ᵀ(t)u1(t) ≡ 1; rescaling pointwise removes
-		// accumulated integration error without changing the direction of the
-		// projection. The renormalised vector is ṽ1 = v1/ip with
-		// d ṽ1/dt = v̇1/ip − (dip/dt)/ip²·v1, so the knot slopes need the
-		// derivative of the rescaling factor as well — scaling DX by 1/ip
-		// alone leaves the Hermite interpolant inconsistent wherever the
-		// drift varies between knots.
-		for i := range pts {
-			ip := ips[i]
-			if ip == 0 {
-				continue
-			}
-			var dip float64
-			switch {
-			case i == 0:
-				dip = (ips[1] - ips[0]) / (pts[1].T - pts[0].T)
-			case i == len(pts)-1:
-				dip = (ips[i] - ips[i-1]) / (pts[i].T - pts[i-1].T)
-			default:
-				dip = (ips[i+1] - ips[i-1]) / (pts[i+1].T - pts[i-1].T)
-			}
-			p := &pts[i]
-			for k := range p.DX {
-				p.DX[k] = (p.DX[k] - dip/ip*p.X[k]) / ip
-			}
-			linalg.ScaleVec(1/ip, p.X)
-		}
 	}
 	if closure > o.MaxPeriodDrift {
 		fm.closureFails.Inc()
@@ -342,4 +299,73 @@ func postAdjoint(sys dynsys.System, pss *shooting.PSS, o Options, tr *Trace, pre
 		ClosureErr:   closure,
 		BiorthoDrift: drift,
 	}, nil
+}
+
+// biortho returns the biorthogonality drift max |v1ᵀ(t)·ẋs(t) − 1| over the
+// knots of v1 and, when renormalise is set, rescales each knot so that
+// v1ᵀ(t)·ẋs(t) = 1 there.
+func biortho(sys dynsys.System, pss *shooting.PSS, v1 *ode.Trajectory, renormalise bool) float64 {
+	n := sys.Dim()
+	pts := v1.Points
+	ips := make([]float64, len(pts))
+	drift := 0.0
+	xbuf := make([]float64, n)
+	fbuf := make([]float64, n)
+	orbitLoc := ode.NewLocator(pss.Orbit)
+	for i := range pts {
+		orbitLoc.At(pts[i].T, xbuf)
+		sys.Eval(xbuf, fbuf)
+		ips[i] = linalg.Dot(pts[i].X, fbuf)
+		if d := math.Abs(ips[i] - 1); d > drift {
+			drift = d
+		}
+	}
+	if !renormalise {
+		return drift
+	}
+	// The exact v1 satisfies v1ᵀ(t)u1(t) ≡ 1; rescaling pointwise removes
+	// accumulated integration error without changing the direction of the
+	// projection. The renormalised vector is ṽ1 = v1/ip with
+	// d ṽ1/dt = v̇1/ip − (dip/dt)/ip²·v1, so the knot slopes need the
+	// derivative of the rescaling factor as well — scaling DX by 1/ip
+	// alone leaves the Hermite interpolant inconsistent wherever the
+	// drift varies between knots.
+	for i := range pts {
+		ip := ips[i]
+		if ip == 0 {
+			continue
+		}
+		var dip float64
+		switch {
+		case i == 0:
+			dip = (ips[1] - ips[0]) / (pts[1].T - pts[0].T)
+		case i == len(pts)-1:
+			dip = (ips[i] - ips[i-1]) / (pts[i].T - pts[i-1].T)
+		default:
+			dip = (ips[i+1] - ips[i-1]) / (pts[i+1].T - pts[i-1].T)
+		}
+		p := &pts[i]
+		for k := range p.DX {
+			p.DX[k] = (p.DX[k] - dip/ip*p.X[k]) / ip
+		}
+		linalg.ScaleVec(1/ip, p.X)
+	}
+	return drift
+}
+
+// HalfStepV1 integrates d's backward adjoint again from the same v1(0), at
+// half the steps of d.V1, and renormalises it as Analyze renormalised d.V1:
+// c computed on it beside c on d.V1 gives the Richardson estimate of the
+// adjoint's share of the error on c. It counts in no Floquet trace or
+// metric; opts supplies NoRenormalize and the budget.
+func HalfStepV1(sys dynsys.System, pss *shooting.PSS, d *Decomposition, opts *Options) (*ode.Trajectory, error) {
+	o := opts.defaults(0)
+	jac := func(t float64, x []float64, dst []float64) { sys.Jacobian(x, dst) }
+	steps := max(1, (len(d.V1.Points)-1)/2)
+	v1, _, err := ode.AdjointBackward(jac, pss.Orbit, 0, pss.T, d.V10, steps, o.Budget)
+	if err != nil {
+		return nil, fmt.Errorf("floquet: half-step adjoint: %w", err)
+	}
+	biortho(sys, pss, v1, !o.NoRenormalize)
+	return v1, nil
 }

@@ -415,3 +415,46 @@ func TestMultipliersSortedWhenUnitNotLargest(t *testing.T) {
 		t.Fatalf("stability margin %g, want −2", got)
 	}
 }
+
+// The backward adjoint takes as many steps as the orbit has knots, at least
+// 2000, so the retry ladder's finer orbits refine it too; an explicit Steps
+// wins. HalfStepV1 integrates from the same v1(0) at half the steps and is
+// renormalised alike.
+func TestAdjointStepsFollowTheOrbit(t *testing.T) {
+	h := &osc.Hopf{Lambda: 1, Omega: 2 * math.Pi, Sigma: 0.1}
+	for _, c := range []struct{ orbitSteps, adjSteps, want int }{
+		{1000, 0, 2000},
+		{2000, 0, 2001},
+		{4000, 0, 4001},
+		{2000, 3000, 3000},
+	} {
+		pss, err := shooting.Find(h, []float64{1, 0.2}, 1.05, &shooting.Options{StepsPerPeriod: c.orbitSteps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr Trace
+		opts := &Options{Steps: c.adjSteps, Trace: &tr}
+		dec, err := Analyze(h, pss, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(dec.V1.Points) - 1; got != c.want || tr.Steps != c.want {
+			t.Errorf("orbit %d steps, Steps %d: adjoint took %d steps (trace %d), want %d", c.orbitSteps, c.adjSteps, got, tr.Steps, c.want)
+		}
+		half, err := HalfStepV1(h, pss, dec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(half.Points) - 1; got != c.want/2 || tr.Steps != c.want {
+			t.Errorf("half-step adjoint took %d steps (trace %d), want %d", got, tr.Steps, c.want/2)
+		}
+		a, b := make([]float64, 2), make([]float64, 2)
+		for _, frac := range []float64{0, 0.3, 0.7} {
+			dec.V1.At(frac*pss.T, a)
+			half.At(frac*pss.T, b)
+			if d := math.Hypot(a[0]-b[0], a[1]-b[1]) / math.Hypot(a[0], a[1]); d > 1e-8 {
+				t.Errorf("v1(%gT) differs by %.2g between the adjoint and its half-step twin", frac, d)
+			}
+		}
+	}
+}

@@ -43,16 +43,17 @@ func (req *SweepRequest) validate(maxPoints int) error {
 }
 
 // RoutingKey returns the point's content-addressed cache key, the same
-// "pnfp1" fingerprint Resolve stamps on the sweep point (Resolve builds the
-// model and runs no integration, so this is cheap for every point of a large
+// fingerprint Resolve stamps on the sweep point (Resolve builds the model
+// and runs no integration, so this is cheap for every point of a large
 // sweep). The cluster coordinator hashes it onto the worker ring so identical
 // points always land on (and cache-hit at) the same node. Invalid specs fall
-// back to a name-derived key: routing stays total, and the worker rejects
-// the spec with a real error when the lease arrives.
+// back to a name-derived key, which its colons keep apart from every real
+// key: routing stays total, and the worker rejects the spec with a real
+// error when the lease arrives.
 func (p PointSpec) RoutingKey() string {
 	pt, err := p.Resolve(nil)
 	if err != nil {
-		return "pnfp1:invalid:" + p.Model + ":" + p.Name
+		return cache.FingerprintVersion + ":invalid:" + p.Model + ":" + p.Name
 	}
 	return pt.Key
 }

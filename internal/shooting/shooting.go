@@ -9,8 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/cmplx"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/budget"
@@ -57,7 +57,7 @@ type Trace struct {
 
 // Options configures the shooting solver.
 type Options struct {
-	Tol            float64 // residual tolerance, relative to state scale (default 1e-10)
+	Tol            float64 // tolerance on the orbit-error estimate residual/(1 − |μ₂|), relative to state scale (default 1e-10)
 	MaxIter        int     // Newton iterations (default 50)
 	StepsPerPeriod int     // RK4 steps for each period integration (default 2000)
 	Transient      float64 // pre-integration time in units of the period guess (default 20)
@@ -107,30 +107,51 @@ type PSS struct {
 	Residual  float64         // final ‖x(T)−x0‖∞ relative to state scale
 	Iters     int
 
-	// eig memoizes the monodromy eigendecomposition so that repeated Floquet
-	// analyses of one PSS — e.g. retry-ladder rungs that only tightened
-	// downstream tolerances — factor Φ once. The pointer keeps PSS copyable;
-	// a PSS reconstructed by a decoder (nil cache) just computes fresh.
-	eig *pssEigCache
+	// eig keeps the monodromy eigenvalues Find computed for its stop rule,
+	// so the Floquet analyses of one PSS — e.g. retry-ladder rungs that only
+	// tightened downstream tolerances — do not factor Φ again. A PSS
+	// reconstructed by a decoder (nil eig), or one whose Monodromy was
+	// replaced, computes them fresh.
+	eig *monodromyEigen
 }
 
-// pssEigCache holds the lazily computed monodromy eigenvalues.
-type pssEigCache struct {
-	once sync.Once
+// monodromyEigen holds the eigenvalues of one monodromy matrix.
+type monodromyEigen struct {
+	phi  *linalg.Matrix // the matrix they belong to
 	vals []complex128
 	err  error
 }
 
-// MonodromyEigen returns the eigenvalues of the monodromy matrix, computing
-// them at most once per PSS produced by this package. The returned slice is
-// a fresh copy, safe for the caller to reorder.
+func newMonodromyEigen(phi *linalg.Matrix) *monodromyEigen {
+	vals, err := linalg.Eigenvalues(phi)
+	return &monodromyEigen{phi: phi, vals: vals, err: err}
+}
+
+// secondModulus returns |μ₂|, the largest modulus among the multipliers
+// other than the one nearest 1 (0 when there is none).
+func secondModulus(mult []complex128) float64 {
+	near := 0
+	for i, m := range mult {
+		if cmplx.Abs(m-1) < cmplx.Abs(mult[near]-1) {
+			near = i
+		}
+	}
+	worst := 0.0
+	for i, m := range mult {
+		if a := cmplx.Abs(m); i != near && a > worst {
+			worst = a
+		}
+	}
+	return worst
+}
+
+// MonodromyEigen returns the eigenvalues of the monodromy matrix; a PSS
+// produced by this package already holds them. The returned slice is a
+// fresh copy, safe for the caller to reorder.
 func (p *PSS) MonodromyEigen() ([]complex128, error) {
-	if p.eig == nil {
+	if p.eig == nil || p.eig.phi != p.Monodromy {
 		return linalg.Eigenvalues(p.Monodromy)
 	}
-	p.eig.once.Do(func() {
-		p.eig.vals, p.eig.err = linalg.Eigenvalues(p.Monodromy)
-	})
 	if p.eig.err != nil {
 		return nil, p.eig.err
 	}
@@ -250,6 +271,10 @@ func Find(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*PSS,
 	if fRef == 0 {
 		return nil, errors.New("shooting: initial point is an equilibrium; perturb the guess")
 	}
+	accept := func(p *PSS) (*PSS, error) {
+		sm.converged.Inc()
+		return p, nil
+	}
 	var lastRes float64
 	bs := linalg.NewMatrix(n+1, n+1)
 	rhs := make([]float64, n+1)
@@ -287,20 +312,27 @@ func Find(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*PSS,
 			tr.Residual = res
 			tr.Residuals = append(tr.Residuals, res)
 		}
+		// Once the raw residual is under Tol the iterate is a solution, and
+		// Newton polishes it: it goes on until residual/(1 − |μ₂|), which
+		// bounds the distance to the cycle on a weakly contracting orbit, is
+		// under Tol too, or until a step stops paying (the roundoff floor).
+		var done *PSS
 		if res < o.Tol {
 			if linalg.NormInfVec(fx0) < 1e-3*fRef {
 				return nil, errors.New("shooting: converged to an equilibrium, not a limit cycle")
 			}
-			sm.converged.Inc()
-			return &PSS{
+			done = &PSS{
 				X0:        append([]float64(nil), x...),
 				T:         T,
 				Orbit:     orbit,
 				Monodromy: phi,
 				Residual:  res,
 				Iters:     iter,
-				eig:       &pssEigCache{},
-			}, nil
+				eig:       newMonodromyEigen(phi),
+			}
+			if done.eig.err != nil || res < o.Tol*(1-secondModulus(done.eig.vals)) || iter == o.MaxIter {
+				return accept(done)
+			}
 		}
 
 		// Bordered Newton system.
@@ -323,6 +355,9 @@ func Find(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*PSS,
 
 		delta, err := linalg.Solve(bs, rhs)
 		if err != nil {
+			if done != nil {
+				return accept(done)
+			}
 			return nil, fmt.Errorf("shooting: bordered system singular at iteration %d: %w", iter, err)
 		}
 
@@ -353,7 +388,7 @@ func Find(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*PSS,
 				}
 				continue
 			}
-			if o.NoDamping {
+			if o.NoDamping && done == nil {
 				x, T = xc, Tc
 				applied = true
 				break
@@ -379,7 +414,10 @@ func Find(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*PSS,
 				}
 			}
 			resc /= 1 + linalg.NormInfVec(xc)
-			if resc < res || resc < o.Tol {
+			if resc < res {
+				if done != nil && resc > res/2 {
+					return accept(done) // the step does not halve the residual
+				}
 				x, T = xc, Tc
 				applied = true
 				break
@@ -391,6 +429,9 @@ func Find(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*PSS,
 			}
 		}
 		if !applied {
+			if done != nil {
+				return accept(done) // no step lowers the residual
+			}
 			return nil, fmt.Errorf("%w: damping failed at iteration %d (residual %.3e)", ErrNoConvergence, iter, res)
 		}
 	}
@@ -431,13 +472,19 @@ func settle(f ode.Func, x0 []float64, tGuess float64, o Options, tr *Trace) ([]f
 		// distance back to the starting point.
 		const grid = 4000
 		buf := make([]float64, n)
+		distAt := func(tt float64) float64 {
+			res.Traj.At(tt, buf)
+			for i := range buf {
+				buf[i] -= x[i]
+			}
+			return linalg.Norm2(buf)
+		}
 		dist := make([]float64, grid+1)
 		ts := make([]float64, grid+1)
 		bestD, amp := math.Inf(1), 0.0
 		for k := 0; k <= grid; k++ {
 			tk := 2.5 * tGuess * float64(k) / grid
-			res.Traj.At(tk, buf)
-			d := linalg.Norm2(linalg.SubVec(buf, x))
+			d := distAt(tk)
 			ts[k], dist[k] = tk, d
 			if d > amp {
 				amp = d
@@ -450,10 +497,6 @@ func settle(f ode.Func, x0 []float64, tGuess float64, o Options, tr *Trace) ([]f
 		// orbit scale, each refined by ternary search on the dense
 		// trajectory so grid quantization (≈ speed·Δt) cannot make one
 		// return look spuriously closer than another.
-		distAt := func(tt float64) float64 {
-			res.Traj.At(tt, buf)
-			return linalg.Norm2(linalg.SubVec(buf, x))
-		}
 		type candidate struct{ t, d float64 }
 		var cands []candidate
 		for k := 1; k < grid; k++ {

@@ -467,3 +467,36 @@ func TestFindIntegratesEachIterationOnce(t *testing.T) {
 		t.Fatalf("%d variational steps for %d iterations of %d steps, want %d", got, pss.Iters, opts.StepsPerPeriod, want)
 	}
 }
+
+// On a weakly contracting cycle the raw residual bounds the orbit only
+// loosely: the 1 MHz Hopf normal form contracts by 1 − |μ₂| = 2·10⁻⁶ per
+// period, so a residual just under Tol leaves the orbit about Tol/(2·10⁻⁶)
+// off the unit circle. Find polishes until residual/(1 − |μ₂|) is under
+// Tol or a step no longer halves the residual, and returns that iterate as
+// converged (the roundoff floor sits above Tol·2·10⁻⁶), with or without
+// damping. Its multipliers travel on the PSS.
+func TestStopRuleSeesWeakContraction(t *testing.T) {
+	h := &osc.Hopf{Lambda: 1, Omega: 2 * math.Pi * 1e6}
+	for _, noDamping := range []bool{false, true} {
+		var tr Trace
+		pss, err := Find(h, []float64{1, 0.1}, 1.05e-6, &Options{NoDamping: noDamping, Trace: &tr})
+		if err != nil {
+			t.Fatalf("NoDamping %v: %v", noDamping, err)
+		}
+		mult, err := pss.MonodromyEigen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		margin := 1 - secondModulus(mult)
+		if margin > 1e-5 || pss.eig == nil || pss.eig.phi != pss.Monodromy {
+			t.Fatalf("1 − |μ₂| = %g, memo %v: not the weakly contracting case", margin, pss.eig)
+		}
+		if pss.Residual > 1e-14 {
+			t.Errorf("NoDamping %v: stopped at residual %.2g; residual/(1 − |μ₂|) = %.2g", noDamping, pss.Residual, pss.Residual/margin)
+		}
+		if r := math.Hypot(pss.X0[0], pss.X0[1]); math.Abs(r-1) > 1e-8 {
+			t.Errorf("NoDamping %v: |x0| = %.15g, want 1 within 1e-8", noDamping, r)
+		}
+		t.Logf("NoDamping %v: %d iterations, residuals %.2g", noDamping, pss.Iters, tr.Residuals)
+	}
+}

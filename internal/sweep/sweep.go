@@ -81,7 +81,7 @@ type Rung struct {
 	Name           string  // label recorded in Attempt
 	TolDiv         float64 // divide the shooting tolerance by this (>1 tightens)
 	StepsFactor    float64 // multiply shooting StepsPerPeriod (>1 refines)
-	AdjointFactor  float64 // multiply explicit floquet Steps (>1 refines; default Steps auto-scale with StepsPerPeriod)
+	AdjointFactor  float64 // multiply an explicit floquet Steps (>1 refines); the default, the orbit's knot count, follows StepsFactor
 	TransientExtra float64 // additional transient periods before shooting
 }
 
@@ -332,8 +332,8 @@ func applyRung(base *core.Options, r Rung) *core.Options {
 		}
 		sc.Transient += r.TransientExtra
 	}
-	// Explicit adjoint step counts scale directly; the default (0) already
-	// auto-scales with the orbit resolution raised by StepsFactor.
+	// Explicit adjoint step counts scale directly; the default (0) is the
+	// orbit's knot count, so StepsFactor already raises it.
 	if r.AdjointFactor > 1 && fc.Steps > 0 {
 		fc.Steps = int(float64(fc.Steps) * r.AdjointFactor)
 	}
