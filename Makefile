@@ -26,8 +26,9 @@ race:
 	$(GO) test -race -timeout 10m ./...
 
 # Fuzzing: each native fuzz target for 15 s (the decoders of crash-torn or
-# foreign bytes: the log scanner, journal replay, the non-finite float codec,
-# the loss-free result codecs, the record index splitter the coordinator
+# foreign bytes: the log scanner, journal replay, the result store's
+# reference records and payload blobs, the non-finite float codec, the
+# loss-free result codecs, the record index splitter the coordinator
 # re-indexes worker lines with, the cache's disk envelope, the cache's JSON
 # check against json.Valid and the sweep and compose request bodies). Their seed
 # inputs also run as plain tests under `make test`. Minimization is capped so
@@ -36,6 +37,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzReferenceRecord$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzWfloat$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/wfloat/
 	$(GO) test -run '^$$' -fuzz '^FuzzPointResultJSON$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitIndex$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/sweep/

@@ -89,15 +89,17 @@ func TestChaosClusterHeartbeatDrop(t *testing.T) {
 
 	// One one-slot worker, one lease, sequential points: the four dropped
 	// renewals span the whole 400ms TTL while the lease is still mid-sweep.
-	// Under -race two ring points already outlast the 400ms TTL many times
-	// over (the whole test takes about 5s on a 2-core VM); eight would only
-	// slow the race run down.
+	// A ring point takes about 50ms on a 2-core VM, so eight of them could
+	// finish inside the TTL and leave nothing to expire; 32 take well over a
+	// second. Under -race two ring points already outlast the 400ms TTL many
+	// times over (the whole test takes about 5s on a 2-core VM); more would
+	// only slow the race run down.
 	f := startFabricSlots(t, 1, 1, func(c *Config) {
-		c.LeasePoints = 16
+		c.LeasePoints = 64
 		c.LeaseTTL = 400 * time.Millisecond
 		c.HeartbeatEvery = 100 * time.Millisecond
 	})
-	n := 8
+	n := 32
 	if raceEnabled {
 		n = 2
 	}

@@ -289,6 +289,8 @@ func characterise(sys dynsys.System, x0 []float64, tGuess float64, opts *Options
 	dec, err := floquet.Analyze(sys, pss, fo)
 	if err == nil {
 		fsp.SetAttr("closure_err", dec.ClosureErr)
+		fsp.SetAttr("unit_err", dec.UnitErr)
+		fsp.SetAttr("biortho_drift", dec.BiorthoDrift)
 		fsp.SetAttr("adjoint_steps", len(dec.V1.Points)-1)
 	}
 	fsp.EndErr(err)

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/floquet"
+	"repro/internal/ode"
 	"repro/internal/shooting"
 	"repro/internal/wfloat"
 )
@@ -36,9 +37,16 @@ func (r *Result) Wire() *ResultWire {
 	if r == nil {
 		return nil
 	}
-	return &ResultWire{
+	w := r.wire(r.Floquet.Wire())
+	return &w
+}
+
+// wire is Wire's value with f as its Floquet part. Both inline, so
+// MarshalJSON, which only encodes the wire tree, keeps it off the heap.
+func (r *Result) wire(f *floquet.DecompositionWire) ResultWire {
+	return ResultWire{
 		PSS:         r.PSS,
-		Floquet:     r.Floquet.Wire(),
+		Floquet:     f,
 		C:           r.C,
 		CRelErr:     r.CRelErr,
 		PerSource:   r.PerSource,
@@ -146,8 +154,47 @@ func appendString(b []byte, s string) []byte {
 }
 
 // encodeBuf holds scratch buffers for MarshalJSON, so a result's bytes are
-// appended into grown memory and copied out once at their exact length.
+// appended into memory sized once and copied out once at their exact length.
 var encodeBuf = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeBound is an upper bound on the length of w's encoding, so that
+// MarshalJSON sizes its scratch buffer once instead of growing it by
+// doubling whenever the pool comes back empty: 25 bytes per float (the
+// longest wfloat text, "-2.2250738585072014e-308", and a comma), 32 bytes
+// of structure per trajectory knot, source and label, 6 per label byte (an
+// escape) and 1 KiB for the fixed keys, integers and scalars.
+func (w *ResultWire) encodeBound() int {
+	if w == nil {
+		return len("null")
+	}
+	floats, items, text := 2+len(w.Sensitivity)+2*len(w.PerSource), len(w.PerSource)+len(w.Labels), 0
+	traj := func(tr *ode.Trajectory) {
+		if tr != nil {
+			for _, p := range tr.Points {
+				floats += 1 + len(p.X) + len(p.DX)
+			}
+			items += len(tr.Points)
+		}
+	}
+	if p := w.PSS; p != nil {
+		floats += len(p.X0) + 2
+		traj(p.Orbit)
+		if p.Monodromy != nil {
+			floats += len(p.Monodromy.Data)
+		}
+	}
+	if f := w.Floquet; f != nil {
+		floats += 4 + 2*len(f.Multipliers) + 2*len(f.Exponents) + len(f.U10) + len(f.V10)
+		traj(f.V1)
+	}
+	for _, s := range w.PerSource {
+		text += len(s.Label)
+	}
+	for _, l := range w.Labels {
+		text += len(l)
+	}
+	return 25*floats + 32*items + 6*text + 1024
+}
 
 // MarshalJSON implements json.Marshaler. Together with UnmarshalJSON it makes
 // a Result JSON round-trip loss-free (including the unexported source
@@ -156,8 +203,16 @@ var encodeBuf = sync.Pool{New: func() any { return new([]byte) }}
 // The bytes are json.Marshal(r.Wire())'s, written by the append encoders
 // without reflection; the returned slice's capacity equals its length.
 func (r *Result) MarshalJSON() ([]byte, error) {
+	var w *ResultWire
+	if r != nil {
+		v := r.wire(r.Floquet.Wire())
+		w = &v
+	}
 	bp := encodeBuf.Get().(*[]byte)
-	b, err := r.Wire().AppendJSON((*bp)[:0])
+	if n := w.encodeBound(); cap(*bp) < n {
+		*bp = make([]byte, 0, n)
+	}
+	b, err := w.AppendJSON((*bp)[:0])
 	var out []byte
 	if err == nil {
 		out = make([]byte, len(b))

@@ -106,7 +106,8 @@ func TestBudgetTripCountedByStage(t *testing.T) {
 // Numerical health reaches /metrics and the span log: a characterisation
 // observes its c_rel_err and its adjoint closure error once each into their
 // histograms, and sets them, with the shooting residual, the Newton
-// iteration count and the adjoint step count, as span attributes.
+// iteration count, the unit-multiplier error, the biorthogonality drift and
+// the adjoint step count, as span attributes.
 func TestNumericalHealthInMetricsAndSpans(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.SetGlobal(reg)
@@ -144,6 +145,8 @@ func TestNumericalHealthInMetricsAndSpans(t *testing.T) {
 		{"shooting.Find", "residual", res.PSS.Residual},
 		{"shooting.Find", "newton_iters", res.PSS.Iters},
 		{"floquet.Analyze", "closure_err", res.Floquet.ClosureErr},
+		{"floquet.Analyze", "unit_err", res.Floquet.UnitErr},
+		{"floquet.Analyze", "biortho_drift", res.Floquet.BiorthoDrift},
 		{"floquet.Analyze", "adjoint_steps", len(res.Floquet.V1.Points) - 1},
 	} {
 		if got := attrs[a.span][a.key]; got != a.want {

@@ -50,12 +50,19 @@ func pairsToComplex(in [][2]wfloat.Float) []complex128 {
 }
 
 // Wire converts d to its wire form (nil stays nil). Slices and the V1
-// trajectory are shared, not copied.
+// trajectory are shared, not copied. It is small enough to inline, so a
+// caller that only encodes the wire form keeps it off the heap.
 func (d *Decomposition) Wire() *DecompositionWire {
 	if d == nil {
 		return nil
 	}
-	return &DecompositionWire{
+	w := d.wire()
+	return &w
+}
+
+// wire is Wire's value.
+func (d *Decomposition) wire() DecompositionWire {
+	return DecompositionWire{
 		T:            d.T,
 		Multipliers:  complexToPairs(d.Multipliers),
 		Exponents:    complexToPairs(d.Exponents),

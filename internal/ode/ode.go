@@ -155,14 +155,38 @@ type Trajectory struct {
 
 // Append adds a knot (copies x and dx).
 func (tr *Trajectory) Append(t float64, x, dx []float64) {
+	tr.appendFrom(nil, t, x, dx)
+}
+
+// knotChunks hands out the storage of recorded knots in chunks that double
+// in size, so a run recording N knots makes O(log N) allocations instead of
+// two per knot.
+type knotChunks struct {
+	free []float64 // the current chunk's unused tail
+	next int       // the next chunk's length
+}
+
+// appendFrom is Append with the copies of x and dx cut from c (nil: their
+// own allocations). Each knot's X and DX are capped, as Trajectory.knots
+// caps them, so an append to one can never write into its neighbour.
+func (tr *Trajectory) appendFrom(c *knotChunks, t float64, x, dx []float64) {
 	if k := len(tr.Points); k > 0 && t <= tr.Points[k-1].T {
 		panic(fmt.Sprintf("ode: non-increasing trajectory knot %g after %g", t, tr.Points[k-1].T))
 	}
-	xc := make([]float64, len(x))
-	copy(xc, x)
-	dc := make([]float64, len(dx))
-	copy(dc, dx)
-	tr.Points = append(tr.Points, SamplePoint{T: t, X: xc, DX: dc})
+	nx, nd := len(x), len(dx)
+	var v []float64
+	if c == nil {
+		v = make([]float64, nx+nd)
+	} else {
+		if len(c.free) < nx+nd {
+			c.next = max(2*c.next, 64*(nx+nd))
+			c.free = make([]float64, c.next)
+		}
+		v, c.free = c.free[:nx+nd:nx+nd], c.free[nx+nd:]
+	}
+	copy(v, x)
+	copy(v[nx:], dx)
+	tr.Points = append(tr.Points, SamplePoint{T: t, X: v[:nx:nx], DX: v[nx:]})
 }
 
 // AppendJSON appends tr's JSON encoding to b: byte for byte what
@@ -459,10 +483,11 @@ func dopri5(f Func, t0, t1 float64, x0 []float64, opts *Options) (*Result, error
 	tmp := make([]float64, n)
 	xnew := make([]float64, n)
 	res := &Result{}
+	var knots knotChunks
 	if o.Record {
 		res.Traj = &Trajectory{}
 		f(t0, x, k[0])
-		res.Traj.Append(t0, x, k[0])
+		res.Traj.appendFrom(&knots, t0, x, k[0])
 	}
 
 	t := t0
@@ -545,7 +570,7 @@ func dopri5(f Func, t0, t1 float64, x0 []float64, opts *Options) (*Result, error
 			copy(k[0], k[6])
 			res.Steps++
 			if o.Record {
-				res.Traj.Append(t, x, k[0])
+				res.Traj.appendFrom(&knots, t, x, k[0])
 			}
 			// PI controller (Gustafsson).
 			scale := safety * math.Pow(errNorm, -0.7/5) * math.Pow(prevErr, 0.4/5)

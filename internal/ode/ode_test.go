@@ -164,6 +164,40 @@ func TestDOPRI5DenseOutput(t *testing.T) {
 	}
 }
 
+// TestDOPRI5RecordAllocsLogarithmic: recording N accepted steps allocates
+// the knots' storage in chunks, O(log N) allocations in all, where one
+// allocation per knot would make thousands. Each knot's slices are capped,
+// so growing one cannot overwrite its neighbour.
+func TestDOPRI5RecordAllocsLogarithmic(t *testing.T) {
+	for _, periods := range []float64{1, 16} {
+		opts := &Options{Record: true, MaxStep: 0.01}
+		var steps int
+		allocs := testing.AllocsPerRun(3, func() {
+			res, err := DOPRI5(harmonic(1), 0, periods*2*math.Pi, []float64{1, 0}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps = res.Steps
+		})
+		if limit := 4*math.Log2(float64(steps)) + 24; allocs > limit {
+			t.Fatalf("%d recorded steps: %v allocs, want at most %.0f", steps, allocs, limit)
+		}
+	}
+	res, err := DOPRI5(harmonic(1), 0, 1, []float64{1, 0}, &Options{Record: true, MaxStep: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := res.Traj.Points
+	if cap(p[0].X) != 2 || cap(p[0].DX) != 2 {
+		t.Fatalf("knot slices of capacity %d and %d, want 2", cap(p[0].X), cap(p[0].DX))
+	}
+	_ = append(p[0].X, 9)
+	_ = append(p[0].DX, 9)
+	if p[0].DX[0] != 0 || p[1].X[0] == 9 {
+		t.Fatal("an append to one knot wrote into its neighbour")
+	}
+}
+
 func TestTrajectoryClamping(t *testing.T) {
 	tr := &Trajectory{}
 	tr.Append(0, []float64{1}, []float64{0})

@@ -3,7 +3,10 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/cache"
 )
 
 // BenchmarkResultSpill measures the result store's hot path: one op spills a
@@ -42,5 +45,54 @@ func BenchmarkResultSpill(b *testing.B) {
 		rf.closeFile()
 		rs.remove(id)
 		b.StartTimer()
+	}
+}
+
+// BenchmarkHitSpillLifecycle measures what one cache hit's spill costs over
+// a one-point job's life — open the spill, append the hit, seal it (an
+// fsync) and drop it — spilled inline (a store without blobs) and as a
+// reference to a live blob. The hit is a real hopf point, a 0.48 MB
+// payload. Not gated: file-system latency dominates it.
+func BenchmarkHitSpillLifecycle(b *testing.B) {
+	store, err := cache.New(cache.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pt, err := hopfSpec("bench", 4).Resolve(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, hit := computedAndHit(b, store, pt)
+	for _, ref := range []bool{false, true} {
+		name := "inline"
+		if ref {
+			name = "reference"
+		}
+		b.Run(name, func(b *testing.B) {
+			dir := b.TempDir()
+			rs := &resultStore{dir: dir}
+			if ref {
+				rs.blobs = newBlobStore(filepath.Join(dir, blobSubdir))
+			}
+			// A retained job keeps the blob live, as on a server: without
+			// it every op would be a first hit and write the blob.
+			keep := rs.open("keep", 1)
+			if err := keep.appendResult(&hit); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := fmt.Sprintf("j%d", i)
+				rf := rs.open(id, 1)
+				if err := rf.appendResult(&hit); err != nil {
+					b.Fatal(err)
+				}
+				rf.seal()
+				rs.drop(id, rf)
+			}
+			b.StopTimer()
+			rs.drop("keep", keep)
+		})
 	}
 }

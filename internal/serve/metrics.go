@@ -28,6 +28,8 @@ type serveInstruments struct {
 	resultErrors   *obs.Counter    // pn_serve_results_errors_total
 	resultDegraded *obs.Counter    // pn_serve_results_degraded_total
 	resultReads    *obs.CounterVec // pn_serve_results_reads_total{kind}
+	blobWrites     *obs.Counter    // pn_serve_results_blob_writes_total
+	blobBytes      *obs.Gauge      // pn_serve_results_blob_bytes
 	tenantJobs     *obs.CounterVec // pn_serve_tenant_jobs_total{tenant}
 	tenantRejected *obs.CounterVec // pn_serve_tenant_rejected_total{tenant}
 	tenantGrants   *obs.CounterVec // pn_serve_tenant_grants_total{tenant}
@@ -57,6 +59,8 @@ var serveMetrics = obs.NewView(func(r *obs.Registry) *serveInstruments {
 		resultErrors:   r.Counter("pn_serve_results_errors_total", "Result-store I/O failures (real or injected), reads and writes."),
 		resultDegraded: r.Counter("pn_serve_results_degraded_total", "Jobs degraded to summary-only service because their spill file failed."),
 		resultReads:    r.CounterVec("pn_serve_results_reads_total", "Result retrievals served from spill files, by kind (page, jsonl).", "kind"),
+		blobWrites:     r.Counter("pn_serve_results_blob_writes_total", "Payload blobs written: one per cache key at the first hit that spills a reference to it."),
+		blobBytes:      r.Gauge("pn_serve_results_blob_bytes", "Bytes of the live payload blobs that spill reference records name (key and payload)."),
 		tenantJobs:     r.CounterVec("pn_serve_tenant_jobs_total", "Jobs accepted, by tenant.", "tenant"),
 		tenantRejected: r.CounterVec("pn_serve_tenant_rejected_total", "Submissions rejected by tenant admission (rate or in-flight quota), by tenant.", "tenant"),
 		tenantGrants:   r.CounterVec("pn_serve_tenant_grants_total", "Scheduler grants, by tenant: one per point of an in-process job, one per runner-delegated job.", "tenant"),

@@ -347,6 +347,7 @@ func New(cfg Config) *Server {
 		go s.slot()
 	}
 	if s.journal != nil {
+		s.results.beginReplay()
 		s.replay.Add(1)
 		go s.recoverJobs()
 	} else {
@@ -650,8 +651,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, hdr jrecord) {
 		s.tenants.unadmit(tenant)
 		j.jl.discard() // an unqueued job must not be resurrected on restart
 		j.trace.discard()
-		j.rf.closeFile()
-		s.results.remove(j.id)
+		s.results.drop(j.id, j.rf)
 		m.queueDepth.Add(-1)
 		m.rejected.With("queue_full").Inc()
 		w.Header().Set("Retry-After", "1")
@@ -663,8 +663,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, hdr jrecord) {
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.evictLocked()
+	evicted := s.evictLocked()
 	s.mu.Unlock()
+	s.dropFiles(evicted)
 
 	// The lease clock starts at acceptance: a leased job stuck in the queue
 	// of a wedged worker expires like any other, freeing the coordinator to
@@ -675,16 +676,17 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, hdr jrecord) {
 	writeJSON(w, http.StatusAccepted, j.status(false))
 }
 
-// evictLocked drops the oldest terminal jobs beyond the retention bound.
-// Callers hold s.mu.
-func (s *Server) evictLocked() {
+// evictLocked drops the oldest terminal jobs beyond the retention bound
+// from the server's tables and returns them; the caller deletes their files
+// with dropFiles once it has released s.mu. Callers hold s.mu.
+func (s *Server) evictLocked() (evicted []*job) {
 	for len(s.jobs) > s.cfg.Retain {
-		evicted := false
+		found := false
 		for i, id := range s.order {
 			j := s.jobs[id]
 			if j == nil {
 				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
+				found = true
 				break
 			}
 			j.mu.Lock()
@@ -696,17 +698,27 @@ func (s *Server) evictLocked() {
 				if j.idem != "" {
 					delete(s.idem, j.idem)
 				}
-				s.journal.remove(id)
-				j.trace.discard()
-				j.rf.closeFile()
-				s.results.remove(id)
-				evicted = true
+				evicted = append(evicted, j)
+				found = true
 				break
 			}
 		}
-		if !evicted {
-			return // everything live: keep, even over the bound
+		if !found {
+			break // everything live: keep, even over the bound
 		}
+	}
+	return evicted
+}
+
+// dropFiles deletes evicted jobs' journals, traces and spill files, and
+// then releases the blob counts of their spills' reference records. It runs
+// outside s.mu: unlinking a large file takes long enough to stall every
+// request behind the server-wide lock.
+func (s *Server) dropFiles(evicted []*job) {
+	for _, j := range evicted {
+		s.journal.remove(j.id)
+		j.trace.discard()
+		s.results.drop(j.id, j.rf)
 	}
 }
 
@@ -1269,9 +1281,13 @@ func (s *Server) recoverJobs() {
 			continue
 		}
 		if !s.resumeJob(rj, m) {
-			return // draining: remaining journals recover on the next start
+			// Draining: remaining journals recover on the next start, and
+			// the blobs their spills name stay until then.
+			return
 		}
 	}
+	// Every spill is reopened: blobs no reference holds can go now.
+	s.results.endReplay()
 	s.mu.Lock()
 	s.ready = true
 	s.mu.Unlock()
@@ -1409,8 +1425,9 @@ func (s *Server) register(j *job, hdr jrecord) {
 	if j.idem != "" {
 		s.idem[j.idem] = idemEntry{id: j.id, fp: idemFingerprint(hdr)}
 	}
-	s.evictLocked()
+	evicted := s.evictLocked()
 	s.mu.Unlock()
+	s.dropFiles(evicted)
 }
 
 // restoreProgress rebuilds a terminal job's counters and summaries from its

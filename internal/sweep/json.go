@@ -152,10 +152,17 @@ type PointResultWire struct {
 // undecoded cache hit (Result nil) has its result only as bytes, which
 // MarshalJSON splices in; the wire struct's Result stays nil.
 func (r PointResult) Wire() PointResultWire {
+	w := r.envelope()
+	w.Result = r.Result.Wire()
+	return w
+}
+
+// envelope is Wire without the result: what MarshalParts encodes around the
+// result's own bytes.
+func (r PointResult) envelope() PointResultWire {
 	w := PointResultWire{
 		Index:  r.Index,
 		Name:   r.Name,
-		Result: r.Result.Wire(),
 		Error:  encodeErr(r.Err),
 		Wall:   r.Wall,
 		Cached: r.Cached,
@@ -232,8 +239,7 @@ func (r PointResult) MarshalParts() (head, result, tail []byte, err error) {
 			return nil, nil, nil, err
 		}
 	}
-	w := r.Wire()
-	w.Result = nil
+	w := r.envelope()
 	env, err := json.Marshal(w)
 	if err != nil || result == nil {
 		return env, nil, nil, err

@@ -176,6 +176,20 @@ type PointResult struct {
 
 	payload []byte        // Result's encoding, when the point went through the cache
 	scalars *core.Scalars // Result's scalars, checked (core.Result.Check) in this process
+	key     string        // the cache key a hit was served under ("" otherwise)
+}
+
+// CacheKey returns the content key of a point served from the cache (a
+// memory or disk hit, or a join of an identical in-flight computation), with
+// a token for the payload it carries: points whose tokens are equal carry
+// the very same bytes, because the token is the payload's scalars, which are
+// made for one payload and noted beside no other. It returns "" and nil for
+// a point that ran the pipeline or did not go through the cache.
+func (r *PointResult) CacheKey() (key string, token any) {
+	if r.key == "" {
+		return "", nil
+	}
+	return r.key, r.scalars
 }
 
 // OK reports whether the point characterised successfully.
@@ -564,7 +578,7 @@ func commitCache(c *Config, p Point, r *PointResult, sp *obs.Span) {
 // and checked here, once, and noted for later hits. ok is false for a stale
 // payload, which the caller recomputes.
 func fromCache(res PointResult, payload []byte, note any, c *Config, key string, psp *obs.Span) (PointResult, bool) {
-	res.payload = payload
+	res.payload, res.key = payload, key
 	res.scalars, _ = note.(*core.Scalars)
 	if res.scalars != nil && c.DiscardResults {
 		return res, true

@@ -1,6 +1,6 @@
 // Package wal is the append-only record log under every durable per-job file
-// of the job server: the job journal, the result spill, the trace journal and
-// the coordinator's lease journal.
+// of the job server: the job journal, the result spill and its payload
+// blobs, the trace journal and the coordinator's lease journal.
 //
 // A log file is an 8-byte magic followed by frames, integers big-endian:
 //
@@ -235,4 +235,30 @@ func (l *Log) Sync() error {
 // Close closes the log file.
 func (l *Log) Close() error {
 	return l.f.Close()
+}
+
+// ReadFirst returns the first record of the log at path after checking its
+// CRC. It reads the file whole and never opens it for writing, so it holds
+// no descriptor afterwards and never creates or cuts a file; a file that is
+// missing, lacks the magic, or whose first frame is torn or corrupt is an
+// error.
+func ReadFirst(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	const start = int64(len(magic)) + frameHeader
+	if int64(len(data)) < start || string(data[:len(magic)]) != magic {
+		return nil, fmt.Errorf("wal: %s: no intact frame", path)
+	}
+	hdr := data[len(magic):start]
+	n := int64(binary.BigEndian.Uint32(hdr[0:4]))
+	if n == 0 || n > int64(len(data))-start {
+		return nil, fmt.Errorf("wal: %s: no intact frame", path)
+	}
+	rec := data[start : start+n]
+	if crc32.Checksum(rec, castagnoli) != binary.BigEndian.Uint32(hdr[4:8]) {
+		return nil, fmt.Errorf("wal: %s: checksum mismatch", path)
+	}
+	return rec, nil
 }

@@ -131,6 +131,45 @@ func TestCrashPoints(t *testing.T) {
 	}
 }
 
+// TestReadFirst: ReadFirst returns a log's first record, and fails rather
+// than return other bytes on a missing file, a file without the magic, and
+// a first frame cut at any byte or with a flipped payload byte; it never
+// creates or changes the file.
+func TestReadFirst(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "first.wal")
+	if _, err := ReadFirst(p); err == nil {
+		t.Fatal("ReadFirst of a missing file succeeded")
+	}
+	if _, err := os.Stat(p); !os.IsNotExist(err) {
+		t.Fatalf("ReadFirst created the file: %v", err)
+	}
+	first := []byte("the first record")
+	full, ends := writeLog(t, p, [][]byte{first, []byte("a second record")})
+	if rec, err := ReadFirst(p); err != nil || !bytes.Equal(rec, first) {
+		t.Fatalf("ReadFirst = %q, %v; want %q", rec, err, first)
+	}
+	for k := 0; k < int(ends[0]); k++ {
+		if err := os.WriteFile(p, full[:k], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := ReadFirst(p); err == nil {
+			t.Fatalf("cut at %d: ReadFirst = %q", k, rec)
+		}
+		if info, err := os.Stat(p); err != nil || info.Size() != int64(k) {
+			t.Fatalf("cut at %d: ReadFirst changed the file (%v)", k, err)
+		}
+	}
+	flipped := append([]byte(nil), full...)
+	flipped[ends[0]-1] ^= 1
+	if err := os.WriteFile(p, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := ReadFirst(p); err == nil {
+		t.Fatalf("a flipped byte: ReadFirst = %q", rec)
+	}
+}
+
 // TestReadAt: every offset Append returns reads its record back (one given
 // in parts too), a flipped payload byte fails the checksum, and an offset
 // that is not a frame start is refused.

@@ -3,6 +3,9 @@
 # cache, submit a Hopf characterisation over HTTP, poll it to completion,
 # resubmit the identical request and assert it is served from the result
 # cache, then check the pn_serve_* / pn_cache_* metric families on /metrics.
+# After a drain, a restart on the same journal directory must serve the cache
+# hit's loss-free result (a reference to its payload blob) byte for byte as
+# the computed job's.
 # A compose phase then submits several PLL composition jobs sharing two
 # oscillator legs and asserts the legs characterised exactly once each — the
 # cache fan-in the composition layer exists for.
@@ -148,6 +151,37 @@ grep -q 'pn_core_characterisations_total{outcome="ok"} 3' <<<"$metrics" \
 echo "smoke_serve: graceful drain"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "server exited non-zero on drain"
+SERVER_PID=""
+
+# The "result" member of a one-point results.jsonl download.
+result_member() { # result_member <file>
+  sed -e 's/^.*"result"://' -e 's/,"pss_is_result":.*$//' "$1"
+}
+
+echo "smoke_serve: restart on the same journal directory"
+"$TMP/pnserve" -addr "127.0.0.1:$PORT" -workers 2 -cache-dir "$TMP/cache" \
+  -journal-dir "$TMP/journal" \
+  >"$TMP/restart.log" 2>&1 &
+SERVER_PID=$!
+for i in $(seq 1 50); do
+  if curl -sf "$BASE/readyz" >/dev/null 2>&1; then break; fi
+  kill -0 "$SERVER_PID" 2>/dev/null || { cat "$TMP/restart.log" >&2; fail "restarted server exited early"; }
+  sleep 0.2
+  [[ $i -eq 50 ]] && fail "restarted server never became ready"
+done
+ls "$TMP/journal/results/blobs/"*.wal >/dev/null 2>&1 || fail "no payload blob under the journal directory"
+for which in first second; do
+  id="$(json_field id <<<"${!which}")"
+  curl -sf "$BASE/v1/jobs/$id/results.jsonl" >"$TMP/$which.jsonl" \
+    || fail "results.jsonl of $which job $id failed after the restart"
+  [[ "$(wc -l <"$TMP/$which.jsonl")" -eq 1 ]] || fail "$which job $id served $(wc -l <"$TMP/$which.jsonl") lines after the restart"
+  result_member "$TMP/$which.jsonl" >"$TMP/$which.result"
+done
+grep -q '^{"pss":' "$TMP/first.result" || fail "the computed job's line has no result member"
+cmp -s "$TMP/first.result" "$TMP/second.result" \
+  || fail "after the restart the cache hit's result differs from the computed job's"
+kill -TERM "$SERVER_PID"
+wait "$SERVER_PID" || fail "restarted server exited non-zero on drain"
 SERVER_PID=""
 
 # --- Cluster phase: 2 workers + a lease coordinator -------------------------
