@@ -9,14 +9,14 @@ import (
 	"repro/internal/cache"
 )
 
-// BenchmarkResultSpill measures the result store's hot path: one op spills a
-// 256-point job frame by frame (append + index update, no fsync — that
-// happens once per job at seal) and pages the whole set back, which is what
-// a client draining /results.jsonl costs the server. The payload size is in
-// the ballpark of a small characterisation result; large payloads are pure
-// disk bandwidth on top of the same fixed cost per frame.
+// BenchmarkResultSpill measures the result records' hot path: one op
+// spills a 256-point job frame by frame (append + index update, no fsync —
+// the job's terminal event syncs them once) and pages the whole set back,
+// which is what a client draining /results.jsonl costs the server. The
+// payload size is in the ballpark of a small characterisation result; large
+// payloads are pure disk bandwidth on top of the same fixed cost per frame.
 func BenchmarkResultSpill(b *testing.B) {
-	rs := &resultStore{dir: b.TempDir()}
+	jl := &journal{dir: b.TempDir()}
 	payload := bytes.Repeat([]byte(`{"k":0123456789}`), 256) // 4 KiB
 	const frames = 256
 	b.ReportAllocs()
@@ -26,11 +26,7 @@ func BenchmarkResultSpill(b *testing.B) {
 		// per-frame cost in file-system latency noise, so only the frame
 		// traffic is on the clock.
 		b.StopTimer()
-		id := fmt.Sprintf("bench%d", i)
-		rf := rs.open(id, frames)
-		if rf == nil {
-			b.Fatal("open failed")
-		}
+		rf := openResults(b, jl, fmt.Sprintf("bench%d", i), frames)
 		b.StartTimer()
 		for k := 0; k < frames; k++ {
 			if err := rf.append(k, payload); err != nil {
@@ -42,17 +38,18 @@ func BenchmarkResultSpill(b *testing.B) {
 			b.Fatalf("page: %d frames, %v", len(pg), err)
 		}
 		b.StopTimer()
-		rf.closeFile()
-		rs.remove(id)
+		rf.log.remove()
 		b.StartTimer()
 	}
 }
 
-// BenchmarkHitSpillLifecycle measures what one cache hit's spill costs over
-// a one-point job's life — open the spill, append the hit, seal it (an
-// fsync) and drop it — spilled inline (a store without blobs) and as a
-// reference to a live blob. The hit is a real hopf point, a 0.48 MB
-// payload. Not gated: file-system latency dominates it.
+// BenchmarkHitSpillLifecycle measures what one cache hit's job log costs
+// over a one-point job's life on a journal directory — create it (the
+// header and its fsync), append the hit, seal the results, write the
+// terminal event (an fsync) and delete the log — with the hit spilled
+// inline (a journal without blobs) and as a reference to a live blob. The
+// hit is a real hopf point, a 0.48 MB payload. Not gated: file-system
+// latency dominates it.
 func BenchmarkHitSpillLifecycle(b *testing.B) {
 	store, err := cache.New(cache.Options{})
 	if err != nil {
@@ -70,29 +67,31 @@ func BenchmarkHitSpillLifecycle(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			dir := b.TempDir()
-			rs := &resultStore{dir: dir}
+			jl := &journal{dir: dir, durable: true}
 			if ref {
-				rs.blobs = newBlobStore(filepath.Join(dir, blobSubdir))
+				jl.blobs = newBlobStore(filepath.Join(dir, blobSubdir))
 			}
 			// A retained job keeps the blob live, as on a server: without
 			// it every op would be a first hit and write the blob.
-			keep := rs.open("keep", 1)
+			keep := openResults(b, jl, "keep", 1)
 			if err := keep.appendResult(&hit); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				id := fmt.Sprintf("j%d", i)
-				rf := rs.open(id, 1)
+				rf := openResults(b, jl, fmt.Sprintf("j%d", i), 1)
 				if err := rf.appendResult(&hit); err != nil {
 					b.Fatal(err)
 				}
 				rf.seal()
-				rs.drop(id, rf)
+				rf.log.event(Event{Seq: 1, Type: "state", State: StateDone}, true)
+				rf.log.remove()
+				rf.release()
 			}
 			b.StopTimer()
-			rs.drop("keep", keep)
+			keep.log.remove()
+			keep.release()
 		})
 	}
 }

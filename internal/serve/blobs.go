@@ -16,11 +16,12 @@ import (
 
 // A cache hit carries the payload the result cache holds under its content
 // key, and the hits of one key nearly always carry the very same bytes. The
-// blob store keeps each such payload once, in <results>/blobs/<key>.wal: an
-// internal/wal log with one record, the key and a newline and then the
-// payload. A hit's spill record is then a reference — point index, the
-// envelope around the result, and the key — not a copy of the payload, and
-// readers splice the blob's payload back in (resultFile.parts).
+// blob store keeps each such payload once, in <dir>/blobs/<key>.wal beside
+// the job logs: an internal/wal log with one record, the key and a newline
+// and then the payload. A hit's result record is then a reference — point
+// index, the envelope around the result, and the key — not a copy of the
+// payload, and readers splice the blob's payload back in
+// (resultFile.parts).
 //
 // Lifetime. Each reference record holds one count on its key. A blob is
 // written at the first hit that needs it, and synced with its directory
@@ -29,9 +30,9 @@ import (
 // store's lock is held across every blob write and removal, so a removal at
 // zero count never interleaves with a new first hit of the same key.
 //
-// Journal replay rebuilds the counts from the spill files it reopens. While
-// it runs, a count that drops to zero removes nothing: replay registers jobs
-// in order and evicts the oldest beyond the retention bound, and a blob an
+// Journal replay rebuilds the counts from the job logs it reads. While it
+// runs, a count that drops to zero removes nothing: replay registers jobs in
+// order and evicts the oldest beyond the retention bound, and a blob an
 // evicted job held may be named by a job replayed after it. When replay
 // ends, every blob that no reference holds is removed, including the
 // orphans of a crash between a blob write and its first reference.
@@ -39,7 +40,7 @@ import (
 // The store holds no file descriptor per blob: a write opens, appends,
 // syncs and closes the file, and a read reads it whole.
 
-// blobSubdir holds the blobs, under the result store's directory.
+// blobSubdir holds the blobs, under the journal's directory.
 const blobSubdir = "blobs"
 
 // refMark opens the body of a reference record, after the point index. An
@@ -49,8 +50,8 @@ const refMark = 0
 // maxKey bounds a blob key, so its length fits the reference's length byte.
 const maxKey = 128
 
-// blobStore owns the payload blobs of one result store. A nil store takes
-// no references: every record spills inline.
+// blobStore owns the payload blobs of one journal. A nil store takes no
+// references: every record spills inline.
 type blobStore struct {
 	dir string
 
@@ -81,8 +82,8 @@ func newBlobStore(dir string) *blobStore {
 
 // validBlobKey reports whether key may name a blob file. Cache keys are a
 // schema name, a dash and hex ("pnfp2-…"), safe as a file name; a key read
-// back from a spill record is data and is checked anyway, as jobFile checks
-// job IDs. A hit under any other key spills inline.
+// back from a result record is data and is checked anyway, as jobFile
+// checks job IDs. A hit under any other key spills inline.
 func validBlobKey(key string) bool {
 	if key == "" || len(key) > maxKey {
 		return false
@@ -175,9 +176,9 @@ func (bs *blobStore) read(key string) ([]byte, error) {
 	return rec[len(key)+1:], nil
 }
 
-// adopt takes one count on key's blob for a reference found in a reopened
-// spill file. It is false when the blob is missing, torn or holds another
-// key: the caller drops that reference.
+// adopt takes one count on key's blob for a reference that replay read back
+// from a job's log. It is false when the blob is missing, torn or holds
+// another key: the caller drops that reference.
 func (bs *blobStore) adopt(key string) bool {
 	if bs == nil {
 		return false

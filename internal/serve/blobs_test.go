@@ -21,13 +21,35 @@ import (
 	"repro/internal/wal"
 )
 
-// resultStoreAt builds a result store with its blob store under dir, as
-// newResultStore does under a journal directory.
-func resultStoreAt(dir string) *resultStore {
-	return &resultStore{dir: dir, blobs: newBlobStore(filepath.Join(dir, blobSubdir))}
+// journalAt builds a journal over dir with its blob store, as openJournal
+// does for a journal directory.
+func journalAt(dir string) *journal {
+	return &journal{dir: dir, durable: true, blobs: newBlobStore(filepath.Join(dir, blobSubdir))}
 }
 
-// blobFiles lists the blob files of the result store under dir.
+// openResults creates job id's log under jl with a header of n points and
+// returns the log's result index, as submit does.
+func openResults(t testing.TB, jl *journal, id string, n int) *resultFile {
+	t.Helper()
+	rf := newResultFile(jl.create(jrecord{ID: id, Kind: "sweep", Specs: make([]PointSpec, n)}), n)
+	if rf == nil {
+		t.Fatalf("creating the log of %s", id)
+	}
+	return rf
+}
+
+// reopenResults reads job id's log back as replay does and returns its
+// result index.
+func reopenResults(t testing.TB, jl *journal, id string) *resultFile {
+	t.Helper()
+	rj, ok := jl.recover(id)
+	if !ok || rj.rf == nil {
+		t.Fatalf("replaying the log of %s: ok %v, results %v", id, ok, rj.rf != nil)
+	}
+	return rj.rf
+}
+
+// blobFiles lists the blob files of the journal under dir.
 func blobFiles(t testing.TB, dir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(filepath.Join(dir, blobSubdir))
@@ -83,7 +105,7 @@ func TestHitSpillsAReference(t *testing.T) {
 	computed, hit := computedAndHit(t, store, pt)
 	computed.Index, hit.Index = 0, 1
 	dir := t.TempDir()
-	rf := resultStoreAt(dir).open("j1", 2)
+	rf := openResults(t, journalAt(dir), "j1", 2)
 	var want [][]byte
 	for _, r := range []*sweep.PointResult{&computed, &hit} {
 		if err := rf.appendResult(r); err != nil {
@@ -96,11 +118,11 @@ func TestHitSpillsAReference(t *testing.T) {
 		want = append(want, raw)
 	}
 	for i := range want {
-		rec, err := rf.log.ReadAt(rf.offsets[i])
+		rec, err := rf.log.f.ReadAt(rf.offsets[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref := isRef(rec[4:]); ref != (i == 1) || ref && len(rec) > 512 {
+		if ref := isRef(rec[5:]); ref != (i == 1) || ref && len(rec) > 512 {
 			t.Fatalf("point %d: reference %v, record of %d bytes", i, ref, len(rec))
 		}
 	}
@@ -128,9 +150,9 @@ func TestHitSpillsAReference(t *testing.T) {
 	}
 	check("live", rf)
 	rf.seal()
-	rf.closeFile()
-	rf = resultStoreAt(dir).open("j1", 2)
-	defer rf.closeFile()
+	rf.log.close()
+	rf = reopenResults(t, journalAt(dir), "j1")
+	defer rf.log.close()
 	check("reopened", rf)
 	if files := blobFiles(t, dir); len(files) != 1 {
 		t.Fatalf("blob files %v, want one", files)
@@ -155,7 +177,6 @@ func TestOneBlobPerKeyUntilLastEviction(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	waitReady(t, ts.URL)
-	results := filepath.Join(dir, resultSubdir)
 	run := func(spec PointSpec) string {
 		t.Helper()
 		_, st := postJSON(t, ts.URL+"/v1/characterise", CharacteriseRequest{PointSpec: spec})
@@ -165,13 +186,13 @@ func TestOneBlobPerKeyUntilLastEviction(t *testing.T) {
 		return st.ID
 	}
 	lines, _ := getJSONL(t, ts.URL, run(hopfSpec("k", 6)))
-	if len(lines) != 1 || len(blobFiles(t, results)) != 0 {
-		t.Fatalf("computed job: %d lines, blobs %v", len(lines), blobFiles(t, results))
+	if len(lines) != 1 || len(blobFiles(t, dir)) != 0 {
+		t.Fatalf("computed job: %d lines, blobs %v", len(lines), blobFiles(t, dir))
 	}
 	computed := resultMember(t, lines[0])
 	for i := 0; i < 3; i++ {
 		id := run(hopfSpec("k", 6))
-		if files := blobFiles(t, results); len(files) != 1 {
+		if files := blobFiles(t, dir); len(files) != 1 {
 			t.Fatalf("hit %d: blob files %v, want one", i+1, files)
 		}
 		lines, code := getJSONL(t, ts.URL, id)
@@ -194,7 +215,7 @@ func TestOneBlobPerKeyUntilLastEviction(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		run(hopfSpec("other", 7+float64(i)))
 	}
-	if files := blobFiles(t, results); len(files) != 0 {
+	if files := blobFiles(t, dir); len(files) != 0 {
 		t.Fatalf("blob files %v after every referring job was evicted", files)
 	}
 	if b := reg.Snapshot().Gauge("pn_serve_results_blob_bytes"); b != 0 {
@@ -232,8 +253,7 @@ func TestReplayEvictionsKeepBlobs(t *testing.T) {
 	want, _ := getJSONL(t, base, last)
 	stop()
 
-	results := filepath.Join(dir, resultSubdir)
-	orphan := filepath.Join(results, blobSubdir, "pnfp2-"+strings.Repeat("0", 64)+walExt)
+	orphan := filepath.Join(dir, blobSubdir, "pnfp2-"+strings.Repeat("0", 64)+walExt)
 	if err := os.WriteFile(orphan, []byte("a blob whose reference never landed"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -244,25 +264,25 @@ func TestReplayEvictionsKeepBlobs(t *testing.T) {
 	if code != http.StatusOK || len(want) != 1 || len(got) != 1 || !bytes.Equal(got[0], want[0]) || pg.Degraded {
 		t.Fatalf("replayed hit: status %d, %d lines (want %d), degraded %v, equal %v", code, len(got), len(want), pg.Degraded, len(got) == 1 && bytes.Equal(got[0], want[0]))
 	}
-	if files := blobFiles(t, results); len(files) != 1 || files[0] != k.RoutingKey()+walExt {
+	if files := blobFiles(t, dir); len(files) != 1 || files[0] != k.RoutingKey()+walExt {
 		t.Fatalf("blob files after replay %v, want only %s", files, k.RoutingKey()+walExt)
 	}
 }
 
-// spillRef writes a one-point spill file under dir whose record refers to
-// key's blob, and returns the codec bytes it stands for.
+// spillRef writes a one-point job log under dir whose result record refers
+// to key's blob, and returns the codec bytes it stands for.
 func spillRef(t testing.TB, dir, key string, payload []byte) []byte {
 	t.Helper()
 	head, tail := []byte(`{"index":0,"name":"p","result":`), []byte(`,"wall_ns":1,"cached":true}`)
-	rf := resultStoreAt(dir).open("j1", 1)
+	rf := openResults(t, journalAt(dir), "j1", 1)
 	if err := rf.spill(0, key, "token", [][]byte{head, payload, tail}); err != nil {
 		t.Fatal(err)
 	}
-	if rec, _ := rf.log.ReadAt(rf.offsets[0]); !isRef(rec[4:]) {
+	if rec, _ := rf.log.f.ReadAt(rf.offsets[0]); !isRef(rec[5:]) {
 		t.Fatal("the point spilled inline")
 	}
 	rf.seal()
-	rf.closeFile()
+	rf.log.close()
 	return bytes.Join([][]byte{head, payload, tail}, nil)
 }
 
@@ -276,7 +296,7 @@ func TestBlobCrashPoints(t *testing.T) {
 	key := "pnfp2-" + strings.Repeat("ab", 32)
 	payload := []byte(`{"pss":{"T":6.283185307179586},"c":1.0132118364233778e-05}`)
 	want := spillRef(t, dir, key, payload)
-	p := resultStoreAt(dir).blobs.path(key)
+	p := journalAt(dir).blobs.path(key)
 	full, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -290,11 +310,11 @@ func TestBlobCrashPoints(t *testing.T) {
 			if err := os.WriteFile(p, append(full[:k:k], tail(k)...), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			rs := resultStoreAt(dir)
-			rf := rs.open("j1", 1)
+			jl := journalAt(dir)
+			rf := reopenResults(t, jl, "j1")
 			got, err := rf.frame(0)
 			n, _, degraded := rf.snapshot()
-			rf.closeFile()
+			rf.log.close()
 			if k == len(full) {
 				if err != nil || !bytes.Equal(got, want) || n != 1 || degraded {
 					t.Fatalf("%s at %d, whole blob: %d bytes (%v), %d records, degraded %v", name, k, len(got), err, n, degraded)
@@ -307,7 +327,7 @@ func TestBlobCrashPoints(t *testing.T) {
 			if name != "cut" {
 				continue
 			}
-			if ok, err := rs.blobs.acquire(key, "token", payload); !ok || err != nil {
+			if ok, err := jl.blobs.acquire(key, "token", payload); !ok || err != nil {
 				t.Fatalf("cut at %d: a new hit could not write the blob: %v", k, err)
 			}
 			if rec, err := wal.ReadFirst(p); err != nil || !bytes.Equal(rec, append([]byte(key+"\n"), payload...)) {
@@ -325,9 +345,9 @@ func TestBrokenBlobReadsDegraded(t *testing.T) {
 	key, other := "pnfp2-"+strings.Repeat("1", 64), "pnfp2-"+strings.Repeat("2", 64)
 	payload := []byte(`{"c":1e-9}`)
 	breaks := map[string]func(t *testing.T, dir string){
-		"missing": func(t *testing.T, dir string) { os.Remove(resultStoreAt(dir).blobs.path(key)) },
+		"missing": func(t *testing.T, dir string) { os.Remove(journalAt(dir).blobs.path(key)) },
 		"torn": func(t *testing.T, dir string) {
-			p := resultStoreAt(dir).blobs.path(key)
+			p := journalAt(dir).blobs.path(key)
 			info, err := os.Stat(p)
 			if err != nil {
 				t.Fatal(err)
@@ -335,7 +355,7 @@ func TestBrokenBlobReadsDegraded(t *testing.T) {
 			os.Truncate(p, info.Size()-1)
 		},
 		"foreign": func(t *testing.T, dir string) {
-			bs := resultStoreAt(dir).blobs
+			bs := journalAt(dir).blobs
 			if _, err := bs.write(other, payload); err != nil {
 				t.Fatal(err)
 			}
@@ -352,8 +372,8 @@ func TestBrokenBlobReadsDegraded(t *testing.T) {
 			dir := t.TempDir()
 			spillRef(t, dir, key, payload)
 			breakBlob(t, dir)
-			rf := resultStoreAt(dir).open("j1", 1)
-			defer rf.closeFile()
+			rf := reopenResults(t, journalAt(dir), "j1")
+			defer rf.log.close()
 			raw, err := rf.frame(0)
 			n, _, degraded := rf.snapshot()
 			if err != nil || raw != nil || n != 0 || !degraded {
@@ -366,13 +386,13 @@ func TestBrokenBlobReadsDegraded(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	rs := resultStoreAt(dir)
-	rf := rs.open("j1", 1)
-	defer rf.closeFile()
+	jl := journalAt(dir)
+	rf := openResults(t, jl, "j1", 1)
+	defer rf.log.close()
 	if err := rf.spill(0, key, "token", [][]byte{[]byte(`{"index":0,"result":`), payload, []byte(`}`)}); err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(rs.blobs.path(key))
+	os.Remove(jl.blobs.path(key))
 	if raw, err := rf.frame(0); err == nil {
 		t.Fatalf("frame over a lost blob read %q", raw)
 	}
@@ -394,9 +414,9 @@ func TestChaosBlobWriteFault(t *testing.T) {
 		faultinject.ServeResultsWrite: {Mode: faultinject.ModeError, After: 1, Count: 1},
 	})()
 	dir := t.TempDir()
-	rs := resultStoreAt(dir)
-	rf := rs.open("j1", 2)
-	defer rf.closeFile()
+	jl := journalAt(dir)
+	rf := openResults(t, jl, "j1", 2)
+	defer rf.log.close()
 	key := "pnfp2-" + strings.Repeat("4", 64)
 	parts := [][]byte{[]byte(`{"index":0,"result":`), []byte(`{"c":1e-9}`), []byte(`}`)}
 	if err := rf.spill(0, key, "token", parts); err == nil {
@@ -408,8 +428,8 @@ func TestChaosBlobWriteFault(t *testing.T) {
 	if n, _, degraded := rf.snapshot(); n != 0 || !degraded {
 		t.Fatalf("%d records, degraded %v; want none and degraded", n, degraded)
 	}
-	if files := blobFiles(t, dir); len(files) != 0 || rs.blobs.blobs[key] != nil {
-		t.Fatalf("blob files %v and entry %+v left by a failed write", files, rs.blobs.blobs[key])
+	if files := blobFiles(t, dir); len(files) != 0 || jl.blobs.blobs[key] != nil {
+		t.Fatalf("blob files %v and entry %+v left by a failed write", files, jl.blobs.blobs[key])
 	}
 }
 
@@ -421,26 +441,26 @@ func TestBlobHoldsOneByteString(t *testing.T) {
 	dir := t.TempDir()
 	key := "pnfp2-" + strings.Repeat("3", 64)
 	head, tail := []byte(`{"index":0,"result":`), []byte(`}`)
-	rs := resultStoreAt(dir)
-	rf := rs.open("j1", 3)
-	defer rf.closeFile()
+	jl := journalAt(dir)
+	rf := openResults(t, jl, "j1", 3)
+	defer rf.log.close()
 	payloads := [][]byte{[]byte(`{"c":1e-9}`), []byte(`{"c":2e-9}`), []byte(`{"c":1e-9}`)}
 	for i, p := range payloads {
 		if err := rf.spill(i, key, fmt.Sprint("token", i), [][]byte{head, p, tail}); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := rf.log.ReadAt(rf.offsets[i])
+		rec, err := rf.log.f.ReadAt(rf.offsets[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref := isRef(rec[4:]); ref != (i != 1) {
+		if ref := isRef(rec[5:]); ref != (i != 1) {
 			t.Fatalf("point %d: reference %v", i, ref)
 		}
 		if raw, err := rf.frame(i); err != nil || !bytes.Equal(raw, bytes.Join([][]byte{head, p, tail}, nil)) {
 			t.Fatalf("point %d reads %q, %v", i, raw, err)
 		}
 	}
-	if b := rs.blobs.blobs[key]; b == nil || b.refs != 2 {
+	if b := jl.blobs.blobs[key]; b == nil || b.refs != 2 {
 		t.Fatalf("blob entry %+v, want two references", b)
 	}
 }
@@ -509,7 +529,7 @@ func TestConcurrentFirstHitsRaceEvictions(t *testing.T) {
 		_, st := postJSON(t, ts.URL+"/v1/characterise", CharacteriseRequest{PointSpec: hopfSpec("c", 13+float64(i))})
 		waitState(t, ts.URL, st.ID, terminal)
 	}
-	if files := blobFiles(t, s.results.dir); len(files) != 0 {
+	if files := blobFiles(t, s.journal.dir); len(files) != 0 {
 		t.Fatalf("blob files %v with no job referring to them", files)
 	}
 }
@@ -545,13 +565,13 @@ func jsonlLines(base, id string) [][]byte {
 	return bytes.Split(bytes.TrimSuffix(body.Bytes(), newline), newline)
 }
 
-// FuzzReferenceRecord reopens a one-point spill whose record body, and the
-// blob record it may refer to, come from the fuzzer; the blob is framed as
-// the store writes it and then torn by tear bytes. Nothing panics, and a
-// point that reads at all is either its inline body or a reference's head,
-// payload and tail, the payload from an intact blob that holds the
-// reference's own key. Anything else reads as an error or as a dropped
-// point of a degraded file.
+// FuzzReferenceRecord replays a one-point job log whose result record body,
+// and the blob record it may refer to, come from the fuzzer; the blob is
+// framed as the store writes it and then torn by tear bytes. Nothing
+// panics, and a point that reads at all is either its inline body or a
+// reference's head, payload and tail, the payload from an intact blob that
+// holds the reference's own key. Anything else reads as an error or as a
+// dropped point of a degraded file.
 func FuzzReferenceRecord(f *testing.F) {
 	key := "pnfp2-" + strings.Repeat("c", 64)
 	head := []byte(`{"index":0,"name":"p","result":`)
@@ -566,21 +586,23 @@ func FuzzReferenceRecord(f *testing.F) {
 	f.Add([]byte{refMark}, []byte{}, uint16(0))
 	f.Fuzz(func(t *testing.T, body, blob []byte, tear uint16) {
 		dir := t.TempDir()
-		rs := resultStoreAt(dir)
-		appendOne := func(p string, parts ...[]byte) {
+		jl := journalAt(dir)
+		l := jl.create(jrecord{ID: "j1", Kind: "sweep", Specs: make([]PointSpec, 1)})
+		if _, err := l.append(false, []byte{kindResult, 0, 0, 0, 0}, body); err != nil {
+			t.Fatal(err)
+		}
+		l.close()
+		if len(blob) > 0 {
+			p := jl.blobs.path(key)
 			log, _, err := wal.Open(p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer log.Close()
-			if _, err := log.Append(parts...); err != nil {
+			_, err = log.Append(blob)
+			log.Close()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		appendOne(rs.path("j1"), []byte{0, 0, 0, 0}, body)
-		if len(blob) > 0 {
-			p := rs.blobs.path(key)
-			appendOne(p, blob)
 			info, err := os.Stat(p)
 			if err != nil {
 				t.Fatal(err)
@@ -589,11 +611,8 @@ func FuzzReferenceRecord(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		rf := rs.open("j1", 1)
-		if rf == nil {
-			t.Fatal("the spill did not open")
-		}
-		defer rf.closeFile()
+		rf := reopenResults(t, jl, "j1")
+		defer rf.log.close()
 		got, err := rf.frame(0)
 		if err != nil || got == nil {
 			return
@@ -608,7 +627,7 @@ func FuzzReferenceRecord(f *testing.F) {
 		if !ok {
 			t.Fatalf("malformed reference %q read as %q", body, got)
 		}
-		rec, err := wal.ReadFirst(rs.blobs.path(k))
+		rec, err := wal.ReadFirst(jl.blobs.path(k))
 		if err != nil || !bytes.HasPrefix(rec, []byte(k+"\n")) {
 			t.Fatalf("reference to %s read as %q without an intact blob of that key (%v)", k, got, err)
 		}

@@ -362,7 +362,7 @@ func TestJournalComposeRecovery(t *testing.T) {
 
 	// Both resumed journals now end in their terminal events.
 	done := map[string]bool{}
-	for _, rj := range (&journal{dir: dir}).replay() {
+	for _, rj := range replayDir(t, dir) {
 		done[rj.hdr.ID] = rj.terminal && rj.state == StateDone
 	}
 	if !done["j5"] || !done["j6"] {

@@ -104,9 +104,9 @@ func TestServeFailedEstimateFailsOnlyItsPoint(t *testing.T) {
 }
 
 // TestSpillRecordIsIndexAndMarshalJSON: the spill writes a record from its
-// parts, and the record is the 4-byte point index followed by exactly
-// MarshalJSON's bytes, for a computed point and for a memory-tier hit that
-// is never decoded.
+// parts, and the record is the result kind byte and the 4-byte point index
+// followed by exactly MarshalJSON's bytes, for a computed point and for a
+// memory-tier hit that is never decoded.
 func TestSpillRecordIsIndexAndMarshalJSON(t *testing.T) {
 	store, err := cache.New(cache.Options{})
 	if err != nil {
@@ -116,9 +116,8 @@ func TestSpillRecordIsIndexAndMarshalJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := &resultStore{dir: t.TempDir()}
-	rf := rs.open("j1", 4)
-	defer rf.closeFile()
+	rf := openResults(t, &journal{dir: t.TempDir()}, "j1", 4)
+	defer rf.log.close()
 	for i, how := range []string{"computed", "memory hit"} {
 		var got sweep.PointResult
 		sweep.Run([]sweep.Point{pt}, &sweep.Config{Cache: store, DiscardResults: true, OnPoint: func(r sweep.PointResult) { got = r }})
@@ -129,7 +128,7 @@ func TestSpillRecordIsIndexAndMarshalJSON(t *testing.T) {
 		if err := rf.appendResult(&got); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := rf.log.ReadAt(rf.offsets[got.Index])
+		rec, err := rf.log.f.ReadAt(rf.offsets[got.Index])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +136,7 @@ func TestSpillRecordIsIndexAndMarshalJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := binary.BigEndian.AppendUint32(nil, uint32(got.Index))
+		want := binary.BigEndian.AppendUint32([]byte{kindResult}, uint32(got.Index))
 		if want = append(want, raw...); !bytes.Equal(rec, want) {
 			t.Fatalf("%s: spilled record of %d bytes differs from the index and MarshalJSON (%d bytes)", how, len(rec), len(want))
 		}

@@ -1,46 +1,73 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/sweep"
 	"repro/internal/wal"
 )
 
-// The job journal is the server's write-ahead durability layer: one
-// append-only log (internal/wal) per job under Config.JournalDir, <id>.wal,
-// kept for the job's whole life. The first record is the job header
-// (everything needed to re-create the job as pure data — kind, specs, knobs,
-// idempotency fingerprint); every following record is one progress event
-// exactly as a subscriber saw it (state transitions and per-point summaries,
-// with their sequence numbers).
+// The job log is the one file a job owns: an append-only internal/wal log,
+// <dir>/<id>.wal, kept for the job's whole life and deleted at eviction.
+// dir is Config.JournalDir, or a private temp directory without one. It
+// holds four kinds of record:
 //
-// The header and the terminal event are synced; the events in between are
+//   - the header, first: everything needed to re-create the job as pure
+//     data — kind, specs, knobs, idempotency fingerprint;
+//   - events: every progress event exactly as a subscriber saw it (state
+//     transitions and per-point summaries, with their sequence numbers);
+//   - spans: the job's trace timeline (trace.go);
+//   - results: the spilled loss-free point results (results.go).
+//
+// Header and event records are jrecord JSON, so they open with '{'. Span
+// and result records open with a kind byte that no JSON text starts with,
+// followed by the bytes a trace file and a spill file held before the four
+// were one log.
+//
+// With a journal directory the header is synced before the 202 goes out,
+// and the terminal event is synced: every result is spilled before it, so
+// that one sync makes the results durable too. Everything in between is
 // best-effort — a lost tail costs progress replay, never correctness,
 // because completed points live in the content-addressed result cache. A
-// synced terminal event is what marks a finished job.
+// synced terminal event is what marks a finished job. Without a journal
+// directory nothing is synced and nothing is replayed: the temp directory
+// dies with the process, like its jobs.
 //
-// On restart, replay walks the directory: a journal ending in a terminal
-// event restores a queryable finished job; any other restores the event
-// history and re-enqueues the job — already-computed points come back as
-// cache hits, only unfinished points recompute. Opening a log cuts a torn
-// tail (the normal crash artifact) before anything is appended after it; a
-// journal without a usable header is quarantined to <name>.corrupt instead
-// of wedging startup.
+// On restart, replay reads each log once: a log ending in a terminal event
+// restores a queryable finished job with its timeline and results; any
+// other restores the event history and timeline and re-enqueues the job —
+// already-computed points come back as cache hits, only unfinished points
+// recompute. Opening a log cuts a torn tail (the normal crash artifact)
+// before anything is appended after it. A job whose header cannot be
+// written gets no file and runs summary-only, so only a crash inside the
+// header write leaves a log without a usable header; replay quarantines it
+// to <name>.corrupt instead of wedging startup.
 const walExt = ".wal"
 
 // journalSchemaVersion guards the record schema like the cache's disk
 // envelope: records from a different version are ignored on replay.
 const journalSchemaVersion = 1
 
-// jrecord is one record of a job journal.
+// The kind bytes of span and result records.
+const (
+	kindSpan   = 0x01 // then the obs.Event's JSON
+	kindResult = 0x02 // then the 4-byte point index and the record's body
+)
+
+var spanKind = []byte{kindSpan}
+
+// jrecord is a header or event record of a job log.
 type jrecord struct {
 	V int    `json:"v"`
 	T string `json:"t"` // "accepted" or "event"
@@ -62,33 +89,39 @@ type jrecord struct {
 	Ev *Event `json:"ev,omitempty"`
 }
 
-// jobFile is the one path guard for a job's files: it maps a job ID to its
-// log under dir, or "" when dir is unset or the ID could step out of it
-// (only the server mints IDs, but replayed headers are data).
+// jobFile is the one path guard for a job's log: it maps a job ID to its
+// file under dir, or "" when the ID could step out of it (only the server
+// mints IDs, but replayed headers are data).
 func jobFile(dir, id string) string {
-	if dir == "" || id == "" || len(id) > 64 || strings.ContainsAny(id, `/\.`) {
+	if id == "" || len(id) > 64 || strings.ContainsAny(id, `/\.`) {
 		return ""
 	}
 	return filepath.Join(dir, id+walExt)
 }
 
-// traceSubdir is the journal subdirectory holding per-job trace logs; it
-// keeps them out of the journal replay walk.
-const traceSubdir = "traces"
-
-// journal manages the journal directory of one Server.
+// journal owns the directory of one Server's job logs and the payload blobs
+// their result records may name (blobs.go, under <dir>/blobs).
 type journal struct {
-	dir string
+	dir     string
+	durable bool       // Config.JournalDir: logs are synced and replayed; else a temp dir, removed at close
+	blobs   *blobStore // nil: every result record is inline
 }
 
-// openJournal prepares the directory (and its traces subdirectory) and
+// openJournal prepares dir — a private temp directory when dir is "" — and
 // returns the highest job sequence number found in any file name there, so
 // the server continues its ID space past every job that left a file behind.
 func openJournal(dir string) (*journal, int64, error) {
-	if err := os.MkdirAll(filepath.Join(dir, traceSubdir), 0o755); err != nil {
+	jl := &journal{dir: dir, durable: dir != ""}
+	var err error
+	if jl.durable {
+		err = os.MkdirAll(dir, 0o755)
+	} else {
+		jl.dir, err = os.MkdirTemp("", "pnserve-journal-")
+	}
+	if err != nil {
 		return nil, 0, fmt.Errorf("serve: journal dir: %w", err)
 	}
-	ents, err := os.ReadDir(dir)
+	ents, err := os.ReadDir(jl.dir)
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: journal dir: %w", err)
 	}
@@ -99,250 +132,180 @@ func openJournal(dir string) (*journal, int64, error) {
 			maxSeq = n
 		}
 	}
-	return &journal{dir: dir}, maxSeq, nil
+	jl.blobs = newBlobStore(filepath.Join(jl.dir, blobSubdir))
+	return jl, maxSeq, nil
 }
 
-// tracePath is the trace log of a job ("" when journalling is off).
-func (jl *journal) tracePath(id string) string {
-	if jl == nil {
-		return ""
+// close removes a temp directory; a journal directory stays.
+func (jl *journal) close() {
+	if jl != nil && !jl.durable {
+		os.RemoveAll(jl.dir)
 	}
-	return jobFile(filepath.Join(jl.dir, traceSubdir), id)
 }
 
-// jobJournal is the append handle of one job's journal. Methods are
-// serialised by mu; every write failure (real or injected) is counted and
-// swallowed — durability degrades, the job itself keeps running.
-type jobJournal struct {
-	jl *journal
-	id string
+// errLogClosed is what an append to a closed log returns: a late span of an
+// evicted job, or the terminal event of a job evicted the moment it went
+// terminal, has no file to go to, and that is no write failure.
+var errLogClosed = errors.New("serve: job log closed")
+
+// jobLog is one job's log. Every write failure (real or injected) is
+// counted and swallowed — durability degrades, the job itself keeps
+// running. A nil *jobLog (no file) takes no records.
+type jobLog struct {
+	jl   *journal
+	f    *wal.Log
+	path string
 
 	mu        sync.Mutex
-	log       *wal.Log
-	finalized bool
+	finalized bool // the terminal event is written: later events are dropped
+	closed    bool // evicted, or left for the next start: appends are dropped
 }
 
-// create opens a fresh journal, writes the header record and syncs it, so an
-// accepted job survives a crash from the moment the 202 goes out. A nil
-// *journal (journalling off) returns a nil handle, on which every method is a
-// no-op.
-func (jl *journal) create(hdr jrecord) *jobJournal {
+// create opens a fresh log and writes the header record, syncing it with a
+// journal directory, so an accepted job survives a crash from the moment
+// the 202 goes out. A job whose header cannot be written gets no file (nil):
+// it runs summary-only, with its events and timeline in memory.
+func (jl *journal) create(hdr jrecord) *jobLog {
 	if jl == nil {
 		return nil
 	}
-	if faultinject.Fire(faultinject.ServeJournalWrite) != nil {
-		serveMetrics.Get().journalErrors.Inc()
-		return nil
+	m := serveMetrics.Get()
+	p := jobFile(jl.dir, hdr.ID)
+	var l *jobLog
+	if p != "" && faultinject.Fire(faultinject.ServeJournalWrite) == nil {
+		if f, _, err := wal.Open(p, nil); err == nil {
+			l = &jobLog{jl: jl, f: f, path: p}
+		}
 	}
-	jj := jl.open(hdr.ID)
-	if jj == nil {
-		return nil
+	hdr.V, hdr.T = journalSchemaVersion, "accepted"
+	if l == nil {
+		m.journalErrors.Inc()
+	} else if !l.write(hdr, jl.durable) {
+		l.remove() // no log may outlive its header write: replay would meet it headerless
+		l = nil
 	}
-	hdr.V = journalSchemaVersion
-	hdr.T = "accepted"
-	if !jj.writeLocked(hdr, true) {
-		_ = jj.log.Close()
-		return nil
+	if l == nil {
+		m.resultDegraded.Inc()
 	}
-	return jj
+	return l
 }
 
-// open opens a job's journal for appending, creating it if need be. A
-// recovered job continues the log replay read, after its torn tail (if any)
-// has been cut.
-func (jl *journal) open(id string) *jobJournal {
-	if jl == nil {
-		return nil
-	}
-	p := jobFile(jl.dir, id)
-	if p == "" {
-		serveMetrics.Get().journalErrors.Inc()
-		return nil
-	}
-	log, _, err := wal.Open(p, nil)
-	if err != nil {
-		serveMetrics.Get().journalErrors.Inc()
-		return nil
-	}
-	return &jobJournal{jl: jl, id: id, log: log}
-}
-
-// event appends one progress event. A terminal event is synced and closes
-// the journal; intermediate events are best-effort (a sync per point would
-// put a disk round-trip on the sweep hot path for durability the result
-// cache already provides).
-func (jj *jobJournal) event(ev Event, terminal bool) {
-	if jj == nil {
+// event appends one progress event. The terminal event is synced with a
+// journal directory and is the last event the log takes; intermediate
+// events are best-effort (a sync per point would put a disk round-trip on
+// the sweep hot path for durability the result cache already provides).
+func (l *jobLog) event(ev Event, terminal bool) {
+	if l == nil {
 		return
 	}
-	jj.mu.Lock()
-	defer jj.mu.Unlock()
-	if jj.finalized {
+	l.mu.Lock()
+	done := l.finalized
+	l.finalized = done || terminal
+	l.mu.Unlock()
+	if done {
 		return
 	}
 	if faultinject.Fire(faultinject.ServeJournalWrite) != nil {
 		serveMetrics.Get().journalErrors.Inc()
-	} else {
-		jj.writeLocked(jrecord{V: journalSchemaVersion, T: "event", Ev: &ev}, terminal)
+		return
 	}
-	if terminal {
-		jj.finalized = true
-		_ = jj.log.Close()
-	}
+	l.write(jrecord{V: journalSchemaVersion, T: "event", Ev: &ev}, terminal && l.jl.durable)
 }
 
-// writeLocked marshals and appends one record, optionally syncing it to
-// stable storage. Callers hold jj.mu (or own jj exclusively).
-func (jj *jobJournal) writeLocked(rec jrecord, sync bool) bool {
+// write marshals and appends one JSON record, optionally syncing the log up
+// to it.
+func (l *jobLog) write(rec jrecord, sync bool) bool {
 	m := serveMetrics.Get()
 	data, err := json.Marshal(rec)
 	if err == nil {
-		_, err = jj.log.Append(data)
-	}
-	if err == nil && sync {
-		err = jj.log.Sync()
+		_, err = l.append(sync, data)
 	}
 	if err != nil {
-		m.journalErrors.Inc()
+		if err != errLogClosed {
+			m.journalErrors.Inc()
+		}
 		return false
 	}
 	m.journalWrites.Inc()
 	return true
 }
 
-// discard closes the handle and deletes the file — for a job journaled but
-// never enqueued (queue-full rejection lands after the header write).
-func (jj *jobJournal) discard() {
-	if jj == nil {
-		return
-	}
-	jj.mu.Lock()
-	if !jj.finalized {
-		jj.finalized = true
-		_ = jj.log.Close()
-	}
-	jj.mu.Unlock()
-	jj.jl.remove(jj.id)
-}
-
-// remove deletes a job's journal (called when the retention bound evicts a
-// terminal job, so the directory does not grow without bound).
-func (jl *journal) remove(id string) {
-	if jl != nil {
-		removeJobFile(jobFile(jl.dir, id))
-	}
-}
-
-// removeJobFile deletes one job file, counting failures other than absence.
-func removeJobFile(p string) {
-	if p == "" {
-		return
-	}
-	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+// span appends one span record: the kind byte and the event's JSON. Spans
+// are never synced — the timeline is an observability artifact, not a
+// durability promise.
+func (l *jobLog) span(rec []byte) {
+	if _, err := l.append(false, spanKind, rec); err != nil && err != errLogClosed {
 		serveMetrics.Get().journalErrors.Inc()
 	}
 }
 
-// recoveredJob is one job reconstructed from its journal during replay.
+// append writes one record through to the OS unless the log is closed and,
+// with sync, makes the log durable up to it.
+func (l *jobLog) append(sync bool, parts ...[]byte) (int64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, errLogClosed
+	}
+	off, err := l.f.Append(parts...)
+	if err == nil && sync {
+		err = l.f.Sync()
+	}
+	return off, err
+}
+
+// close releases the descriptor; the file stays, for the next start.
+func (l *jobLog) close() {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.closed {
+		l.closed = true
+		_ = l.f.Close()
+	}
+}
+
+// remove closes the log and deletes its file: eviction, a submission the
+// queue turned away, or a header that could not be written.
+func (l *jobLog) remove() {
+	if l == nil {
+		return
+	}
+	l.close()
+	if err := os.Remove(l.path); err != nil && !os.IsNotExist(err) {
+		serveMetrics.Get().journalErrors.Inc()
+	}
+}
+
+// recoveredJob is one job read back from its log during replay.
 type recoveredJob struct {
 	hdr      jrecord
 	events   []Event
+	spans    []obs.Event
 	state    string             // last journaled state (StateQueued when none)
 	err      *sweep.RemoteError // terminal error, when journaled
 	terminal bool
+	log      *jobLog     // open for the job: appends continue after the last intact record
+	rf       *resultFile // the result records' index; nil for a finished job with none
 }
 
-// replay reads every journal in the directory and reconstructs its job.
-// Corrupt records are skipped (counted); journals without a usable header
-// are quarantined. The returned jobs are sorted by numeric ID so re-enqueue
-// order matches original submission order.
-func (jl *journal) replay() []recoveredJob {
-	if jl == nil {
-		return nil
-	}
-	m := serveMetrics.Get()
+// logIDs lists the job IDs of the logs in the directory in submission
+// order: by numeric ID (j1, j2, ...), non-numeric IDs last,
+// lexicographically.
+func (jl *journal) logIDs() []string {
 	ents, err := os.ReadDir(jl.dir)
 	if err != nil {
-		m.journalErrors.Inc()
+		serveMetrics.Get().journalErrors.Inc()
 		return nil
 	}
-	var out []recoveredJob
+	var ids []string
 	for _, e := range ents {
-		id, ok := strings.CutSuffix(e.Name(), walExt)
-		if !ok {
-			continue
+		if id, ok := strings.CutSuffix(e.Name(), walExt); ok {
+			ids = append(ids, id)
 		}
-		rj, ok := jl.replayFile(id)
-		if !ok {
-			// No usable header: quarantine so the next start is clean and the
-			// operator can inspect the file.
-			m.replayCorrupt.Inc()
-			p := filepath.Join(jl.dir, e.Name())
-			_ = os.Rename(p, p+".corrupt")
-			continue
-		}
-		out = append(out, rj)
 	}
-	sortRecovered(out)
-	return out
-}
-
-// replayFile reads the journal of job id, cutting a torn tail. It returns
-// ok=false only when the header is unusable; a bad event record is skipped,
-// and so is every event after a gap in the sequence or after the terminal
-// event.
-func (jl *journal) replayFile(id string) (rj recoveredJob, ok bool) {
-	m := serveMetrics.Get()
-	p := jobFile(jl.dir, id)
-	if p == "" {
-		return rj, false
-	}
-	rj.state = StateQueued
-	bad := false
-	log, cut, err := wal.Open(p, func(_ int64, data []byte) {
-		var rec jrecord
-		switch err := json.Unmarshal(data, &rec); {
-		case bad:
-		case err != nil || rec.V != journalSchemaVersion:
-			m.replayCorrupt.Inc()
-			bad = !ok // a corrupt header condemns the file
-		case !ok:
-			if rec.T != "accepted" || rec.ID != id || (len(rec.Specs) == 0 && rec.Compose == nil) {
-				bad = true
-				return
-			}
-			rj.hdr, ok = rec, true
-		// Sequence numbers must stay a contiguous 1..n prefix for SSE
-		// replay; a gap means lost records, so the restored history stops
-		// there, as it does at the terminal event.
-		case rec.T != "event" || rec.Ev == nil || rec.Ev.Seq != int64(len(rj.events))+1 || rj.terminal:
-			m.replayCorrupt.Inc()
-		default:
-			rj.events = append(rj.events, *rec.Ev)
-			if rec.Ev.Type == "state" {
-				rj.state = rec.Ev.State
-				if rec.Ev.State == StateDone || rec.Ev.State == StateFailed || rec.Ev.State == StateCanceled {
-					rj.terminal = true
-					rj.err = rec.Ev.Error
-				}
-			}
-		}
-	})
-	if err != nil {
-		m.journalErrors.Inc()
-		return rj, false
-	}
-	_ = log.Close()
-	if cut > 0 {
-		m.replayCorrupt.Inc()
-	}
-	return rj, ok && !bad
-}
-
-// sortRecovered orders jobs by their numeric ID (j1, j2, ...) so recovery
-// re-enqueues in original submission order; non-numeric IDs sort last,
-// lexicographically.
-func sortRecovered(jobs []recoveredJob) {
 	num := func(id string) int64 {
 		n, err := strconv.ParseInt(strings.TrimPrefix(id, "j"), 10, 64)
 		if err != nil {
@@ -350,13 +313,105 @@ func sortRecovered(jobs []recoveredJob) {
 		}
 		return n
 	}
-	for i := 1; i < len(jobs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := jobs[j-1], jobs[j]
-			if num(a.hdr.ID) < num(b.hdr.ID) || (num(a.hdr.ID) == num(b.hdr.ID) && a.hdr.ID <= b.hdr.ID) {
-				break
+	slices.SortFunc(ids, func(a, b string) int {
+		return cmp.Or(cmp.Compare(num(a), num(b)), strings.Compare(a, b))
+	})
+	return ids
+}
+
+// recover reads the log of job id once, cutting a torn tail, and rebuilds
+// the header, the event history, the timeline and the result index; the log
+// stays open for the job. A bad event record is skipped, and so is every
+// event after a gap in the sequence or after the terminal event; a bad span
+// record is skipped. ok is false only when the header is unusable: the file
+// is then quarantined so the next start is clean and the operator can
+// inspect it.
+func (jl *journal) recover(id string) (rj recoveredJob, ok bool) {
+	m := serveMetrics.Get()
+	p := jobFile(jl.dir, id)
+	if p == "" {
+		return rj, false
+	}
+	rj.state = StateQueued
+	l := &jobLog{jl: jl, path: p}
+	bad := false
+	f, cut, err := wal.Open(p, func(off int64, rec []byte) {
+		switch {
+		case bad:
+		case !ok:
+			ok = rj.readHeader(rec, id)
+			bad = !ok
+			if ok {
+				rj.rf = newResultFile(l, len(rj.hdr.Specs))
 			}
-			jobs[j-1], jobs[j] = b, a
+		case rec[0] == kindSpan:
+			var ev obs.Event
+			if json.Unmarshal(rec[1:], &ev) == nil {
+				rj.spans = append(rj.spans, ev)
+			}
+		case rec[0] == kindResult:
+			rj.rf.adopt(off, rec[1:])
+		default:
+			rj.readEvent(rec)
+		}
+	})
+	if err != nil {
+		m.journalErrors.Inc()
+		rj.rf.release()
+		ok = false
+	} else if cut > 0 {
+		m.replayCorrupt.Inc()
+	}
+	l.f, l.finalized = f, rj.terminal
+	if !ok {
+		if f != nil {
+			l.close()
+		}
+		m.replayCorrupt.Inc()
+		_ = os.Rename(p, p+".corrupt")
+		return recoveredJob{}, false
+	}
+	rj.log = l
+	if rf := rj.rf; rf != nil && rf.degraded {
+		m.resultDegraded.Inc()
+	} else if rf != nil && rj.terminal && rf.n == 0 {
+		rj.rf = nil // a finished job with no result record serves summaries only
+	}
+	return rj, true
+}
+
+// readHeader reads the log's first record, which must be the header of job
+// id.
+func (rj *recoveredJob) readHeader(data []byte, id string) bool {
+	var rec jrecord
+	if err := json.Unmarshal(data, &rec); err != nil || rec.V != journalSchemaVersion {
+		serveMetrics.Get().replayCorrupt.Inc()
+		return false
+	}
+	if rec.T != "accepted" || rec.ID != id || (len(rec.Specs) == 0 && rec.Compose == nil) {
+		return false
+	}
+	rj.hdr = rec
+	return true
+}
+
+// readEvent folds one event record into the restored history. Sequence
+// numbers must stay a contiguous 1..n prefix for SSE replay; a gap means
+// lost records, so the history stops there, as it does at the terminal
+// event.
+func (rj *recoveredJob) readEvent(data []byte) {
+	var rec jrecord
+	err := json.Unmarshal(data, &rec)
+	if err != nil || rec.V != journalSchemaVersion || rec.T != "event" || rec.Ev == nil || rec.Ev.Seq != int64(len(rj.events))+1 || rj.terminal {
+		serveMetrics.Get().replayCorrupt.Inc()
+		return
+	}
+	rj.events = append(rj.events, *rec.Ev)
+	if rec.Ev.Type == "state" {
+		rj.state = rec.Ev.State
+		if rec.Ev.State == StateDone || rec.Ev.State == StateFailed || rec.Ev.State == StateCanceled {
+			rj.terminal = true
+			rj.err = rec.Ev.Error
 		}
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -558,10 +560,8 @@ func TestChaosJournalWriteFault(t *testing.T) {
 	if got := reg.Snapshot().Counter("pn_serve_journal_write_errors_total", ""); got < 1 {
 		t.Fatalf("journal write errors = %d, want >= 1", got)
 	}
-	// Nothing durable was promised: no job journal survived to resurrect the
-	// job. The traces/ subdirectory may hold the job's trace — trace files
-	// are observability artifacts, not durability promises, and replay never
-	// reads them as job journals.
+	// Nothing durable was promised: a job whose header could not be written
+	// has no log, so nothing survives to resurrect it.
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -604,90 +604,286 @@ func TestChaosHandlerFault(t *testing.T) {
 	}
 }
 
-// TestJournalCrashPoints cuts the journal of a real 2-point sweep at every
-// byte offset and replays it. The file is quarantined only while the cut
-// falls before the end of the header record; past that, replay recovers a
-// contiguous 1..n event prefix — every complete record — and the job comes
-// back terminal once the cut passes the terminal record.
+// replayDir reads every log under dir as replay does, closing each, and
+// returns the recovered jobs in submission order.
+func replayDir(t testing.TB, dir string) []recoveredJob {
+	t.Helper()
+	jl := journalAt(dir)
+	var out []recoveredJob
+	for _, id := range jl.logIDs() {
+		if rj, ok := jl.recover(id); ok {
+			rj.log.close()
+			out = append(out, rj)
+		}
+	}
+	return out
+}
+
+// TestJournalOneFilePerJob: on a journalled server a characterise, a sweep
+// and a compose each keep exactly one file, <id>.wal, beside blobs/, and
+// the evicted jobs leave no file behind.
+func TestJournalOneFilePerJob(t *testing.T) {
+	store, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s := New(Config{Workers: 1, Cache: store, JournalDir: dir, Retain: 3})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	waitReady(t, ts.URL)
+	run := func(path string, body any) string {
+		t.Helper()
+		_, st := postJSON(t, ts.URL+path, body)
+		if done := waitState(t, ts.URL, st.ID, terminal); done.State != StateDone {
+			t.Fatalf("%s job %s: %+v", path, st.ID, done)
+		}
+		return st.ID
+	}
+	check := func(what string, ids []string) {
+		t.Helper()
+		want := []string{blobSubdir}
+		for _, id := range ids {
+			want = append(want, id+walExt)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range ents {
+			got = append(got, e.Name())
+		}
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: the journal directory holds %v, want %v", what, got, want)
+		}
+	}
+	leg := hopfSpec("leg", 3)
+	check("retained", []string{
+		run("/v1/characterise", CharacteriseRequest{PointSpec: leg}),
+		run("/v1/sweep", SweepRequest{Points: []PointSpec{leg, hopfSpec("p1", 4)}}),
+		run("/v1/compose", composeReq(leg, 0.02)),
+	})
+	if files := blobFiles(t, dir); len(files) != 1 {
+		t.Fatalf("blob files %v, want the leg's", files)
+	}
+	var later []string
+	for i := 0; i < 3; i++ {
+		later = append(later, run("/v1/characterise", CharacteriseRequest{PointSpec: hopfSpec("e", 5+float64(i))}))
+	}
+	check("after eviction", later)
+	if files := blobFiles(t, dir); len(files) != 0 {
+		t.Fatalf("blob files %v after every job naming them was evicted", files)
+	}
+}
+
+// TestJournalDrainMidReplayClosesLogs: a drain that begins while replay is
+// held back (serve.replay.delay) stops the replayer at the first unfinished
+// job, which gives its log up again: the process keeps no descriptor open
+// under the journal directory, and both unfinished jobs keep their logs for
+// the next start.
+func TestJournalDrainMidReplayClosesLogs(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to list open descriptors")
+	}
+	dir := t.TempDir()
+	ids := []string{"j1", "j2"}
+	for _, id := range ids {
+		writeJournalFile(t, dir, id+walExt, []jrecord{
+			{V: 1, T: "accepted", ID: id, Kind: "characterise", Specs: []PointSpec{hopfSpec(id, 3)}},
+			{V: 1, T: "event", Ev: &Event{Seq: 1, Type: "state", State: StateQueued}},
+		})
+	}
+	defer faultinject.Enable(faultinject.Plan{
+		faultinject.ServeReplayDelay: {Mode: faultinject.ModeDelay, Delay: 300 * time.Millisecond},
+	})()
+	s := New(Config{Workers: 1, JournalDir: dir})
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir) {
+			t.Errorf("descriptor %s is still open on %s", fd.Name(), target)
+		}
+	}
+	for _, id := range ids {
+		if _, err := os.Stat(filepath.Join(dir, id+walExt)); err != nil {
+			t.Errorf("the log of %s is gone: %v", id, err)
+		}
+	}
+}
+
+// TestJournalCrashPoints cuts the log of a real 2-point sweep — header,
+// events, spans, a reference result (a cache hit) and an inline one (a
+// point whose every attempt failed) — at every byte offset and replays it.
+// The file is quarantined only while the cut falls before the end of the
+// header record; past that, replay recovers exactly the complete records of
+// each kind before the cut: a contiguous 1..n event prefix, every span, and
+// every result whose record is complete and no other. The job comes back
+// terminal once the cut passes the terminal event.
 func TestJournalCrashPoints(t *testing.T) {
+	store, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	src := t.TempDir()
-	s := New(Config{Workers: 1, JournalDir: src})
+	s := New(Config{Workers: 1, Cache: store, JournalDir: src})
 	ts := httptest.NewServer(s)
 	waitReady(t, ts.URL)
-	_, st := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: []PointSpec{hopfSpec("c0", 3), hopfSpec("c1", 4)}})
-	if got := waitState(t, ts.URL, st.ID, terminal); got.State != StateDone {
-		t.Fatalf("sweep: %+v", got)
-	}
+	hit := hopfSpec("c0", 3)
+	_, warm := postJSON(t, ts.URL+"/v1/characterise", CharacteriseRequest{PointSpec: hit})
+	waitState(t, ts.URL, warm.ID, terminal)
+	restore := faultinject.Enable(faultinject.Plan{faultinject.SweepAttempt: {Mode: faultinject.ModeError}})
+	_, st := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: []PointSpec{hit, hopfSpec("c1", 4)}})
+	got := waitState(t, ts.URL, st.ID, terminal)
+	restore()
 	ts.Close()
 	s.Shutdown(context.Background())
+	if got.State != StateDone || got.CachedPoints != 1 || got.FailedPoints != 1 {
+		t.Fatalf("sweep: %+v, want one cache hit and one failed point", got)
+	}
 
 	name := st.ID + walExt
 	full, err := os.ReadFile(filepath.Join(src, name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Record k ends where record k+1 starts; the last one ends the file.
-	var offs []int64
-	log, _, err := wal.Open(filepath.Join(src, name), func(off int64, _ []byte) { offs = append(offs, off) })
+	// Each record's offset, end and kind; a result record's point; and the
+	// number of JSON (header and event) records, the last of which is the
+	// terminal event.
+	type record struct {
+		off, end int64
+		kind     byte
+		point    int
+	}
+	var recs []record
+	jsonRecs, refs := 0, 0
+	log, _, err := wal.Open(filepath.Join(src, name), func(off int64, rec []byte) {
+		r := record{off: off, kind: rec[0]}
+		switch rec[0] {
+		case kindResult:
+			r.point = int(binary.BigEndian.Uint32(rec[1:]))
+			if isRef(rec[5:]) {
+				refs++
+			}
+		case kindSpan:
+		default:
+			jsonRecs++
+		}
+		recs = append(recs, r)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	log.Close()
-	ends := append(offs[1:], int64(len(full)))
-	if len(ends) < 6 {
-		t.Fatalf("a 2-point sweep journalled %d records", len(ends))
+	kinds := map[byte]int{}
+	for i := range recs {
+		recs[i].end = int64(len(full))
+		if i+1 < len(recs) {
+			recs[i].end = recs[i+1].off
+		}
+		kinds[recs[i].kind]++
+	}
+	if jsonRecs < 6 || kinds[kindSpan] == 0 || kinds[kindResult] != 2 || refs != 1 {
+		t.Fatalf("the sweep logged %d JSON records, %d spans, %d results (%d references)", jsonRecs, kinds[kindSpan], kinds[kindResult], refs)
 	}
 
+	// Replay finds the reference's blob where the restarted server would.
 	dir := t.TempDir()
+	blobs := blobFiles(t, src)
+	if len(blobs) != 1 {
+		t.Fatalf("blob files %v, want one", blobs)
+	}
+	jl := journalAt(dir)
+	data, err := os.ReadFile(filepath.Join(src, blobSubdir, blobs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, blobSubdir, blobs[0]), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	p := filepath.Join(dir, name)
-	jl := &journal{dir: dir}
 	for k := 0; k <= len(full); k++ {
 		os.Remove(p + ".corrupt")
 		if err := os.WriteFile(p, full[:k], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		complete := 0
-		for _, end := range ends {
-			if end <= int64(k) {
-				complete++
+		events, spans, results := -1, 0, map[int]int64{}
+		for _, r := range recs {
+			if r.end > int64(k) {
+				break
+			}
+			switch r.kind {
+			case kindSpan:
+				spans++
+			case kindResult:
+				results[r.point] = r.off
+			default:
+				events++ // the first JSON record is the header
 			}
 		}
-		recs := jl.replay()
+		rj, ok := jl.recover(st.ID)
 		_, qerr := os.Stat(p + ".corrupt")
-		if complete == 0 {
-			if len(recs) != 0 || qerr != nil {
-				t.Fatalf("cut at %d inside the header: %d jobs recovered, quarantine err %v", k, len(recs), qerr)
+		if events < 0 {
+			if ok || qerr != nil {
+				t.Fatalf("cut at %d inside the header: recovered %v, quarantine err %v", k, ok, qerr)
 			}
 			continue
 		}
-		if len(recs) != 1 || qerr == nil {
-			t.Fatalf("cut at %d: %d jobs recovered, quarantined %v", k, len(recs), qerr == nil)
+		if !ok || qerr == nil {
+			t.Fatalf("cut at %d: recovered %v, quarantined %v", k, ok, qerr == nil)
 		}
-		rj := recs[0]
-		if rj.hdr.ID != st.ID || len(rj.events) != complete-1 {
-			t.Fatalf("cut at %d: job %q with %d events, want %q with %d", k, rj.hdr.ID, len(rj.events), st.ID, complete-1)
+		rj.log.close()
+		if rj.hdr.ID != st.ID || len(rj.events) != events || len(rj.spans) != spans {
+			t.Fatalf("cut at %d: job %q with %d events and %d spans, want %q with %d and %d", k, rj.hdr.ID, len(rj.events), len(rj.spans), st.ID, events, spans)
 		}
 		for i, ev := range rj.events {
 			if ev.Seq != int64(i)+1 {
 				t.Fatalf("cut at %d: event %d has seq %d", k, i, ev.Seq)
 			}
 		}
-		if wantTerminal := complete == len(ends); rj.terminal != wantTerminal {
+		if wantTerminal := events == jsonRecs-1; rj.terminal != wantTerminal {
 			t.Fatalf("cut at %d of %d: terminal %v, want %v", k, len(full), rj.terminal, wantTerminal)
+		}
+		n, _, degraded := rj.rf.snapshot()
+		if n != len(results) || degraded {
+			t.Fatalf("cut at %d: %d results (degraded %v), want %d", k, n, degraded, len(results))
+		}
+		for i, off := range rj.rf.offsets {
+			if want, complete := results[i]; complete && off != want || !complete && off >= 0 {
+				t.Fatalf("cut at %d: point %d indexed at %d, want %d (complete %v)", k, i, off, want, complete)
+			}
 		}
 	}
 }
 
 // FuzzJournalReplay feeds replay arbitrary records (one per input line,
-// framed as a journal would be) and an arbitrary torn tail. Replay must
-// never panic, and what it recovers must be well formed: a header naming
-// the file, a contiguous 1..n event prefix, and a terminal flag that agrees
-// with the last state — or no job at all, with the file quarantined.
+// framed as a job log's records are) and an arbitrary torn tail. A line
+// that opens with a kind byte is a span or result record, so the seeds
+// interleave spans, inline results and references to a blob the directory
+// holds with the JSON header and events. Replay must never panic, and what
+// it recovers must be well formed: a header naming the file, a contiguous
+// 1..n event prefix, a terminal flag that agrees with the last state, no
+// more spans than span records, and a result index that points only at
+// result records of its own point — or no job at all, with the file
+// quarantined.
 func FuzzJournalReplay(f *testing.F) {
+	key := "pnfp2-" + strings.Repeat("e", 64)
+	head := []byte(`{"index":1,"name":"p1","result":`)
+	span, _ := json.Marshal(obs.Event{Type: "span", Name: "serve.job", Proc: "host:1", Span: 7, DurNS: 5})
+	inline := append([]byte{kindResult, 0, 0, 0, 0}, `{"index":0,"name":"p0","wall_ns":0}`...)
+	ref := append(appendRefHeader([]byte{kindResult, 0, 0, 0, 1}, key, len(head)), head...)
+	ref = append(ref, `,"wall_ns":1,"cached":true}`...)
 	sum := PointSummary{Index: 0, Name: "p0", OK: true, T: 1, F0: 1, C: 1e-9}
 	var seed bytes.Buffer
 	for _, r := range []jrecord{
-		{V: 1, T: "accepted", ID: "j1", Kind: "sweep", Specs: []PointSpec{hopfSpec("p0", 3)}},
+		{V: 1, T: "accepted", ID: "j1", Kind: "sweep", Specs: []PointSpec{hopfSpec("p0", 3), hopfSpec("p1", 4)}},
 		{V: 1, T: "event", Ev: &Event{Seq: 1, Type: "state", State: StateQueued}},
 		{V: 1, T: "event", Ev: &Event{Seq: 2, Type: "state", State: StateRunning}},
 		{V: 1, T: "event", Ev: &Event{Seq: 3, Type: "point", Point: &sum}},
@@ -696,23 +892,43 @@ func FuzzJournalReplay(f *testing.F) {
 	} {
 		data, _ := json.Marshal(r)
 		seed.Write(append(data, '\n'))
+		if r.Ev != nil && r.Ev.Seq == 2 {
+			for _, b := range [][]byte{append(spanKind, span...), inline, ref, append(spanKind, '{')} {
+				seed.Write(append(b, '\n'))
+			}
+		}
 	}
 	f.Add(seed.Bytes(), uint16(0))
 	f.Add(seed.Bytes(), uint16(9))
 	f.Add(seed.Bytes()[:len(seed.Bytes())/2], uint16(0))
 	f.Add([]byte("not json at all\n"), uint16(0))
+	f.Add(append(append(spanKind, span...), '\n'), uint16(0))
 	f.Add([]byte(`{"v":1,"t":"accepted","id":"j2","kind":"sweep","specs":[{}]}`), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, tear uint16) {
 		dir := t.TempDir()
+		jl := journalAt(dir)
+		blob, _, err := wal.Open(jl.blobs.path(key), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = blob.Append([]byte(key+"\n"), []byte(`{"c":1e-9}`))
+		blob.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		p := filepath.Join(dir, "j1"+walExt)
 		log, _, err := wal.Open(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		spanRecs := 0
 		for _, line := range bytes.Split(data, []byte("\n")) {
 			if len(line) > 0 {
 				if _, err := log.Append(line); err != nil {
 					t.Fatal(err)
+				}
+				if line[0] == kindSpan {
+					spanRecs++
 				}
 			}
 		}
@@ -724,16 +940,16 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.Truncate(p, max(0, info.Size()-int64(tear))); err != nil {
 			t.Fatal(err)
 		}
-		recs := (&journal{dir: dir}).replay()
-		if len(recs) == 0 {
+		rj, ok := jl.recover("j1")
+		if !ok {
 			if _, err := os.Stat(p + ".corrupt"); err != nil {
 				t.Fatalf("nothing recovered and nothing quarantined: %v", err)
 			}
 			return
 		}
-		rj := recs[0]
-		if len(recs) != 1 || rj.hdr.ID != "j1" || rj.hdr.T != "accepted" {
-			t.Fatalf("recovered %d jobs, first %+v", len(recs), rj.hdr)
+		defer rj.log.close()
+		if rj.hdr.ID != "j1" || rj.hdr.T != "accepted" {
+			t.Fatalf("recovered header %+v", rj.hdr)
 		}
 		for i, ev := range rj.events {
 			if ev.Seq != int64(i)+1 {
@@ -743,6 +959,21 @@ func FuzzJournalReplay(f *testing.F) {
 		terminalState := rj.state == StateDone || rj.state == StateFailed || rj.state == StateCanceled
 		if rj.terminal != terminalState {
 			t.Fatalf("terminal %v with last state %q", rj.terminal, rj.state)
+		}
+		if len(rj.spans) > spanRecs {
+			t.Fatalf("%d spans from %d span records", len(rj.spans), spanRecs)
+		}
+		if rj.rf == nil {
+			return
+		}
+		for i, off := range rj.rf.offsets {
+			if off < 0 {
+				continue
+			}
+			rec, err := rj.log.f.ReadAt(off)
+			if err != nil || len(rec) < 5 || rec[0] != kindResult || binary.BigEndian.Uint32(rec[1:]) != uint32(i) {
+				t.Fatalf("point %d indexed at %d, a record %q (%v)", i, off, rec, err)
+			}
 		}
 	})
 }

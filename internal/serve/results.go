@@ -7,203 +7,50 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/faultinject"
 	"repro/internal/sweep"
-	"repro/internal/wal"
 )
 
-// The result store is the journal's sibling for payloads: where the journal
-// makes a job's *lifecycle* durable, the spill file makes its *results*
-// durable and memory-bounded. Every completed sweep.PointResult streams out
-// of OnPoint into an append-only log (internal/wal), <dir>/results/<id>.wal,
-// the moment it completes, so the server never retains a per-job O(points)
-// result slice — a 10⁵-point sweep holds open one file descriptor and an
-// 8-byte in-memory index entry per point, nothing else. Retrieval (paginated
-// /results, streaming /results.jsonl) copies records straight back off disk,
-// checksum-checked and never decoded, including for journal-recovered jobs:
-// the spill survives a SIGKILL alongside the journal, and reopening it
-// reads it once end to end to rebuild the index and cut a torn tail.
+// The result records of a job's log (journal.go) make its results durable
+// and memory-bounded: every completed sweep.PointResult streams out of
+// OnPoint into the job's log the moment it completes, so the server never
+// retains a per-job O(points) result slice — a 10⁵-point sweep holds one
+// file descriptor and an 8-byte in-memory index entry per point, nothing
+// else. Retrieval (paginated /results, streaming /results.jsonl) copies
+// records straight back off disk, checksum-checked and never decoded,
+// including for journal-recovered jobs: replay reads the log once end to
+// end and rebuilds the index as it goes.
 //
-// A record is a 4-byte big-endian point index followed by its body. An
-// inline body is exactly sweep.PointResult.MarshalJSON's output — the
-// loss-free codec — so streamed retrieval is byte-identical to what the
+// A result record is the kind byte, a 4-byte big-endian point index and its
+// body. An inline body is exactly sweep.PointResult.MarshalJSON's output —
+// the loss-free codec — so streamed retrieval is byte-identical to what the
 // in-memory path used to serve. For a point that went through the result
-// cache that output is the point envelope with the cache payload spliced in:
-// the result is not encoded again, and a memory-tier hit is spilled without
-// ever being decoded. A cache hit's body is a reference instead: the
-// envelope's two halves and the cache key, whose payload the blob store
+// cache that output is the point envelope with the cache payload spliced
+// in: the result is not encoded again, and a memory-tier hit is spilled
+// without ever being decoded. A cache hit's body is a reference instead:
+// the envelope's two halves and the cache key, whose payload the blob store
 // keeps once for every job that hit it (blobs.go); readers splice it back
 // in, so the bytes served are the same.
 // Records are plain appends (a crash loses at most the records the OS had
-// not written; every earlier point survives), and seal — called when the job
-// goes terminal — syncs them, and on a new file its directory entry too. A
-// new spill is not synced at create: before seal its records are not
-// durable anyway, and a job that crashes unsealed is re-run or served from
-// what survived.
+// not written; every earlier point survives). seal — called just before the
+// job's terminal event — stops further appends, and the terminal event's
+// sync makes every record before it durable.
 //
-// Failure containment mirrors the journal too: a failed append (disk full,
-// injected fault) flips the file to degraded — the job keeps running and
+// Failure containment mirrors the journal: a failed append (disk full,
+// injected fault) flips the index to degraded — the job keeps running and
 // settling normally, already-spilled records stay readable, only the
-// not-yet-spilled payloads are lost to summary-only service. A failed create
-// degrades the whole job the same way. Results are an availability surface,
-// never a correctness dependency.
+// not-yet-spilled payloads are lost to summary-only service. A job without
+// a log runs summary-only the same way. Results are an availability
+// surface, never a correctness dependency.
 
-// resultSubdir keeps spill files out of the journal replay walk.
-const resultSubdir = "results"
-
-// resultStore hands out per-job spill files under one directory. A nil store
-// (creation failed) degrades every job to summary-only; all methods are
-// nil-safe, mirroring the journal.
-type resultStore struct {
-	dir   string
-	own   bool       // dir is a temp dir this store created; close removes it
-	blobs *blobStore // nil: every record spills inline
-}
-
-// newResultStore places the store under journalDir/results when journalling
-// is on — spill files then live next to the journals they complement and
-// survive restarts with them. Without a journal the store falls back to a
-// private temp directory: results are still memory-bounded and streamable,
-// they just die with the process like the jobs themselves. Returns nil
-// (summary-only service) only when no directory can be created at all.
-func newResultStore(journalDir string) *resultStore {
-	if journalDir != "" {
-		dir := filepath.Join(journalDir, resultSubdir)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			serveMetrics.Get().resultErrors.Inc()
-			return nil
-		}
-		return &resultStore{dir: dir, blobs: newBlobStore(filepath.Join(dir, blobSubdir))}
-	}
-	dir, err := os.MkdirTemp("", "pnserve-results-")
-	if err != nil {
-		serveMetrics.Get().resultErrors.Inc()
-		return nil
-	}
-	return &resultStore{dir: dir, own: true, blobs: newBlobStore(filepath.Join(dir, blobSubdir))}
-}
-
-// path maps a job ID to its spill file ("" = unmappable).
-func (rs *resultStore) path(id string) string {
-	if rs == nil {
-		return ""
-	}
-	return jobFile(rs.dir, id)
-}
-
-// open creates (or reopens, for journal recovery and resumed jobs) the spill
-// file for a job of n points, indexing every intact record; nothing is
-// synced until seal. A reopened reference takes a count on its blob; one
-// whose blob is missing, torn or holds another key is left out of the index
-// and counted as corrupt, and the file reads as degraded. Returns nil when
-// the store is unavailable or the file cannot be opened — the job then runs
-// summary-only.
-func (rs *resultStore) open(id string, n int) *resultFile {
-	p := rs.path(id)
-	if p == "" || n <= 0 {
-		return nil
-	}
-	m := serveMetrics.Get()
-	rf := &resultFile{offsets: make([]int64, n), blobs: rs.blobs}
-	for i := range rf.offsets {
-		rf.offsets[i] = -1
-	}
-	log, cut, err := wal.Open(p, func(off int64, rec []byte) {
-		if len(rec) < 4 {
-			return
-		}
-		// First record per index wins, as in append.
-		idx := binary.BigEndian.Uint32(rec)
-		if int64(idx) >= int64(n) || rf.offsets[idx] >= 0 {
-			return
-		}
-		if body := rec[4:]; isRef(body) {
-			key, _, _, ok := splitRef(body)
-			if !ok || !rs.blobs.adopt(key) {
-				m.replayCorrupt.Inc()
-				rf.degraded = true
-				return
-			}
-			rf.keys = append(rf.keys, key)
-		}
-		rf.offsets[idx] = off
-		rf.n++
-	})
-	if err != nil {
-		rs.blobs.release(rf.keys)
-		m.resultErrors.Inc()
-		m.resultDegraded.Inc()
-		return nil
-	}
-	if cut > 0 {
-		m.replayCorrupt.Inc()
-	}
-	if rf.degraded {
-		m.resultDegraded.Inc()
-	}
-	rf.log = log
-	return rf
-}
-
-// openExisting reopens a spill file only if it already exists on disk —
-// terminal-job recovery attaches whatever survived the crash without minting
-// empty files for jobs whose spill never existed.
-func (rs *resultStore) openExisting(id string, n int) *resultFile {
-	p := rs.path(id)
-	if p == "" {
-		return nil
-	}
-	if _, err := os.Stat(p); err != nil {
-		return nil
-	}
-	return rs.open(id, n)
-}
-
-// remove deletes a job's spill file.
-func (rs *resultStore) remove(id string) {
-	if p := rs.path(id); p != "" {
-		os.Remove(p)
-	}
-}
-
-// drop closes and deletes an evicted or discarded job's spill file, then
-// releases the blob counts its reference records held.
-func (rs *resultStore) drop(id string, rf *resultFile) {
-	rf.closeFile()
-	rs.remove(id)
-	rf.release()
-}
-
-// beginReplay and endReplay bracket journal replay for the blob store.
-func (rs *resultStore) beginReplay() {
-	if rs != nil {
-		rs.blobs.beginReplay()
-	}
-}
-
-func (rs *resultStore) endReplay() {
-	if rs != nil {
-		rs.blobs.endReplay()
-	}
-}
-
-// close releases the store; a temp-dir store removes its directory.
-func (rs *resultStore) close() {
-	if rs != nil && rs.own {
-		os.RemoveAll(rs.dir)
-	}
-}
-
-// resultFile is one job's spill file plus its in-memory index. Methods are
-// safe for concurrent use (the cluster runner delivers results from several
-// worker streams at once) and nil-safe (a degraded or store-less job carries
-// a nil file).
+// resultFile indexes the result records of one job's log. Methods are safe
+// for concurrent use (the cluster runner delivers results from several
+// worker streams at once) and nil-safe (a job without a log carries a nil
+// file).
 type resultFile struct {
-	log      *wal.Log
+	log      *jobLog
 	blobs    *blobStore // where reference records' payloads live (nil: inline only)
 	mu       sync.Mutex
 	offsets  []int64  // record offset per point index; -1 = not spilled
@@ -211,12 +58,53 @@ type resultFile struct {
 	keys     []string // the key of each reference record: one blob count each
 	degraded bool     // an append failed: summary-only from here on
 	sealed   bool
-	// index holds the record's point-index prefix during an append, and ref
-	// a reference record's header. They live here, not on append's stack:
-	// the log checksums the parts it is handed in place, so they escape, and
-	// a stack buffer would be moved to the heap on every append.
-	index [4]byte
+	// index holds the record's kind byte and point-index prefix during an
+	// append, and ref a reference record's header. They live here, not on
+	// append's stack: the log checksums the parts it is handed in place, so
+	// they escape, and a stack buffer would be moved to the heap on every
+	// append.
+	index [5]byte
 	ref   [2 + maxKey + 4]byte
+}
+
+// newResultFile starts the index of a job's result records for n points:
+// nil (summary-only) without a log, or for a job with no points.
+func newResultFile(log *jobLog, n int) *resultFile {
+	if log == nil || n <= 0 {
+		return nil
+	}
+	rf := &resultFile{log: log, blobs: log.jl.blobs, offsets: make([]int64, n)}
+	for i := range rf.offsets {
+		rf.offsets[i] = -1
+	}
+	rf.index[0] = kindResult
+	return rf
+}
+
+// adopt indexes a result record that replay read back at off; rec is the
+// record after its kind byte. First record per index wins, as in append. A
+// reference takes a count on its blob; one whose blob is missing, torn or
+// holds another key is left out of the index and counted as corrupt, and
+// the file reads as degraded.
+func (rf *resultFile) adopt(off int64, rec []byte) {
+	if rf == nil || len(rec) < 4 {
+		return
+	}
+	idx := binary.BigEndian.Uint32(rec)
+	if int64(idx) >= int64(len(rf.offsets)) || rf.offsets[idx] >= 0 {
+		return
+	}
+	if body := rec[4:]; isRef(body) {
+		key, _, _, ok := splitRef(body)
+		if !ok || !rf.blobs.adopt(key) {
+			serveMetrics.Get().replayCorrupt.Inc()
+			rf.degraded = true
+			return
+		}
+		rf.keys = append(rf.keys, key)
+	}
+	rf.offsets[idx] = off
+	rf.n++
 }
 
 // append spills one completed point inline. First writer per index wins — a
@@ -275,7 +163,7 @@ func (rf *resultFile) spill(idx int, key string, token any, parts [][]byte) erro
 			key = ""
 		}
 	}
-	binary.BigEndian.PutUint32(rf.index[:], uint32(idx))
+	binary.BigEndian.PutUint32(rf.index[1:], uint32(idx))
 	rec := [4][]byte{rf.index[:]}
 	n := 1 + copy(rec[1:], parts)
 	if key != "" {
@@ -288,7 +176,7 @@ func (rf *resultFile) spill(idx int, key string, token any, parts [][]byte) erro
 	}
 	var off int64
 	if err == nil {
-		if off, err = rf.log.Append(rec[:n]...); err != nil && key != "" {
+		if off, err = rf.log.append(false, rec[:n]...); err != nil && key != "" {
 			rf.blobs.release([]string{key})
 		}
 	}
@@ -308,28 +196,14 @@ func (rf *resultFile) spill(idx int, key string, token any, parts [][]byte) erro
 	return nil
 }
 
-// seal syncs the spilled records once the job is terminal, and a new
-// file's directory with them (wal.Log.Sync). The log stays open: retrieval
-// keeps reading from it until eviction.
+// seal stops further appends once the job is done: the terminal event
+// written next is the log's last, and its sync makes these records durable.
+// The log stays open: retrieval keeps reading from it until eviction.
 func (rf *resultFile) seal() {
-	if rf == nil {
-		return
-	}
-	rf.mu.Lock()
-	defer rf.mu.Unlock()
-	if rf.sealed {
-		return
-	}
-	rf.sealed = true
-	if err := rf.log.Sync(); err != nil {
-		serveMetrics.Get().resultErrors.Inc()
-	}
-}
-
-// closeFile releases the descriptor (eviction).
-func (rf *resultFile) closeFile() {
 	if rf != nil {
-		_ = rf.log.Close()
+		rf.mu.Lock()
+		rf.sealed = true
+		rf.mu.Unlock()
 	}
 }
 
@@ -370,9 +244,9 @@ func (rf *resultFile) parts(idx int) ([3][]byte, error) {
 		serveMetrics.Get().resultErrors.Inc()
 		return p, err
 	}
-	rec, err := rf.log.ReadAt(off)
+	rec, err := rf.log.f.ReadAt(off)
 	if err == nil {
-		if p[0] = rec[4:]; isRef(p[0]) {
+		if p[0] = rec[5:]; isRef(p[0]) {
 			p, err = rf.blobs.splice(p[0])
 		}
 	}

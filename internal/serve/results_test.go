@@ -448,23 +448,18 @@ func TestServeResultMemoryBounded(t *testing.T) {
 // truncated, everything before it stays readable — the same stance journal
 // replay takes.
 func TestResultSpillScanTolerance(t *testing.T) {
-	dir := t.TempDir()
-	rs := &resultStore{dir: dir}
-	rf := rs.open("jt", 3)
-	if rf == nil {
-		t.Fatal("open failed")
-	}
+	jl := &journal{dir: t.TempDir()}
+	rf := openResults(t, jl, "jt", 3)
 	for i := 0; i < 2; i++ {
 		if err := rf.append(i, []byte(fmt.Sprintf(`{"index":%d}`, i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rf.seal()
-	rf.closeFile()
+	rf.log.close()
 
 	// Tear the tail: append half a frame header.
-	p := rs.path("jt")
-	f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(rf.log.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,11 +468,8 @@ func TestResultSpillScanTolerance(t *testing.T) {
 	}
 	f.Close()
 
-	rf2 := rs.open("jt", 3)
-	if rf2 == nil {
-		t.Fatal("reopen failed")
-	}
-	defer rf2.closeFile()
+	rf2 := reopenResults(t, jl, "jt")
+	defer rf2.log.close()
 	n, total, degraded := rf2.snapshot()
 	if n != 2 || total != 3 || degraded {
 		t.Fatalf("after torn tail: n=%d total=%d degraded=%v", n, total, degraded)
@@ -497,29 +489,28 @@ func TestResultSpillScanTolerance(t *testing.T) {
 	}
 }
 
-// TestResultSpillSealedReopens: a new spill file, appended and sealed with
-// no sync at create, reopens with every record byte for byte, through open
-// (resumed jobs) and openExisting (terminal-job recovery) alike.
+// TestResultSpillSealedReopens: result records, appended and sealed with no
+// sync of their own, read back with every record byte for byte, for a
+// resumed job (no terminal event) and a finished one (after the terminal
+// event) alike.
 func TestResultSpillSealedReopens(t *testing.T) {
-	rs := &resultStore{dir: t.TempDir()}
+	jl := &journal{dir: t.TempDir()}
 	const n = 4
 	record := func(i int) []byte { return []byte(fmt.Sprintf(`{"index":%d,"c":1.5e-%d}`, i, 10+i)) }
-	rf := rs.open("js", n)
-	if rf == nil {
-		t.Fatal("open failed")
-	}
+	rf := openResults(t, jl, "js", n)
 	for i := 0; i < n; i++ {
 		if err := rf.append(i, record(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rf.seal()
-	rf.closeFile()
-	for name, reopen := range map[string]func(string, int) *resultFile{"open": rs.open, "openExisting": rs.openExisting} {
-		rf := reopen("js", n)
-		if rf == nil {
-			t.Fatalf("%s: reopen failed", name)
+	rf.log.close()
+	for _, name := range []string{"resumed", "finished"} {
+		rj, ok := jl.recover("js")
+		if !ok || rj.rf == nil || rj.terminal != (name == "finished") {
+			t.Fatalf("%s: replay ok %v, results %v, terminal %v", name, ok, rj.rf != nil, rj.terminal)
 		}
+		rf := rj.rf
 		if got, total, degraded := rf.snapshot(); got != n || total != n || degraded {
 			t.Fatalf("%s: n=%d total=%d degraded=%v, want all %d records", name, got, total, degraded, n)
 		}
@@ -528,6 +519,8 @@ func TestResultSpillSealedReopens(t *testing.T) {
 				t.Fatalf("%s: frame %d = %q, %v; want %q", name, i, raw, err, record(i))
 			}
 		}
-		rf.closeFile()
+		rf.seal()
+		rf.log.event(Event{Seq: 1, Type: "state", State: StateDone}, true)
+		rf.log.close()
 	}
 }

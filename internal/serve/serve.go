@@ -75,13 +75,13 @@ type Config struct {
 	// from its first slot grant, applied on top of the request's own
 	// timeout_ms.
 	MaxJobWall time.Duration
-	// JournalDir, when non-empty, makes jobs durable: every accepted job gets
-	// an append-only journal under this directory (header synced before the
+	// JournalDir, when non-empty, makes jobs durable: every accepted job's
+	// log, <id>.wal, lives under this directory (header synced before the
 	// 202 goes out, terminal event synced), and on restart the server
 	// replays the directory — terminal jobs come back queryable,
 	// non-terminal jobs are re-enqueued and resumed through the result
-	// cache, so already-computed points are cache hits. Empty: jobs live
-	// only in process memory.
+	// cache, so already-computed points are cache hits. Empty: the logs live
+	// in a private temp directory and jobs die with the process.
 	JournalDir string
 	// Runner, when non-nil, executes jobs instead of the in-process sweep
 	// engine — the hook a cluster coordinator uses to lease points out to
@@ -143,8 +143,8 @@ type job struct {
 	tok      *budget.Token // child of the server root; tripped by cancel/shutdown
 	cancel   func()
 	events   *eventLog
-	jl       *jobJournal     // nil when journalling is off
-	rf       *resultFile     // spill file for loss-free results (nil = summary-only)
+	log      *jobLog         // the job's one file (nil: none could be written)
+	rf       *resultFile     // index of the log's loss-free results (nil = summary-only)
 	idem     string          // Idempotency-Key this job was submitted under ("" = none)
 	trace    *jobTrace       // distributed timeline (always non-nil for runnable jobs)
 	traceCtx obs.SpanContext // trace ID + remote parent from the submit's traceparent
@@ -187,7 +187,7 @@ func (j *job) emit(ev Event, terminal bool) {
 	defer j.emitMu.Unlock()
 	stamped, ok := j.events.append(ev)
 	if ok {
-		j.jl.event(stamped, terminal)
+		j.log.event(stamped, terminal)
 	}
 }
 
@@ -281,9 +281,8 @@ type Server struct {
 	stop    func()
 	sched   *sched
 	tenants *tenants
-	results *resultStore // nil: spill unavailable, jobs serve summaries only
 	wg      sync.WaitGroup
-	journal *journal      // nil when journalling is off
+	journal *journal      // the job logs' directory (nil: none could be made; jobs serve summaries only)
 	drainCh chan struct{} // closed when draining starts; stops the replayer
 	closeQ  sync.Once
 	replay  sync.WaitGroup // tracks the startup replay goroutine
@@ -311,20 +310,16 @@ func New(cfg Config) *Server {
 		stop:    stop,
 		sched:   newSched(cfg.Queue),
 		tenants: newTenants(cfg.TenantDefaults, cfg.Tenants),
-		results: newResultStore(cfg.JournalDir),
 		drainCh: make(chan struct{}),
 		jobs:    make(map[string]*job),
 		idem:    make(map[string]idemEntry),
 	}
-	if cfg.JournalDir != "" {
-		jl, maxSeq, err := openJournal(cfg.JournalDir)
-		if err == nil {
-			s.journal = jl
-			s.seq = maxSeq
-		} else {
-			// An unusable journal dir degrades durability, not service.
-			serveMetrics.Get().journalErrors.Inc()
-		}
+	if jl, maxSeq, err := openJournal(cfg.JournalDir); err == nil {
+		s.journal = jl
+		s.seq = maxSeq
+	} else {
+		// An unusable journal dir degrades durability, not service.
+		serveMetrics.Get().journalErrors.Inc()
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/characterise", s.handleCharacterise)
@@ -346,8 +341,8 @@ func New(cfg Config) *Server {
 		s.wg.Add(1)
 		go s.slot()
 	}
-	if s.journal != nil {
-		s.results.beginReplay()
+	if s.journal != nil && s.journal.durable {
+		s.journal.blobs.beginReplay()
 		s.replay.Add(1)
 		go s.recoverJobs()
 	} else {
@@ -410,10 +405,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 		err = ctx.Err()
 	}
-	// A journal-less store lives in a temp dir; release it with the slots
-	// gone (terminal jobs lose their loss-free results, as they always did
-	// without a journal — the process is exiting anyway).
-	s.results.close()
+	// Without a journal directory the logs live in a temp dir; release it
+	// with the slots gone (terminal jobs lose their loss-free results, as
+	// they always did without a journal — the process is exiting anyway).
+	s.journal.close()
 	return err
 }
 
@@ -631,15 +626,13 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, hdr jrecord) {
 	hdr.ID = j.id
 	// The header is fsync'd before the 202 goes out: once the client hears
 	// "accepted", the job survives a crash. The queued event rides the same
-	// handle. Both land before the queue send, so everything a slot reads
-	// (id, the queued event) is in place before the job becomes visible.
-	j.jl = s.journal.create(hdr)
-	j.trace = openJobTrace(j.traceCtx.Trace, s.journal.tracePath(j.id))
-	// The spill file is opened while the job is still invisible: every
-	// reader that can find the job sees the same rf pointer for its whole
-	// life. A nil rf (store unavailable, disk trouble) degrades this job to
-	// summary-only service. Its records become durable at seal.
-	j.rf = s.results.open(j.id, len(j.specs))
+	// log. Both land before the queue send, and the log is attached while
+	// the job is still invisible, so every reader that can find the job sees
+	// the same log, trace and rf for its whole life. A job without a log
+	// (disk trouble) runs summary-only.
+	j.log = s.journal.create(hdr)
+	j.trace = newJobTrace(j.traceCtx.Trace, j.log, nil)
+	j.rf = newResultFile(j.log, len(j.specs))
 	j.emit(Event{Type: "state", State: StateQueued}, false)
 	// The gauge rises before the enqueue so the slot's decrement (not under
 	// s.mu) can never be observed ahead of it leaving the depth negative
@@ -649,9 +642,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, hdr jrecord) {
 		s.mu.Unlock()
 		j.cancel()
 		s.tenants.unadmit(tenant)
-		j.jl.discard() // an unqueued job must not be resurrected on restart
-		j.trace.discard()
-		s.results.drop(j.id, j.rf)
+		j.drop() // an unqueued job must not be resurrected on restart
 		m.queueDepth.Add(-1)
 		m.rejected.With("queue_full").Inc()
 		w.Header().Set("Retry-After", "1")
@@ -665,7 +656,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, hdr jrecord) {
 	s.order = append(s.order, j.id)
 	evicted := s.evictLocked()
 	s.mu.Unlock()
-	s.dropFiles(evicted)
+	dropFiles(evicted)
 
 	// The lease clock starts at acceptance: a leased job stuck in the queue
 	// of a wedged worker expires like any other, freeing the coordinator to
@@ -710,16 +701,20 @@ func (s *Server) evictLocked() (evicted []*job) {
 	return evicted
 }
 
-// dropFiles deletes evicted jobs' journals, traces and spill files, and
-// then releases the blob counts of their spills' reference records. It runs
-// outside s.mu: unlinking a large file takes long enough to stall every
-// request behind the server-wide lock.
-func (s *Server) dropFiles(evicted []*job) {
+// dropFiles deletes evicted jobs' logs. It runs outside s.mu: unlinking a
+// large file takes long enough to stall every request behind the
+// server-wide lock.
+func dropFiles(evicted []*job) {
 	for _, j := range evicted {
-		s.journal.remove(j.id)
-		j.trace.discard()
-		s.results.drop(j.id, j.rf)
+		j.drop()
 	}
+}
+
+// drop deletes the job's log, then releases the blob counts of its
+// reference records.
+func (j *job) drop() {
+	j.log.remove()
+	j.rf.release()
 }
 
 func (s *Server) lookup(r *http.Request) (*job, bool) {
@@ -1101,7 +1096,7 @@ func (s *Server) beginJob(j *job) {
 // and per-point metrics are the engine's; idx maps each point back to its
 // job index. A slot passes one resolved point, or the withdrawn points of a
 // job whose budget is spent. DiscardResults keeps the engine from holding
-// results nobody reads — the spill file is the system of record.
+// results nobody reads — the job's log is the system of record.
 func (s *Server) runPoints(j *job, idx []int, pts []sweep.Point) {
 	store := s.cfg.Cache
 	if j.noCache {
@@ -1183,7 +1178,7 @@ func (j *job) progress(sum PointSummary) {
 // OnSummary — possibly concurrently from several worker streams — and is
 // folded into the job's counters and SSE stream exactly like the in-process
 // path; the loss-free records arrive through OnResult as bytes and go
-// straight to the spill file. Both are trusted to arrive at most once per
+// straight to the job's log. Both are trusted to arrive at most once per
 // index, but an out-of-range index is dropped rather than corrupting state.
 func (s *Server) runViaRunner(j *job) error {
 	return s.cfg.Runner.RunSweep(RunnerRequest{
@@ -1208,11 +1203,11 @@ func (s *Server) runViaRunner(j *job) error {
 }
 
 // settle finishes a job once every point is reported (or its runner
-// returned err): the terminal state, the synced terminal event, sealed spill
-// file, released tenant slot, metrics and the closed trace. A tripped job
-// token is a job-level outcome (cancel endpoint, shutdown, lease expiry or
-// the job's own deadline); per-point failures under a live token are data,
-// not a job failure.
+// returned err): the sealed results, the terminal state and its synced
+// event, released tenant slot and metrics. A tripped job token is a
+// job-level outcome (cancel endpoint, shutdown, lease expiry or the job's
+// own deadline); per-point failures under a live token are data, not a job
+// failure.
 func (s *Server) settle(j *job, err error) {
 	if err == nil {
 		err = j.jtok.Err()
@@ -1230,6 +1225,9 @@ func (s *Server) settle(j *job, err error) {
 	// visible: a client that polls its job to completion and immediately
 	// resubmits must never bounce off its own finishing job's slot.
 	s.tenants.release(j.tenant)
+	// Sealed before the job can be evicted, and before the terminal event,
+	// whose sync then makes every result record durable.
+	j.rf.seal()
 
 	j.mu.Lock()
 	j.state = state
@@ -1242,16 +1240,12 @@ func (s *Server) settle(j *job, err error) {
 	j.emit(Event{Type: "state", State: state, Error: sweep.EncodeError(err)}, true)
 	j.events.close()
 	j.cancel() // release the token's forwarding goroutine
-	j.rf.seal()
 
 	m.inflight.Add(-1)
 	m.jobs.With(state).Inc()
 	m.jobSeconds.Observe(time.Since(j.start).Seconds())
 	j.span.SetAttr("state", state)
 	j.span.EndErr(err)
-	// The timeline stays queryable from memory; the file handle is released
-	// now that the last span has landed (eviction deletes the file later).
-	j.trace.close()
 }
 
 // classify maps a job-level error to its terminal state.
@@ -1262,51 +1256,53 @@ func classify(err error) string {
 	return StateFailed
 }
 
-// recoverJobs replays the journal directory on startup. Terminal jobs come
-// back queryable exactly as they finished (state, counters, summaries, event
-// history for SSE replay); non-terminal jobs are re-enqueued and re-run —
-// their pre-crash points are cache hits, so no completed work recomputes.
-// Runs in the background: the server accepts new traffic meanwhile, and
-// /readyz flips to 200 only when the whole directory is restored. A shutdown
-// mid-replay aborts cleanly: unprocessed journals wait for the next start.
+// recoverJobs replays the journal directory on startup, reading each job's
+// log once, in submission order. Terminal jobs come back queryable exactly
+// as they finished (state, counters, summaries, event history for SSE
+// replay, timeline and results); non-terminal jobs are re-enqueued and
+// re-run — their pre-crash points are cache hits, so no completed work
+// recomputes. Runs in the background: the server accepts new traffic
+// meanwhile, and /readyz flips to 200 only when the whole directory is
+// restored. A shutdown mid-replay aborts cleanly: unprocessed logs wait for
+// the next start.
 func (s *Server) recoverJobs() {
 	defer s.replay.Done()
 	m := serveMetrics.Get()
 	// ModeDelay here widens the not-ready window deterministically; ModeError
 	// is meaningless for replay and ignored.
 	_ = faultinject.Fire(faultinject.ServeReplayDelay)
-	for _, rj := range s.journal.replay() {
-		if rj.terminal {
+	for _, id := range s.journal.logIDs() {
+		rj, ok := s.journal.recover(id)
+		switch {
+		case !ok:
+		case rj.terminal:
 			s.restoreTerminal(rj, m)
-			continue
-		}
-		if !s.resumeJob(rj, m) {
-			// Draining: remaining journals recover on the next start, and
-			// the blobs their spills name stay until then.
+		case !s.resumeJob(rj, m):
+			// Draining: remaining logs recover on the next start, and the
+			// blobs their result records name stay until then.
 			return
 		}
 	}
-	// Every spill is reopened: blobs no reference holds can go now.
-	s.results.endReplay()
+	// Every log is read: blobs no reference holds can go now.
+	s.journal.blobs.endReplay()
 	s.mu.Lock()
 	s.ready = true
 	s.mu.Unlock()
 }
 
-// restoreTerminal registers a finished job from its journal: queryable status
-// and replayable (closed) event stream. When the job's spill file survived
-// alongside the journal, the loss-free results come back with it — /results
-// pages and /results.jsonl both work across the restart; only a job with no
-// spill (pre-store journals, degraded runs) is summary-only.
+// restoreTerminal registers a finished job from its log: queryable status,
+// replayable (closed) event stream and timeline, and the loss-free results —
+// /results pages and /results.jsonl both work across the restart; only a
+// job whose log holds no result record (logs written before results joined
+// them, degraded runs) is summary-only.
 func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
 	j := s.newJob(rj.hdr, nil)
 	j.cancel()    // nothing will run; release the token immediately
 	j.stopLease() // a coordinator's renewal must not re-arm a finished job
 	j.state = rj.state
-	j.rf = s.results.openExisting(j.id, len(j.specs))
+	j.log, j.rf = rj.log, rj.rf
 	j.rf.seal() // terminal: frozen read-only, late appends no-op
-	j.trace = openJobTrace(j.traceCtx.Trace, s.journal.tracePath(j.id))
-	j.trace.close() // terminal: the timeline is read-only from here
+	j.trace = newJobTrace(j.traceCtx.Trace, j.log, rj.spans)
 	if rj.err != nil {
 		j.err = rj.err
 	}
@@ -1325,16 +1321,16 @@ func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
 // draining and the job could not be enqueued.
 func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
 	j := s.newJob(rj.hdr, s.root)
-	j.jl = s.journal.open(j.id)
-	// The re-run re-reports every point (pre-crash ones as cache hits); the
-	// reopened spill dedups by index, so frames that landed before the crash
-	// stay exactly as first written.
-	j.rf = s.results.open(j.id, len(j.specs))
+	// The log continues after its last intact record. The re-run re-reports
+	// every point (pre-crash ones as cache hits); the result index dedups by
+	// point, so records that landed before the crash stay exactly as first
+	// written.
+	j.log, j.rf = rj.log, rj.rf
 	// The pre-crash timeline is reloaded and the same trace ID continues; a
 	// resume marker records the restart itself — in-flight span trees died
 	// unemitted with the old process, and this marker is what explains the
 	// gap when reading the merged timeline.
-	j.trace = openJobTrace(j.traceCtx.Trace, s.journal.tracePath(j.id))
+	j.trace = newJobTrace(j.traceCtx.Trace, j.log, rj.spans)
 	j.trace.Emit(obs.Event{Type: "resume", Name: "serve.job.resumed", StartNS: time.Now().UnixNano()})
 	j.events.restore(rj.events)
 	j.emit(Event{Type: "state", State: StateQueued}, false)
@@ -1344,18 +1340,22 @@ func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
 	// worker before the job self-cancels.
 	j.armLease()
 	m.queueDepth.Add(1)
-	if s.sched.resume(j, s.tenants.weight(j.tenant)) == nil {
-		// The previous process admitted this job; re-claim its in-flight slot
-		// (without charging the submit bucket) so quota accounting survives
-		// the restart.
-		s.tenants.restore(j.tenant)
-		m.recovered.With("resumed").Inc()
-		return true
+	select {
+	case <-s.drainCh:
+	default:
+		if s.sched.resume(j, s.tenants.weight(j.tenant)) == nil {
+			// The previous process admitted this job; re-claim its in-flight
+			// slot (without charging the submit bucket) so quota accounting
+			// survives the restart.
+			s.tenants.restore(j.tenant)
+			m.recovered.With("resumed").Inc()
+			return true
+		}
 	}
 	// Shutting down before this job could re-enter the queue: unregister
-	// and keep its journal on disk so the next start resumes it.
+	// and keep its log on disk so the next start resumes it.
 	j.cancel()
-	j.rf.closeFile()
+	j.log.close()
 	m.queueDepth.Add(-1)
 	s.mu.Lock()
 	delete(s.jobs, j.id)
@@ -1376,8 +1376,8 @@ func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
 // header — the submit's own, or one read back by replay — under a cancel
 // token derived from parent. A header's missing or invalid tenant (journals
 // from before tenancy) folds into the default tenant, and a missing or
-// malformed traceparent starts a fresh trace. The caller attaches the
-// journal, spill and trace handles.
+// malformed traceparent starts a fresh trace. The caller attaches the log,
+// the result index and the trace.
 func (s *Server) newJob(hdr jrecord, parent *budget.Token) *job {
 	tok, cancel := budget.WithCancel(parent)
 	j := &job{
@@ -1427,7 +1427,7 @@ func (s *Server) register(j *job, hdr jrecord) {
 	}
 	evicted := s.evictLocked()
 	s.mu.Unlock()
-	s.dropFiles(evicted)
+	dropFiles(evicted)
 }
 
 // restoreProgress rebuilds a terminal job's counters and summaries from its

@@ -7,17 +7,16 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/wal"
 )
 
-// The job trace is the distributed-tracing sibling of the job journal: every
-// job owns a bounded buffer of completed span events — its own (the serve.job
-// root span and the whole sweep subtree under it) plus events ingested from
-// worker nodes via the coordinator's trace pull. With journalling on, each
-// event is also appended to the log <JournalDir>/traces/<jobID>.wal as it
-// arrives (never synced: a SIGKILL loses nothing the OS already has, and the
-// buffer is the primary copy while the process lives), so a restarted
-// coordinator still serves the pre-crash timeline.
+// The job trace is the distributed timeline of a job: every job owns a
+// bounded buffer of completed span events — its own (the serve.job root span
+// and the whole sweep subtree under it) plus events ingested from worker
+// nodes via the coordinator's trace pull. Each event is also appended to the
+// job's log (journal.go) as a span record as it arrives (never synced: a
+// SIGKILL loses nothing the OS already has, and the buffer is the primary
+// copy while the process lives), so a restarted coordinator still serves the
+// pre-crash timeline.
 
 // defaultTraceCap bounds a job's in-memory (and on-disk) trace buffer.
 const defaultTraceCap = 4096
@@ -38,14 +37,13 @@ var procID = func() string {
 // same worker job — and the buffer is capped: once full, new events are
 // dropped and counted rather than growing without bound.
 type jobTrace struct {
-	trace string // trace ID stamped on locally emitted events
-	path  string // trace log ("" = memory-only)
+	trace string  // trace ID stamped on locally emitted events
+	log   *jobLog // nil: memory-only
 
 	mu      sync.Mutex
 	evs     []obs.Event
 	seen    map[string]struct{}
 	dropped int
-	log     *wal.Log // nil: memory-only, or closed
 	cap     int
 }
 
@@ -60,26 +58,15 @@ func parseTraceCtx(traceparent string) obs.SpanContext {
 	return obs.SpanContext{Trace: obs.NewTraceID()}
 }
 
-// openJobTrace opens a job's trace at path ("" keeps it memory-only). A
-// recovered job's pre-crash timeline is read back from the log, which then
-// stays open for appending, so a restarted coordinator keeps extending the
-// same trace.
-func openJobTrace(traceID, path string) *jobTrace {
-	t := &jobTrace{trace: traceID, path: path, seen: make(map[string]struct{}), cap: defaultTraceCap}
-	if path == "" {
-		return t
+// newJobTrace starts a job's timeline, written to the job's log as it grows
+// (nil: memory-only). restored is a recovered job's pre-crash timeline, read
+// back from the log by replay, so a restarted coordinator keeps extending
+// the same trace.
+func newJobTrace(traceID string, log *jobLog, restored []obs.Event) *jobTrace {
+	t := &jobTrace{trace: traceID, log: log, seen: make(map[string]struct{}), cap: defaultTraceCap}
+	for _, ev := range restored {
+		t.restore(ev)
 	}
-	log, _, err := wal.Open(path, func(_ int64, rec []byte) {
-		var ev obs.Event
-		if json.Unmarshal(rec, &ev) == nil {
-			t.restore(ev)
-		}
-	})
-	if err != nil {
-		serveMetrics.Get().journalErrors.Inc()
-		return t
-	}
-	t.log = log
 	return t
 }
 
@@ -129,7 +116,7 @@ func (t *jobTrace) ingest(evs []obs.Event) {
 	}
 }
 
-// restore re-adds an event read back from the trace file: dedup and buffer
+// restore re-adds an event read back from the job's log: dedup and buffer
 // only, never re-written to disk.
 func (t *jobTrace) restore(ev obs.Event) {
 	t.mu.Lock()
@@ -142,7 +129,7 @@ func (t *jobTrace) restore(ev obs.Event) {
 	t.evs = append(t.evs, ev)
 }
 
-// record dedups, buffers, counts, and appends to the trace file. Returns
+// record dedups, buffers, counts, and appends to the job's log. Returns
 // whether the event was kept.
 func (t *jobTrace) record(ev obs.Event, local bool) bool {
 	m := serveMetrics.Get()
@@ -160,9 +147,8 @@ func (t *jobTrace) record(ev obs.Event, local bool) bool {
 	}
 	t.seen[key] = struct{}{}
 	t.evs = append(t.evs, ev)
-	log := t.log
 	var rec []byte
-	if log != nil {
+	if t.log != nil {
 		rec, _ = json.Marshal(ev)
 	}
 	t.mu.Unlock()
@@ -170,9 +156,7 @@ func (t *jobTrace) record(ev obs.Event, local bool) bool {
 		m.traceSpans.Inc()
 	}
 	if rec != nil {
-		if _, err := log.Append(rec); err != nil {
-			m.journalErrors.Inc()
-		}
+		t.log.span(rec)
 	}
 	return true
 }
@@ -185,28 +169,6 @@ func (t *jobTrace) snapshot() ([]obs.Event, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]obs.Event(nil), t.evs...), t.dropped
-}
-
-// close releases the log (the buffer stays queryable).
-func (t *jobTrace) close() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.log != nil {
-		_ = t.log.Close()
-		t.log = nil
-	}
-	t.mu.Unlock()
-}
-
-// discard closes the log and deletes it — eviction-time cleanup, paired
-// with journal.remove.
-func (t *jobTrace) discard() {
-	if t != nil {
-		t.close()
-		removeJobFile(t.path)
-	}
 }
 
 // renderTrace builds the API view: the raw timeline plus per-stage and

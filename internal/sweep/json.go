@@ -239,23 +239,27 @@ func (r PointResult) MarshalParts() (head, result, tail []byte, err error) {
 			return nil, nil, nil, err
 		}
 	}
-	w := r.envelope()
-	env, err := json.Marshal(w)
+	env, err := json.Marshal(r.envelope())
 	if err != nil || result == nil {
 		return env, nil, nil, err
 	}
-	name, err := json.Marshal(struct {
-		Index int    `json:"index"`
-		Name  string `json:"name"`
-	}{w.Index, w.Name})
-	if err != nil {
-		return nil, nil, nil, err
+	// env opens with {"index":N,"name":"…", and the result member goes
+	// right after the name, which ends at the first quote no backslash
+	// escapes.
+	n := bytes.Index(env, nameKey) + len(nameKey)
+	for ; env[n] != '"'; n++ {
+		if env[n] == '\\' {
+			n++
+		}
 	}
-	n := len(name) - 1 // env opens with name, up to its closing brace
+	n++
 	const key = `,"result":`
 	head = append(env[:n:n], key...)
 	return head, result, env[n:], nil
 }
+
+// nameKey precedes the name's string in an envelope.
+var nameKey = []byte(`,"name":"`)
 
 // indexKey opens every loss-free record: the index is its first member.
 var indexKey = []byte(`{"index":`)

@@ -1,6 +1,7 @@
-// Package wal is the append-only record log under every durable per-job file
-// of the job server: the job journal, the result spill and its payload
-// blobs, the trace journal and the coordinator's lease journal.
+// Package wal is the append-only record log under every durable file of the
+// job server: each job's one log (its header, events, spans and results),
+// the payload blobs its result records name, and the coordinator's lease
+// journal.
 //
 // A log file is an 8-byte magic followed by frames, integers big-endian:
 //

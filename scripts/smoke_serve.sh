@@ -3,9 +3,9 @@
 # cache, submit a Hopf characterisation over HTTP, poll it to completion,
 # resubmit the identical request and assert it is served from the result
 # cache, then check the pn_serve_* / pn_cache_* metric families on /metrics.
-# After a drain, a restart on the same journal directory must serve the cache
-# hit's loss-free result (a reference to its payload blob) byte for byte as
-# the computed job's.
+# After a drain, a restart on the same journal directory must find one log
+# per job and the payload blob, and serve the cache hit's loss-free result (a
+# reference to that blob) byte for byte as the computed job's.
 # A compose phase then submits several PLL composition jobs sharing two
 # oscillator legs and asserts the legs characterised exactly once each — the
 # cache fan-in the composition layer exists for.
@@ -169,7 +169,14 @@ for i in $(seq 1 50); do
   sleep 0.2
   [[ $i -eq 50 ]] && fail "restarted server never became ready"
 done
-ls "$TMP/journal/results/blobs/"*.wal >/dev/null 2>&1 || fail "no payload blob under the journal directory"
+# One log per job: every retained job (2 characterise, $COMPOSE_N compose) is
+# one <id>.wal at the top level, and the hit's payload blob sits in blobs/.
+ls "$TMP/journal/blobs/"*.wal >/dev/null 2>&1 || fail "no payload blob under the journal directory's blobs/"
+[[ ! -e "$TMP/journal/results" && ! -e "$TMP/journal/traces" ]] \
+  || fail "the journal directory still has a results/ or traces/ directory"
+nlogs="$(find "$TMP/journal" -maxdepth 1 -type f -name '*.wal' | wc -l)"
+[[ "$nlogs" -eq $((2 + COMPOSE_N)) ]] \
+  || fail "the journal directory holds $nlogs job logs, want one per retained job ($((2 + COMPOSE_N)))"
 for which in first second; do
   id="$(json_field id <<<"${!which}")"
   curl -sf "$BASE/v1/jobs/$id/results.jsonl" >"$TMP/$which.jsonl" \
