@@ -14,8 +14,10 @@ import (
 // so that entries older binaries wrote become unreachable (fresh keys)
 // instead of mixing with new ones. pnfp2: the adjoint at the orbit's
 // resolution, the shooting stop rule that sees weak contraction, and
-// c_rel_err on every result.
-const FingerprintVersion = "pnfp2"
+// c_rel_err on every result. pnfp3: the shooting transient stops once its
+// Poincaré returns say the orbit is on its cycle, so Newton starts from
+// another phase and the served bits change under unchanged knobs.
+const FingerprintVersion = "pnfp3"
 
 // Fingerprint accumulates the identity of one characterisation request —
 // model name, parameters, initial state, period guess, effective solver

@@ -270,9 +270,12 @@ func characterise(sys dynsys.System, x0 []float64, tGuess float64, opts *Options
 	} else {
 		ssp := obs.StartSpan(sp, "shooting.Find")
 		pss, err = shooting.Find(sys, x0, tGuess, so)
-		if err == nil {
+		// SetAttr's argument escapes: box the values only for a span that
+		// records them.
+		if err == nil && ssp != nil {
 			ssp.SetAttr("residual", pss.Residual)
 			ssp.SetAttr("newton_iters", pss.Iters)
+			ssp.SetAttr("transient_periods", pss.TransientPeriods())
 		}
 		ssp.EndErr(err)
 		if err != nil {

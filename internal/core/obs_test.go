@@ -144,6 +144,7 @@ func TestNumericalHealthInMetricsAndSpans(t *testing.T) {
 		{"core.Characterise", "c_rel_err", res.CRelErr},
 		{"shooting.Find", "residual", res.PSS.Residual},
 		{"shooting.Find", "newton_iters", res.PSS.Iters},
+		{"shooting.Find", "transient_periods", res.PSS.TransientPeriods()},
 		{"floquet.Analyze", "closure_err", res.Floquet.ClosureErr},
 		{"floquet.Analyze", "unit_err", res.Floquet.UnitErr},
 		{"floquet.Analyze", "biortho_drift", res.Floquet.BiorthoDrift},

@@ -159,7 +159,7 @@ func appendPairs(b []byte, ps [][2]wfloat.Float) []byte {
 // MarshalJSON implements json.Marshaler, encoding complex slices as
 // [re, im] pairs so the decomposition survives a JSON round trip loss-free.
 func (d *Decomposition) MarshalJSON() ([]byte, error) {
-	return json.Marshal(d.Wire())
+	return d.Wire().AppendJSON(nil)
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

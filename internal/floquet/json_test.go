@@ -1,11 +1,31 @@
 package floquet
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/ode"
 )
+
+// checkWireBytes: MarshalJSON writes exactly what encoding/json writes for
+// the decomposition's wire struct.
+func checkWireBytes(t *testing.T, d *Decomposition) {
+	t.Helper()
+	want, err := json.Marshal(d.Wire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("MarshalJSON:\n%s\nencoding/json of the wire struct:\n%s", got, want)
+	}
+}
 
 // TestDecompositionJSONNonFinite: a strongly contractive orbit underflows a
 // multiplier to 0, making its exponent log(0)/T = -Inf. JSON has no number
@@ -21,6 +41,7 @@ func TestDecompositionJSONNonFinite(t *testing.T) {
 		UnitErr:     math.Inf(1),
 		ClosureErr:  math.NaN(),
 	}
+	checkWireBytes(t, d)
 	data, err := json.Marshal(d)
 	if err != nil {
 		t.Fatalf("marshal with non-finite fields: %v", err)
@@ -56,7 +77,9 @@ func TestDecompositionJSONFiniteStaysNumeric(t *testing.T) {
 		UnitErr:      1e-12,
 		ClosureErr:   3e-9,
 		BiorthoDrift: 2e-8,
+		V1:           &ode.Trajectory{Points: []ode.SamplePoint{{T: 0, X: []float64{0.5, 0.25}, DX: []float64{-1e-300, 3}}, {T: 1.25, X: []float64{0.5, 0.25}, DX: []float64{-1e-300, 3}}}},
 	}
+	checkWireBytes(t, d)
 	data, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)

@@ -399,6 +399,12 @@ type Options struct {
 	// Budget, when non-nil, is polled once per trial step; a tripped token
 	// aborts the integration with a wrapped ErrCanceled/ErrBudgetExceeded.
 	Budget *budget.Token
+	// Step, when non-nil, is called by DOPRI5 after every accepted step
+	// with the step's start (t0, x0, f0 = f(t0, x0)) and end (t1, x1, f1):
+	// the data of the step's cubic Hermite. The slices are the integrator's
+	// own and valid only during the call. Returning true ends the
+	// integration at t1, with x1 as Result.X.
+	Step func(t0 float64, x0, f0 []float64, t1 float64, x1, f1 []float64) (stop bool)
 }
 
 func (o *Options) defaults(t0, t1 float64) Options {
@@ -417,6 +423,7 @@ func (o *Options) defaults(t0, t1 float64) Options {
 		}
 		out.Record = o.Record
 		out.Budget = o.Budget
+		out.Step = o.Step
 	}
 	if out.MaxStep <= 0 {
 		out.MaxStep = math.Abs(t1 - t0)
@@ -451,7 +458,8 @@ var (
 )
 
 // DOPRI5 integrates ẋ = f from t0 to t1 (t1 > t0) with the Dormand–Prince
-// 5(4) adaptive pair. x0 is not modified.
+// 5(4) adaptive pair, or until Options.Step ends it earlier. x0 is not
+// modified.
 func DOPRI5(f Func, t0, t1 float64, x0 []float64, opts *Options) (*Result, error) {
 	res, err := dopri5(f, t0, t1, x0, opts)
 	m := odeMetrics.Get()
@@ -565,12 +573,16 @@ func dopri5(f Func, t0, t1 float64, x0 []float64, opts *Options) (*Result, error
 		}
 		if errNorm <= 1 {
 			// Accept. k[6] = f(t+h, xnew) is the FSAL stage.
+			stop := o.Step != nil && o.Step(t, x, k[0], t+h, xnew, k[6])
 			t += h
 			copy(x, xnew)
 			copy(k[0], k[6])
 			res.Steps++
 			if o.Record {
 				res.Traj.appendFrom(&knots, t, x, k[0])
+			}
+			if stop {
+				break
 			}
 			// PI controller (Gustafsson).
 			scale := safety * math.Pow(errNorm, -0.7/5) * math.Pow(prevErr, 0.4/5)

@@ -751,3 +751,30 @@ func BenchmarkScalarRK4x8(b *testing.B) {
 		}
 	}
 }
+
+// TestDOPRI5StepEndsIntegration: Options.Step sees every accepted step's
+// start and end with their derivatives, and returning true ends the
+// integration at that step's end.
+func TestDOPRI5StepEndsIntegration(t *testing.T) {
+	f := func(t float64, x, dst []float64) { dst[0] = -x[0] }
+	calls, tEnd, xEnd := 0, 0.0, 0.0
+	prev := 0.0
+	step := func(t0 float64, x0, f0 []float64, t1 float64, x1, f1 []float64) bool {
+		calls++
+		if t0 != prev || t1 <= t0 || f0[0] != -x0[0] || f1[0] != -x1[0] {
+			t.Fatalf("step %d: [%g, %g] after %g, f0 %g at x0 %g, f1 %g at x1 %g", calls, t0, t1, prev, f0[0], x0[0], f1[0], x1[0])
+		}
+		prev, tEnd, xEnd = t1, t1, x1[0]
+		return t1 >= 1
+	}
+	res, err := DOPRI5(f, 0, 10, []float64{1}, &Options{Step: step})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps != calls || tEnd < 1 || tEnd >= 10 || res.X[0] != xEnd {
+		t.Fatalf("%d steps, %d calls, stopped at t=%g with x=%g (last step's x1 %g)", res.Steps, calls, tEnd, res.X[0], xEnd)
+	}
+	if math.Abs(res.X[0]-math.Exp(-tEnd)) > 1e-8 {
+		t.Fatalf("x(%g) = %g, want %g", tEnd, res.X[0], math.Exp(-tEnd))
+	}
+}

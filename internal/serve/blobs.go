@@ -81,7 +81,7 @@ func newBlobStore(dir string) *blobStore {
 }
 
 // validBlobKey reports whether key may name a blob file. Cache keys are a
-// schema name, a dash and hex ("pnfp2-…"), safe as a file name; a key read
+// schema name, a dash and hex ("pnfp3-…"), safe as a file name; a key read
 // back from a result record is data and is checked anyway, as jobFile
 // checks job IDs. A hit under any other key spills inline.
 func validBlobKey(key string) bool {

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -442,6 +443,81 @@ func TestJournalIdempotency(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counter("pn_serve_rejected_total", "idem_mismatch"); got != 2 {
 		t.Fatalf("idem_mismatch rejections = %d, want 2", got)
+	}
+}
+
+// TestJournalIdempotencyRace: submissions racing under one Idempotency-Key
+// create one job. The first writes its log outside the server lock with the
+// key reserved; every other gets that job (200, Idempotent-Replay) or a 409.
+func TestJournalIdempotencyRace(t *testing.T) {
+	s := New(Config{Workers: 1, JournalDir: t.TempDir()})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	waitReady(t, ts.URL)
+
+	body, err := json.Marshal(CharacteriseRequest{PointSpec: hopfSpec("race", 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	type reply struct {
+		code   int
+		replay string
+		id     string
+		err    error
+	}
+	replies := make([]reply, n)
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequest("POST", ts.URL+"/v1/characterise", bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Idempotency-Key", "race-key")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				replies[i].err = err
+				return
+			}
+			defer resp.Body.Close()
+			var st JobStatus
+			if resp.StatusCode < 300 {
+				err = json.NewDecoder(resp.Body).Decode(&st)
+			}
+			replies[i] = reply{resp.StatusCode, resp.Header.Get("Idempotent-Replay"), st.ID, err}
+		}()
+	}
+	wg.Wait()
+	created := ""
+	for _, r := range replies {
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.code == http.StatusAccepted {
+			if created != "" {
+				t.Fatalf("two jobs under one key: %s and %s", created, r.id)
+			}
+			created = r.id
+		}
+	}
+	if created == "" {
+		t.Fatalf("no submission was accepted: %+v", replies)
+	}
+	for _, r := range replies {
+		switch {
+		case r.code == http.StatusAccepted, r.code == http.StatusConflict:
+		case r.code == http.StatusOK && r.replay == "true" && r.id == created:
+		default:
+			t.Errorf("racing submit got %d (replay %q, id %q), want 202 once, then 200 for %s or 409", r.code, r.replay, r.id, created)
+		}
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if jobs != 1 {
+		t.Fatalf("%d jobs registered, want 1", jobs)
 	}
 }
 

@@ -225,11 +225,13 @@ func (rf *resultFile) release() {
 // a reference is its head, its blob's payload and its tail. All are nil
 // when the point has not been spilled. The read fault point fires per
 // record, so an injected read failure surfaces as a partial page, not a
-// wedged store; a blob that cannot be read is a read error too.
-func (rf *resultFile) parts(idx int) ([3][]byte, error) {
+// wedged store; a blob that cannot be read is a read error too. The record
+// is read into buf when it has the room (nil: a fresh slice), and the
+// buffer it landed in is returned for the next read; the parts may alias it.
+func (rf *resultFile) parts(idx int, buf []byte) ([3][]byte, []byte, error) {
 	var p [3][]byte
 	if rf == nil {
-		return p, nil
+		return p, buf, nil
 	}
 	rf.mu.Lock()
 	off := int64(-1)
@@ -238,29 +240,30 @@ func (rf *resultFile) parts(idx int) ([3][]byte, error) {
 	}
 	rf.mu.Unlock()
 	if off < 0 {
-		return p, nil
+		return p, buf, nil
 	}
 	if err := faultinject.Fire(faultinject.ServeResultsRead); err != nil {
 		serveMetrics.Get().resultErrors.Inc()
-		return p, err
+		return p, buf, err
 	}
-	rec, err := rf.log.f.ReadAt(off)
+	rec, err := rf.log.f.ReadInto(off, buf)
 	if err == nil {
+		buf = rec
 		if p[0] = rec[5:]; isRef(p[0]) {
 			p, err = rf.blobs.splice(p[0])
 		}
 	}
 	if err != nil {
 		serveMetrics.Get().resultErrors.Inc()
-		return [3][]byte{}, fmt.Errorf("results: reading point %d: %w", idx, err)
+		return [3][]byte{}, buf, fmt.Errorf("results: reading point %d: %w", idx, err)
 	}
-	return p, nil
+	return p, buf, nil
 }
 
 // frame reads one point's raw codec bytes, a reference's parts joined; nil
 // when the point has not been spilled.
 func (rf *resultFile) frame(idx int) ([]byte, error) {
-	p, err := rf.parts(idx)
+	p, _, err := rf.parts(idx, nil)
 	if err != nil || p[1] == nil && p[2] == nil {
 		return p[0], err
 	}
@@ -313,8 +316,11 @@ func (rf *resultFile) writeJSONL(w io.Writer) error {
 	if rf == nil {
 		return errors.New("results: no spill file for this job")
 	}
+	// Every record is read into one buffer: none outlives its write.
+	var buf []byte
 	for i := 0; i < len(rf.offsets); i++ {
-		p, err := rf.parts(i)
+		p, b, err := rf.parts(i, buf)
+		buf = b
 		if err != nil {
 			return err
 		}

@@ -524,3 +524,33 @@ func TestResultSpillSealedReopens(t *testing.T) {
 		rf.log.close()
 	}
 }
+
+// TestJSONLReadsIntoOneBuffer: the bulk download reads every inline record
+// into one buffer, so its allocations do not grow with the number of points
+// (a buffer per record was about 0.5 MB of garbage per served point). The
+// records are equal in size, so the first read sizes the buffer for all.
+func TestJSONLReadsIntoOneBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector moves each frame's header read to the heap")
+	}
+	body := append(append([]byte(`{"index":0,"pad":"`), bytes.Repeat([]byte{'x'}, 64<<10)...), `"}`...)
+	allocs := func(n int) float64 {
+		rf := openResults(t, journalAt(t.TempDir()), "j1", n)
+		defer rf.log.close()
+		for i := range n {
+			if err := rf.append(i, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(5, func() {
+			if err := rf.writeJSONL(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(4), allocs(64)
+	if many > few {
+		t.Fatalf("writeJSONL: %.0f allocs for 64 points, %.0f for 4: a read allocates per record", many, few)
+	}
+	t.Logf("%.0f allocs per download at 4 and at 64 points", many)
+}

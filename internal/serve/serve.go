@@ -266,7 +266,8 @@ func (j *job) status(full bool) JobStatus {
 
 // idemEntry maps one Idempotency-Key to the job it created, plus the
 // fingerprint of the request body it arrived with (reuse with a different
-// body is a client error, not a replay).
+// body is a client error, not a replay). id is empty while the submission
+// that reserved the key writes its log.
 type idemEntry struct {
 	id string
 	fp string
@@ -552,9 +553,10 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, hdr jrecord) {
 				return
 			}
 			if prior == nil {
-				// The job aged out of retention; treat the key as spent.
+				// The job aged out of retention (the key is spent), or its
+				// submission is still writing its log.
 				m.rejected.With("idem_mismatch").Inc()
-				writeErr(w, http.StatusConflict, "Idempotency-Key %q refers to an evicted job", idemKey)
+				writeErr(w, http.StatusConflict, "Idempotency-Key %q refers to an evicted job or one not yet accepted", idemKey)
 				return
 			}
 			m.idemHits.Inc()
@@ -612,7 +614,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, hdr jrecord) {
 			s.tenants.unadmit(tenant)
 			if ent.fp != idemFP || prior == nil {
 				m.rejected.With("idem_mismatch").Inc()
-				writeErr(w, http.StatusConflict, "Idempotency-Key %q was used with a different request body", idemKey)
+				writeErr(w, http.StatusConflict, "Idempotency-Key %q was used with a different request body, or by a submission not yet accepted", idemKey)
 				return
 			}
 			m.idemHits.Inc()
@@ -620,29 +622,52 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, hdr jrecord) {
 			writeJSON(w, http.StatusOK, prior.status(false))
 			return
 		}
+		// Reserve the key for this submission while its log is written: a
+		// racer under the same key now gets a 409 (or, once the job is
+		// registered, the job), never a second job.
+		s.idem[idemKey] = idemEntry{fp: idemFP}
 	}
 	s.seq++
 	j.id = "j" + strconv.FormatInt(s.seq, 10)
-	hdr.ID = j.id
+	s.mu.Unlock()
+	// rollback undoes an accepted-looking submission that cannot be queued:
+	// its key, its admission and its log.
+	rollback := func() {
+		if idemKey != "" {
+			delete(s.idem, idemKey)
+		}
+		s.mu.Unlock()
+		j.cancel()
+		s.tenants.unadmit(tenant)
+		j.drop() // an unqueued job must not be resurrected on restart
+	}
+
 	// The header is fsync'd before the 202 goes out: once the client hears
 	// "accepted", the job survives a crash. The queued event rides the same
-	// log. Both land before the queue send, and the log is attached while
-	// the job is still invisible, so every reader that can find the job sees
-	// the same log, trace and rf for its whole life. A job without a log
-	// (disk trouble) runs summary-only.
+	// log. Both are written outside s.mu (every lookup waits on it) but
+	// before the queue send, and the log is attached while the job is still
+	// invisible, so every reader that can find the job sees the same log,
+	// trace and rf for its whole life. A job without a log (disk trouble)
+	// runs summary-only.
+	hdr.ID = j.id
 	j.log = s.journal.create(hdr)
 	j.trace = newJobTrace(j.traceCtx.Trace, j.log, nil)
 	j.rf = newResultFile(j.log, len(j.specs))
 	j.emit(Event{Type: "state", State: StateQueued}, false)
+
+	s.mu.Lock()
+	if s.draining {
+		rollback()
+		m.rejected.With("draining").Inc()
+		writeErr(w, http.StatusServiceUnavailable, "server is draining")
+		return
+	}
 	// The gauge rises before the enqueue so the slot's decrement (not under
 	// s.mu) can never be observed ahead of it leaving the depth negative
 	// forever; a momentary scrape race is the worst case.
 	m.queueDepth.Add(1)
 	if err := s.sched.submit(j, s.tenants.weight(tenant)); err != nil {
-		s.mu.Unlock()
-		j.cancel()
-		s.tenants.unadmit(tenant)
-		j.drop() // an unqueued job must not be resurrected on restart
+		rollback()
 		m.queueDepth.Add(-1)
 		m.rejected.With("queue_full").Inc()
 		w.Header().Set("Retry-After", "1")

@@ -113,7 +113,14 @@ type PSS struct {
 	// reconstructed by a decoder (nil eig), or one whose Monodromy was
 	// replaced, computes them fresh.
 	eig *monodromyEigen
+	// transient is the number of guess periods the transient integrated.
+	transient float64
 }
+
+// TransientPeriods returns how many guess periods Find's transient
+// integrated before Newton started: fewer than Options.Transient when the
+// orbit reached its cycle first (0 for a PSS that Find did not produce).
+func (p *PSS) TransientPeriods() float64 { return p.transient }
 
 // monodromyEigen holds the eigenvalues of one monodromy matrix.
 type monodromyEigen struct {
@@ -258,7 +265,7 @@ func Find(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*PSS,
 	}
 	f, jac := sysFunc(sys)
 
-	x, T, err := settle(f, x0, tGuess, o, tr)
+	x, T, periods, err := settle(f, x0, tGuess, o, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -329,6 +336,7 @@ func Find(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*PSS,
 				Residual:  res,
 				Iters:     iter,
 				eig:       newMonodromyEigen(phi),
+				transient: periods,
 			}
 			if done.eig.err != nil || res < o.Tol*(1-secondModulus(done.eig.vals)) || iter == o.MaxIter {
 				return accept(done)
@@ -443,34 +451,41 @@ func Find(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*PSS,
 // Find's pre-Newton stage: the scan integrates 2.5 guess periods and takes
 // the time of the closest return to x, which brings even a 10–30% period
 // error within Newton's convergence basin — that matters for
-// relaxation-like cycles with very stiff monodromy.
-func settle(f ode.Func, x0 []float64, tGuess float64, o Options, tr *Trace) ([]float64, float64, error) {
+// relaxation-like cycles with very stiff monodromy. The transient runs until
+// its returns to a Poincaré section say the orbit is on its cycle (see
+// section), at most o.Transient guess periods; settle also returns the guess
+// periods it integrated.
+func settle(f ode.Func, x0 []float64, tGuess float64, o Options, tr *Trace) ([]float64, float64, float64, error) {
 	n := len(x0)
-	x := append([]float64(nil), x0...)
-	if o.Transient > 0 {
-		ttr := o.Transient * tGuess
-		tStart := time.Now()
-		res, err := ode.DOPRI5(f, 0, ttr, x, &ode.Options{RTol: 1e-9, ATol: 1e-12, Budget: o.Budget})
-		if tr != nil {
-			tr.TransientWall = time.Since(tStart)
-		}
-		if err != nil {
-			return nil, 0, wrapIntegration("transient integration", err)
-		}
-		x = res.X
+	// The scan's sample grid, allocated here so the section's state can
+	// borrow it while the transient runs.
+	const grid = 4000
+	dist := make([]float64, max(grid+1, 3*n))
+	sec := section{tGuess: tGuess, tol: o.Tol / 100, tStop: math.Inf(1),
+		p0: dist[:n:n], nrm: dist[n : 2*n : 2*n], prev: dist[2*n : 3*n : 3*n]}
+	tStart := time.Now()
+	res, err := ode.DOPRI5(f, 0, o.Transient*tGuess, x0, &ode.Options{RTol: 1e-9, ATol: 1e-12, Budget: o.Budget, Step: sec.step})
+	if tr != nil {
+		tr.TransientWall = time.Since(tStart)
+	}
+	if err != nil {
+		return nil, 0, 0, wrapIntegration("transient integration", err)
+	}
+	x, periods := res.X, o.Transient
+	if sec.tEnd > 0 {
+		periods = sec.tEnd / tGuess
 	}
 
 	T := tGuess
-	res, err := ode.DOPRI5(f, 0, 2.5*tGuess, x, &ode.Options{RTol: 1e-10, ATol: 1e-13, Record: true, Budget: o.Budget})
+	res, err = ode.DOPRI5(f, 0, 2.5*tGuess, x, &ode.Options{RTol: 1e-10, ATol: 1e-13, Record: true, Budget: o.Budget})
 	if err != nil && budget.Is(err) {
 		// A numerically failed scan just falls back to tGuess, but a
 		// budget cut-off must not be swallowed.
-		return nil, 0, fmt.Errorf("shooting: period-refinement scan: %w", err)
+		return nil, 0, 0, fmt.Errorf("shooting: period-refinement scan: %w", err)
 	}
 	if err == nil {
 		// Sample the dense trajectory on a fine grid and measure the
 		// distance back to the starting point.
-		const grid = 4000
 		buf := make([]float64, n)
 		distAt := func(tt float64) float64 {
 			res.Traj.At(tt, buf)
@@ -479,7 +494,6 @@ func settle(f ode.Func, x0 []float64, tGuess float64, o Options, tr *Trace) ([]f
 			}
 			return linalg.Norm2(buf)
 		}
-		dist := make([]float64, grid+1)
 		ts := make([]float64, grid+1)
 		bestD, amp := math.Inf(1), 0.0
 		for k := 0; k <= grid; k++ {
@@ -542,7 +556,151 @@ func settle(f ode.Func, x0 []float64, tGuess float64, o Options, tr *Trace) ([]f
 			}
 		}
 	}
-	return x, T, nil
+	return x, T, periods, nil
+}
+
+// section watches a transient's returns to the Poincaré section through p0,
+// the state one guess period in, with normal f(p0). A return counts when
+// the orbit crosses the section upward, lands within a tenth of the orbit's
+// extent (seen so far) of p0, and comes at least half a guess period after
+// the last one; its time and point are refined on the step's cubic Hermite.
+//
+// On a cycle whose other multipliers are μ₂…, the gap d between successive
+// returns shrinks by a ratio ρ ≈ |μ₂| per period until it reaches the
+// integration's floor, where it stops shrinking; the distance to the cycle
+// is then about the geometric tail d·ρ/(1 − ρ), which shrinks by ρ per
+// period. While the returns contract, the transient ends once that tail, at
+// the slower of the last two ratios, is under tol (relative to the state
+// scale). At a return that no longer contracts, the ratio of the latest
+// pair still ten times above it (or, when there is none, of the two returns
+// before it) extrapolates the tail, and the transient runs the whole
+// periods that take it under tol. An orbit whose returns never settle, or
+// that never returns near p0, runs the whole transient.
+type section struct {
+	tGuess, tol   float64
+	p0, nrm, prev []float64 // the section's point and normal; the last return
+	scale, amp    float64   // 1 + ‖p0‖∞ (0 until p0 is placed); the largest ‖x − p0‖∞ seen
+	tLast         float64   // time of the last return (p0's, at first)
+	returns       int
+	gaps          [8]float64 // return k's distance to return k−1, relative to scale, at [k%8]
+	tStop, tEnd   float64    // stop at the first step ending at or after tStop; where it stopped (0: it did not)
+}
+
+func (s *section) step(t0 float64, x0, f0 []float64, t1 float64, x1, f1 []float64) bool {
+	if t1 >= s.tStop {
+		s.tEnd = t1
+		return true
+	}
+	if s.scale == 0 {
+		if t1 >= s.tGuess {
+			copy(s.p0, x1)
+			copy(s.prev, x1)
+			copy(s.nrm, f1)
+			s.scale = 1 + linalg.NormInfVec(x1)
+			s.tLast = t1
+		}
+		return false
+	}
+	ga, gb, fa, fb := 0.0, 0.0, 0.0, 0.0
+	for i, p := range s.p0 {
+		s.amp = math.Max(s.amp, math.Abs(x1[i]-p))
+		ga += (x0[i] - p) * s.nrm[i]
+		gb += (x1[i] - p) * s.nrm[i]
+		fa += f0[i] * s.nrm[i]
+		fb += f1[i] * s.nrm[i]
+	}
+	if !(ga < 0 && gb >= 0) {
+		return false
+	}
+	// The crossing on the step's Hermite, g(u) = ⟨H(u) − p0, nrm⟩, by
+	// bisection: g(0) < 0 ≤ g(1).
+	h := t1 - t0
+	fa, fb = h*fa, h*fb
+	lo, hi := 0.0, 1.0
+	for range 60 {
+		u := 0.5 * (lo + hi)
+		h00, h10, h01, h11 := hermite(u)
+		if h00*ga+h10*fa+h01*gb+h11*fb < 0 {
+			lo = u
+		} else {
+			hi = u
+		}
+	}
+	u := 0.5 * (lo + hi)
+	tr := t0 + u*h
+	if tr-s.tLast < 0.5*s.tGuess {
+		return false
+	}
+	h00, h10, h01, h11 := hermite(u)
+	near := 0.0
+	for i, p := range s.p0 {
+		near = math.Max(near, math.Abs(h00*x0[i]+h10*h*f0[i]+h01*x1[i]+h11*h*f1[i]-p))
+	}
+	if near > 0.1*s.amp {
+		return false
+	}
+	d := 0.0
+	for i := range s.prev {
+		v := h00*x0[i] + h10*h*f0[i] + h01*x1[i] + h11*h*f1[i]
+		d = math.Max(d, math.Abs(v-s.prev[i]))
+		s.prev[i] = v
+	}
+	d /= s.scale
+	s.returns++
+	k, w := s.returns, len(s.gaps)
+	s.gaps[k%w] = d
+	tRet := tr - s.tLast
+	s.tLast = tr
+	if k < 3 {
+		return false
+	}
+	if d1, d2 := s.gaps[(k-1)%w], s.gaps[(k-2)%w]; d < d1 {
+		// Still contracting: stop if the tail is already under tol, taking
+		// the slower of the last two ratios, so that one return the floor's
+		// noise pulled low cannot end the transient.
+		rho := math.Max(d/d1, d1/d2)
+		if rho < 1 && d*rho/(1-rho) <= s.tol {
+			s.tEnd = t1
+			return true
+		}
+		return false
+	}
+	// The returns stopped contracting: this one sits at the floor.
+	rho, e := -1.0, 0.0
+	for j := k - 1; j >= max(2, k-w+2); j-- {
+		if dj, dp := s.gaps[j%w], s.gaps[(j-1)%w]; dj >= 10*d && dj < dp {
+			rho = dj / dp
+			e = dj * rho / (1 - rho) * math.Pow(rho, float64(k-j))
+			break
+		}
+	}
+	if rho < 0 {
+		d1, d2 := s.gaps[(k-1)%w], s.gaps[(k-2)%w]
+		if d1 >= d2 && d1 > 0 {
+			return false // no contraction seen: keep watching
+		}
+		if d1 > 0 {
+			rho = d1 / d2
+			e = d1 * rho * rho / (1 - rho)
+		}
+	}
+	m := 0.0
+	if e > s.tol {
+		m = math.Ceil(math.Log(s.tol/e) / math.Log(rho))
+	}
+	s.tStop = math.Min(s.tStop, tr+m*tRet)
+	if t1 >= s.tStop {
+		s.tEnd = t1
+		return true
+	}
+	return false
+}
+
+// hermite returns the cubic Hermite basis at u ∈ [0, 1].
+func hermite(u float64) (h00, h10, h01, h11 float64) {
+	u2 := u * u
+	u3 := u2 * u
+	return 2*u3 - 3*u2 + 1, u3 - 2*u2 + u, -2*u3 + 3*u2, u3 - u2
 }
 
 // EstimatePeriod integrates the system for tMax and estimates the oscillation

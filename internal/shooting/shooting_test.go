@@ -500,3 +500,35 @@ func TestStopRuleSeesWeakContraction(t *testing.T) {
 		t.Logf("NoDamping %v: %d iterations, residuals %.2g", noDamping, pss.Iters, tr.Residuals)
 	}
 }
+
+// TestTransientStopsOnItsCycle: the transient ends once its returns to the
+// Poincaré section stop shrinking and the extrapolated distance to the cycle
+// is under Tol/100; an orbit that contracts too slowly for that runs the
+// whole Options.Transient, which stays the cap.
+func TestTransientStopsOnItsCycle(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		lambda float64 // multiplier e^{−2λ} per period
+		opts   Options
+		lo, hi float64 // transient periods
+	}{
+		{"strong", 1, Options{}, 2, 19},
+		{"weak", 1e-3, Options{}, 20, 20},
+		{"capped", 1, Options{Transient: 3}, 2, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := &osc.Hopf{Lambda: c.lambda, Omega: 2 * math.Pi}
+			pss, err := Find(h, []float64{0.8, 0.1}, 0.97, &c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := pss.TransientPeriods(); p < c.lo || p > c.hi {
+				t.Fatalf("transient ran %g guess periods, want [%g, %g]", p, c.lo, c.hi)
+			}
+			if math.Abs(pss.T-1) > 1e-9 {
+				t.Fatalf("T = %.12g, want 1", pss.T)
+			}
+			t.Logf("%.2f guess periods, %d Newton iterations", pss.TransientPeriods(), pss.Iters)
+		})
+	}
+}

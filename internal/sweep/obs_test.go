@@ -73,7 +73,9 @@ func TestAttemptTimeoutKeepsPartialTrace(t *testing.T) {
 		System: &osc.Hopf{Lambda: 1, Omega: 2 * math.Pi, Sigma: 0.02},
 		X0:     []float64{1, 0.1},
 		TGuess: 1.05,
-		// Heavy enough that the transient alone far outlasts the timeout.
+		// Heavy enough that the attempt far outlasts the timeout: the
+		// transient may stop after a few periods once its returns settle,
+		// but each Newton iteration integrates 500,000 RK4 steps.
 		Opts: &core.Options{Shooting: &shooting.Options{StepsPerPeriod: 500000, Transient: 200}},
 	}}
 	r := Run(pts, &Config{AttemptTimeout: 25 * time.Millisecond})[0]

@@ -188,7 +188,12 @@ func (l *Log) write(b []byte, pos int64) (int64, error) {
 
 // ReadAt returns the record of the frame at off, as returned by Append or
 // passed to Open's fn, after checking its CRC.
-func (l *Log) ReadAt(off int64) ([]byte, error) {
+func (l *Log) ReadAt(off int64) ([]byte, error) { return l.ReadInto(off, nil) }
+
+// ReadInto is ReadAt reading the record into buf when it has the room (nil:
+// a fresh slice), so a loop over many frames can reuse one buffer; the
+// record is valid until buf is reused.
+func (l *Log) ReadInto(off int64, buf []byte) ([]byte, error) {
 	var hdr [frameHeader]byte
 	if _, err := l.f.ReadAt(hdr[:], off); err != nil {
 		return nil, fmt.Errorf("wal: reading frame at %d: %w", off, err)
@@ -200,7 +205,10 @@ func (l *Log) ReadAt(off int64) ([]byte, error) {
 	if n == 0 || off < int64(len(magic)) || off+frameHeader+n > size {
 		return nil, fmt.Errorf("wal: no frame at %d", off)
 	}
-	rec := make([]byte, n)
+	if int64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	rec := buf[:n]
 	if _, err := l.f.ReadAt(rec, off+frameHeader); err != nil {
 		return nil, fmt.Errorf("wal: reading frame at %d: %w", off, err)
 	}

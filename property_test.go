@@ -382,22 +382,12 @@ func TestCoordinateInvariance(t *testing.T) {
 	}
 }
 
-// Property: every c carries an error bar that holds. The served c runs the
-// backward adjoint at the orbit's knot count; a 4× finer adjoint moves c by
-// less than c_rel_err, and on the Hopf normal form, whose c = σ²/ω² is
-// known, so does the whole error. The points are every registry model at
-// its defaults and a grid over pnbench's parameter ranges, plus van der Pol
-// at μ = 6 and μ = 10. The finer run only supplies a reference value, so it
-// tolerates any adjoint closure error (at μ = 10 the 4× adjoint does not
-// close within the default 1e-3, while the served one does).
-func TestCRelErrCoversAdjointResolution(t *testing.T) {
-	type spec struct {
-		model string
-		p     map[string]float64
-	}
-	var specs []spec
+// rangeSpecs lists every registry model at its defaults and a grid over
+// pnbench's parameter ranges, plus van der Pol at μ = 6 and μ = 10.
+func rangeSpecs() []serve.PointSpec {
+	var specs []serve.PointSpec
 	for _, name := range osc.Models() {
-		specs = append(specs, spec{name, nil})
+		specs = append(specs, serve.PointSpec{Model: name})
 	}
 	for _, g := range []struct {
 		model, param string
@@ -414,12 +404,55 @@ func TestCRelErrCoversAdjointResolution(t *testing.T) {
 			if g.model == "hopf" {
 				p["lambda"], p["sigma"] = 1, 0.02
 			}
-			specs = append(specs, spec{g.model, p})
+			specs = append(specs, serve.PointSpec{Model: g.model, Params: p})
 		}
 	}
-	for _, sp := range specs {
-		t.Run(fmt.Sprintf("%s%v", sp.model, sp.p), func(t *testing.T) {
-			pt := specPoint(t, serve.PointSpec{Model: sp.model, Params: sp.p})
+	return specs
+}
+
+// Property: c does not depend on where on the cycle shooting starts. c and
+// T are properties of the orbit, not of a point on it; every spec of
+// rangeSpecs is characterised again from the state a third of a period
+// along its converged orbit. T must agree within 1e-9 relative and c within
+// the sum of the two error bars.
+func TestPhaseInvariance(t *testing.T) {
+	for _, sp := range rangeSpecs() {
+		t.Run(fmt.Sprintf("%s%v", sp.Model, sp.Params), func(t *testing.T) {
+			pt := specPoint(t, sp)
+			ref, err := Characterise(pt.System, pt.X0, pt.TGuess, pt.Opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := make([]float64, len(pt.X0))
+			ref.PSS.Orbit.At(ref.T()/3, x)
+			got, err := Characterise(pt.System, x, pt.TGuess, pt.Opts)
+			if err != nil {
+				t.Fatalf("from a third of a period along the orbit: %v", err)
+			}
+			if rel := math.Abs(got.T()-ref.T()) / ref.T(); rel > 1e-9 {
+				t.Errorf("T = %.15g from a third of a period on, %.15g from the start (relative difference %.2g > 1e-9)", got.T(), ref.T(), rel)
+			}
+			moved, bar := math.Abs(got.C-ref.C)/ref.C, ref.CRelErr+got.CRelErr
+			if moved > bar {
+				t.Errorf("c = %.12g from a third of a period on, %.12g from the start: %.3g apart, outside the error bars' sum %.3g", got.C, ref.C, moved, bar)
+			}
+			t.Logf("c moved %.2g (bars %.2g), T moved %.2g", moved, bar, math.Abs(got.T()-ref.T())/ref.T())
+		})
+	}
+}
+
+// Property: every c carries an error bar that holds. The served c runs the
+// backward adjoint at the orbit's knot count; a 4× finer adjoint moves c by
+// less than c_rel_err, and on the Hopf normal form, whose c = σ²/ω² is
+// known, so does the whole error. The points are every registry model at
+// its defaults and a grid over pnbench's parameter ranges, plus van der Pol
+// at μ = 6 and μ = 10. The finer run only supplies a reference value, so it
+// tolerates any adjoint closure error (at μ = 10 the 4× adjoint does not
+// close within the default 1e-3, while the served one does).
+func TestCRelErrCoversAdjointResolution(t *testing.T) {
+	for _, sp := range rangeSpecs() {
+		t.Run(fmt.Sprintf("%s%v", sp.Model, sp.Params), func(t *testing.T) {
+			pt := specPoint(t, sp)
 			res, err := Characterise(pt.System, pt.X0, pt.TGuess, pt.Opts)
 			if err != nil {
 				t.Fatal(err)
@@ -441,8 +474,8 @@ func TestCRelErrCoversAdjointResolution(t *testing.T) {
 				t.Errorf("a 4× finer adjoint moves c by %.3g, outside c_rel_err %.3g", moved, res.CRelErr)
 			}
 			off := math.NaN()
-			if sp.model == "hopf" {
-				m, err := osc.Build(sp.model, sp.p)
+			if sp.Model == "hopf" {
+				m, err := osc.Build(sp.Model, sp.Params)
 				if err != nil {
 					t.Fatal(err)
 				}
